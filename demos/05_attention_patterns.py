@@ -28,7 +28,7 @@ def attention_stats(config):
     batch = full_batch(dataset, "test")
     trace = model.forward(batch.features, training=False)
     weights = trace.attention[0].values  # single head: (rows, features)
-    return trace.feature_order, weights.mean(axis=0), weights.var(axis=0)
+    return model.feature_names, weights.mean(axis=0), weights.var(axis=0)
 
 
 for name, config in (

@@ -12,6 +12,7 @@ ever propagated silently.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,7 +24,6 @@ from .errors import ConfigError, DataError, DomainError, NumericError, ShapeErro
 __all__ = [
     "Tensor",
     "Parameter",
-    "tensor",
     "matmul",
     "relu",
     "sigmoid",
@@ -138,11 +138,6 @@ class Parameter:
 
     def __post_init__(self):
         self.tensor.grad_tracked = True
-
-
-def tensor(values, grad_tracked: bool = False) -> Tensor:
-    """Wrap ``values`` as a Tensor (copying into a fresh f64 buffer)."""
-    return Tensor(np.array(values, dtype=np.float64), grad_tracked=grad_tracked)
 
 
 def _result(values, parents: tuple, op: str) -> Tensor:
@@ -536,34 +531,49 @@ def load_parameters(path) -> tuple[dict, dict]:
     """Read a file written by :func:`save_parameters`.
 
     Returns ``(arrays, metadata)`` with arrays keyed by name in file order.
+    Any length or extent that runs past the end of the file, trailing
+    bytes, or metadata that is not a JSON object raise DataError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != _MAGIC:
         raise DataError(f"{path}: not a fairint model file")
     off = 8
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal off
+        if size > len(raw) - off:
+            raise DataError(f"{path}: model file is truncated inside {what}")
+        off += size
+        return raw[off - size : off]
+
+    def u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    version = u32("the header")
     if version != _VERSION:
         raise DataError(f"{path}: unsupported model file version {version}")
-    (mlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    metadata = json.loads(raw[off : off + mlen].decode("utf-8"))
-    off += mlen
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    mlen = u32("the header")
+    try:
+        metadata = json.loads(take(mlen, "the metadata").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: model file metadata is not valid JSON: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise DataError(f"{path}: model file metadata is not a JSON object")
+    count = u32("the record count")
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off : off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}Q", raw, off) if ndim else ()
-        off += 8 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=off).reshape(shape).copy()
-        off += 8 * size
-        arrays[name] = arr
+    for i in range(count):
+        what = f"parameter record {i}"
+        try:
+            name = take(u32(what), what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: {what} has a name that is not UTF-8") from None
+        if name in arrays:
+            raise DataError(f"{path}: duplicate parameter name {name!r}")
+        ndim = u32(what)
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, what))
+        data = take(8 * math.prod(shape), what)
+        arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    if off != len(raw):
+        raise DataError(f"{path}: model file has {len(raw) - off} trailing bytes")
     return arrays, metadata

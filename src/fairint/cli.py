@@ -53,6 +53,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -254,7 +256,7 @@ def cmd_explain(args) -> int:
     for h, tensor in enumerate(trace.attention):
         weights = tensor.values  # (rows, features), each row sums to 1
         features = []
-        for c, name in enumerate(trace.feature_order):
+        for c, name in enumerate(model.feature_names):
             column = weights[:, c]
             features.append(
                 {

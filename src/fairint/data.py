@@ -170,7 +170,7 @@ def load_schema(path) -> list[FeatureColumn]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: schema is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise DataError(f"{path}: schema must be a JSON array of column objects")
@@ -242,38 +242,44 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
         if building
         else {k: list(v) for k, v in vocabularies.items()}
     )
+    # text -> id per column; built in reverse so the first of any repeated entry wins
+    ids = {name: {text: i for i, text in reversed(list(enumerate(vocab)))} for name, vocab in vocabs.items()}
     raw_columns: dict[str, list] = {c.name: [] for c in schema}
     expected_header = [c.name for c in schema]
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if header != expected_header:
-            raise DataError(f"{path}: header {header} does not match schema columns {expected_header}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(schema):
-                raise DataError(f"{path}: line {row_no}: expected {len(schema)} fields, got {len(row)}")
-            for col, text in zip(schema, row):
-                where = f"{path}: line {row_no}, column {col.name!r}"
-                if col.role == ROLE_LABEL:
-                    raw_columns[col.name].append(_parse_label(text, where))
-                elif col.kind == KIND_NUMERICAL:
-                    raw_columns[col.name].append(_parse_numeric(text, where))
-                else:
-                    vocab = vocabs[col.name]
-                    if text in vocab:
-                        cid = vocab.index(text)
-                    elif building and len(vocab) < col.cardinality:
-                        vocab.append(text)
-                        cid = len(vocab) - 1
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: file is empty") from None
+            if header != expected_header:
+                raise DataError(f"{path}: header {header} does not match schema columns {expected_header}")
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(schema):
+                    raise DataError(f"{path}: line {row_no}: expected {len(schema)} fields, got {len(row)}")
+                for col, text in zip(schema, row):
+                    where = f"{path}: line {row_no}, column {col.name!r}"
+                    if col.role == ROLE_LABEL:
+                        raw_columns[col.name].append(_parse_label(text, where))
+                    elif col.kind == KIND_NUMERICAL:
+                        raw_columns[col.name].append(_parse_numeric(text, where))
                     else:
-                        cid = col.unknown_id
-                    if col.role == ROLE_SENSITIVE and cid == col.unknown_id:
-                        raise DataError(f"{where}: sensitive value {text!r} is not one of the two known groups")
-                    raw_columns[col.name].append(cid)
+                        col_ids = ids[col.name]
+                        cid = col_ids.get(text)
+                        if cid is None:
+                            vocab = vocabs[col.name]
+                            if building and len(vocab) < col.cardinality:
+                                cid = col_ids[text] = len(vocab)
+                                vocab.append(text)
+                            else:
+                                cid = col.unknown_id
+                        if col.role == ROLE_SENSITIVE and cid == col.unknown_id:
+                            raise DataError(f"{where}: sensitive value {text!r} is not one of the two known groups")
+                        raw_columns[col.name].append(cid)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: file is not UTF-8 text: {exc}") from None
 
     n = len(raw_columns[schema[0].name])
     if n == 0:

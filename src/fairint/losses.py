@@ -4,13 +4,17 @@ The joint objective combines four pieces:
 
   l0     task cross-entropy on the label
   l_sar  squared error of the reconstructed sensitive probability
-  l_ifc  divergence between the groups' fused-embedding distributions
-  l_fc   gap between the groups' mean cross-entropies
+  l_ifc  KL(p0 || p1) + KL(p1 || p0) between the two pseudo-groups'
+         fused-embedding distributions
+  l_fc   2 * |CE0 - CE1|, the gap between the two pseudo-groups' mean
+         cross-entropies
 
 weighted as ``total = l0 + lambda_ifc * l_ifc + lambda_fc * l_fc + l_sar``.
 Group membership everywhere comes from the reconstructed probability, not
 the true sensitive column, so the fairness pressure works even where the
-sensitive attribute is unavailable at inference time.
+sensitive attribute is unavailable at inference time. The sensitive
+attribute is binary, so there are exactly two pseudo-groups, 0 and 1; a
+batch whose rows all fall into one of them adds 0 to both penalties.
 
 A weight of exactly 0 skips its term entirely: the term is not evaluated
 and contributes no graph nodes, which keeps training dynamics bitwise
@@ -115,69 +119,50 @@ def assign_groups(pseudo_scalar) -> np.ndarray:
     return (values.reshape(-1) >= 0.5).astype(np.int64)
 
 
-def _group_masks(groups: np.ndarray) -> list[tuple[int, np.ndarray, int]]:
-    out = []
-    for g in np.unique(groups):
-        rows = groups == g
-        mask = np.zeros((1, groups.shape[0]))
-        mask[0, rows] = 1.0
-        out.append((int(g), mask, int(rows.sum())))
-    return out
+def _two_groups(groups) -> list[tuple[Tensor, int]] | None:
+    """(1, B) row mask and row count of pseudo-groups 0 and 1; None if one is empty."""
+    groups = np.asarray(groups).reshape(-1)
+    rows = [groups == 0, groups == 1]
+    if not (rows[0] | rows[1]).all():
+        raise UsageError(f"group ids must be 0 or 1, got {np.unique(groups).tolist()}")
+    if not (rows[0].any() and rows[1].any()):
+        return None
+    return [(Tensor(r.astype(np.float64).reshape(1, -1)), int(r.sum())) for r in rows]
 
 
 def group_divergence_loss(fused: Tensor, groups: np.ndarray) -> Tensor:
-    """Symmetric KL divergence between per-group embedding distributions.
+    """Symmetric KL divergence KL(p0 || p1) + KL(p1 || p0) between the pseudo-groups.
 
     Each group's fused embeddings are averaged and pushed through a
     softmax, giving one categorical distribution over embedding
-    coordinates per group; the result is the sum of KL(p_i || p_j) over
-    all ordered group pairs. Batches containing fewer than two groups
-    contribute 0. Always non-negative, and 0 exactly when the group
+    coordinates per group. A batch whose rows all fall into one group
+    contributes 0. Always non-negative, and 0 exactly when the two
     distributions coincide.
     """
-    present = _group_masks(groups)
-    if len(present) < 2:
+    split = _two_groups(groups)
+    if split is None:
         return Tensor(0.0)
-    dists = []
-    for _, mask, count in present:
-        mean_embed = ad.matmul(Tensor(mask), fused) * (1.0 / count)
-        dists.append(ad.softmax_lastdim(mean_embed))
-    logs = [ad.log(p) for p in dists]
-    total = None
-    for i in range(len(dists)):
-        for j in range(len(dists)):
-            if i == j:
-                continue
-            term = ad.sum_all(dists[i] * (logs[i] - logs[j]))
-            total = term if total is None else total + term
-    return total
+    p0, p1 = [ad.softmax_lastdim(ad.matmul(mask, fused) * (1.0 / count)) for mask, count in split]
+    log0, log1 = ad.log(p0), ad.log(p1)
+    return ad.sum_all(p0 * (log0 - log1)) + ad.sum_all(p1 * (log1 - log0))
 
 
 def group_gap_loss(pred: Tensor, labels, groups: np.ndarray) -> Tensor:
-    """Sum of |CE_i - CE_j| over ordered group pairs.
+    """Twice the cross-entropy gap between the pseudo-groups, 2 * |CE0 - CE1|.
 
     CE_g is the mean cross-entropy of the rows assigned to group g, so
-    the value does not scale with batch size. With two groups this is
-    2 * |CE_0 - CE_1|; with fewer than two groups it is 0. Invariant to
-    relabeling the group ids.
+    the value does not scale with batch size. A batch whose rows all
+    fall into one group contributes 0. Invariant to swapping the two
+    group ids.
     """
     n = pred.values.shape[0]
     y = _as_column(labels, n, "labels")
-    present = _group_masks(groups)
-    if len(present) < 2:
+    split = _two_groups(groups)
+    if split is None:
         return Tensor(0.0)
     rows = _row_ce(pred, y)
-    means = [
-        ad.sum_all(ad.matmul(Tensor(mask), rows)) * (1.0 / count) for _, mask, count in present
-    ]
-    total = None
-    for i in range(len(means)):
-        for j in range(len(means)):
-            if i == j:
-                continue
-            term = (means[i] - means[j]).abs()
-            total = term if total is None else total + term
-    return total
+    ce0, ce1 = [ad.sum_all(ad.matmul(mask, rows)) * (1.0 / count) for mask, count in split]
+    return (ce0 - ce1).abs() * 2.0
 
 
 def joint_loss(trace, labels, sensitive, weights: LossWeights):

@@ -136,15 +136,14 @@ def evaluate(
     y,
     s,
     threshold: float = 0.5,
-    pseudo_scores=None,
     groups_from: str = "true",
 ) -> FairnessReport:
     """Compute the full report for one set of predictions.
 
     ``s`` is whatever group vector the caller wants gaps measured
     against; set ``groups_from`` to say where it came from ("true" or
-    "reconstructed"). ``pseudo_scores``, when given, is scored against
-    ``s`` for the reconstruction accuracy entry.
+    "reconstructed"). ``sar_accuracy`` is left None for the caller to
+    fill in, since only the caller knows the true sensitive column.
     """
     if groups_from not in ("true", "reconstructed"):
         raise UsageError(f"groups_from must be 'true' or 'reconstructed', got {groups_from!r}")
@@ -169,7 +168,7 @@ def evaluate(
         ddp=delta_dp(pred, s),
         deo=delta_eo(pred, y, s),
         group_rates=group_rates,
-        sar_accuracy=None if pseudo_scores is None else sar_accuracy(pseudo_scores, s),
+        sar_accuracy=None,
         threshold=float(threshold),
         groups_from=groups_from,
     )

@@ -108,11 +108,10 @@ class ForwardTrace:
     embeddings: dict          # feature name -> (B, d) Tensor
     pseudo_embed: Tensor      # (B, d)
     pseudo_scalar: Tensor     # (B, 1), in (0, 1)
-    attention: list           # per head: (B, |C|) Tensor, rows sum to 1
+    attention: list           # per head: (B, |C|) Tensor, rows sum to 1, columns in feature_names order
     interaction: Tensor       # (B, head_width * heads)
     fused: Tensor             # (B, head_width * heads)
     prediction: Tensor        # (B, 1), in (0, 1)
-    feature_order: list       # attention column c belongs to feature_order[c]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -248,31 +247,29 @@ class FairIntModel(_EmbeddingBase):
         scalar = ad.sigmoid(ad.matmul(pseudo, self.params["sar_scalar.w"].tensor))
         return pseudo, scalar
 
-    def bid_attention(self, pseudo_embed: Tensor, embeddings: dict, head: int, order=None) -> Tensor:
+    def bid_attention(self, pseudo_embed: Tensor, embeddings: dict, head: int) -> Tensor:
         """Attention of the pseudo-sensitive embedding over the features.
 
         One dot-product score per feature per row (the pseudo embedding is
         the only query), then a softmax across features. Returns (B, |C|)
-        with columns following ``order`` (default: schema feature order).
+        with columns in ``feature_names`` order.
         """
-        names = list(order) if order is not None else self.feature_names
         if not 0 <= head < self.config.attention_heads:
             raise UsageError(f"head {head} out of range")
         q = ad.matmul(pseudo_embed, self.params[f"bid.h{head}.query"].tensor)
         scores = []
-        for name in names:
+        for name in self.feature_names:
             k = ad.matmul(embeddings[name], self.params[f"bid.h{head}.key"].tensor)
             scores.append(ad.sum_lastdim(q * k))
         return ad.softmax_lastdim(ad.concat_lastdim(scores))
 
-    def interaction_embedding(self, attention: list, embeddings: dict, order=None) -> Tensor:
+    def interaction_embedding(self, attention: list, embeddings: dict) -> Tensor:
         """Attention-weighted sum of value projections, concatenated across heads."""
-        names = list(order) if order is not None else self.feature_names
         head_outputs = []
         for h, weights in enumerate(attention):
             value_w = self.params[f"bid.h{h}.value"].tensor
             total = None
-            for c, name in enumerate(names):
+            for c, name in enumerate(self.feature_names):
                 v = ad.matmul(embeddings[name], value_w)
                 term = ad.slice_lastdim(weights, c, c + 1) * v
                 total = term if total is None else total + term
@@ -305,7 +302,6 @@ class FairIntModel(_EmbeddingBase):
             interaction=interaction,
             fused=fused,
             prediction=prediction,
-            feature_order=list(self.feature_names),
         )
 
 

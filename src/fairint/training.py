@@ -190,7 +190,6 @@ def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
     report = fm.evaluate(
         scores, batch.labels, group_vector,
         threshold=threshold,
-        pseudo_scores=None,
         groups_from=groups_from,
     )
     if pseudo is not None:

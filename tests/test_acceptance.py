@@ -171,7 +171,7 @@ def test_c2_loss_value_oracles():
     divergence = group_divergence_loss(fused, np.array([0, 1])).item()
     assert abs(divergence - 0.27471) <= 1e-4
 
-    # per-group cross entropies 0.7 and 0.4: ordered-pair gap sum is 0.6
+    # per-group cross entropies 0.7 and 0.4: the gap 2 * |0.7 - 0.4| is 0.6
     pred = Tensor(np.array([[np.exp(-0.7)], [np.exp(-0.4)]]))
     labels = np.array([1.0, 1.0])
     gap = group_gap_loss(pred, labels, np.array([0, 1])).item()

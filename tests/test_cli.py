@@ -290,6 +290,50 @@ def test_explain_rejects_interaction_free_model(tmp_path):
     assert main(["explain", "--model", model, "--csv", str(csv_path)]) == 2
 
 
+# -- malformed input -----------------------------------------------------------
+
+
+def _insert_non_utf8(raw):
+    return raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 :]
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt, code",
+    [
+        ("model", lambda raw: raw[:30], 3),
+        ("model", lambda raw: raw[:200], 3),
+        ("model", lambda raw: raw[:-10], 3),
+        ("model", lambda raw: raw + b"\0", 3),
+        ("csv", _insert_non_utf8, 3),
+        ("schema", _insert_non_utf8, 3),
+        ("config", _insert_non_utf8, 2),
+    ],
+    ids=[
+        "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
+        "csv_not_utf8", "schema_not_utf8", "config_not_utf8",
+    ],
+)
+def test_malformed_input_exits_with_one_error_line(trained, tmp_path, capsys, kind, corrupt, code):
+    files = {
+        "model": trained["dir"] / "model.bin",
+        "csv": trained["csv"],
+        "schema": trained["schema"],
+        "config": trained["config"],
+    }
+    bad = tmp_path / f"bad_{kind}"
+    bad.write_bytes(corrupt(files[kind].read_bytes()))
+    files[kind] = bad
+    argv = {
+        "model": ["eval", "--model", str(files["model"]), "--csv", str(files["csv"])],
+        "csv": ["eval", "--model", str(files["model"]), "--csv", str(files["csv"])],
+        "schema": ["probe", "--csv", str(files["csv"]), "--schema", str(files["schema"])],
+        "config": ["train", "--config", str(files["config"])],
+    }[kind]
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # -- sweep ---------------------------------------------------------------------
 
 

@@ -131,7 +131,7 @@ def test_divergence_averages_within_groups():
 
 
 def test_gap_hand_oracle_point_six():
-    # per-group cross entropies 0.7 and 0.4 give an ordered-pair sum of 0.6
+    # per-group cross entropies 0.7 and 0.4 give 2 * |0.7 - 0.4| = 0.6
     pred = col([np.exp(-0.7), np.exp(-0.4)])
     labels = [1.0, 1.0]
     got = group_gap_loss(pred, labels, np.array([0, 1])).item()
@@ -157,6 +157,19 @@ def test_gap_invariant_to_group_relabeling():
 def test_gap_single_group_is_zero():
     pred = col([0.7, 0.3])
     assert group_gap_loss(pred, [1.0, 0.0], np.array([1, 1])).item() == 0.0
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [
+        lambda groups: group_divergence_loss(Tensor(np.zeros((2, 3))), groups),
+        lambda groups: group_gap_loss(col([0.7, 0.3]), [1.0, 0.0], groups),
+    ],
+    ids=["divergence", "gap"],
+)
+def test_group_ids_other_than_zero_and_one_are_rejected(loss):
+    with pytest.raises(UsageError, match="0 or 1"):
+        loss(np.array([0, 2]))
 
 
 # -- joint objective --------------------------------------------------------------------------

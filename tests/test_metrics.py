@@ -202,7 +202,7 @@ def test_report_fields_and_reconstruction_invariant():
     scores = rng.random(200)
     y = rng.integers(0, 2, 200)
     s = rng.integers(0, 2, 200)
-    report = evaluate(scores, y, s, pseudo_scores=rng.random(200))
+    report = evaluate(scores, y, s)
 
     doc = json.loads(json.dumps(report.to_dict()))
     assert set(doc) == {"auc", "ddp", "deo", "group_rates", "sar_accuracy", "threshold", "groups_from"}

@@ -248,16 +248,21 @@ def test_permuting_feature_order_permutes_attention_and_keeps_output():
     batch = small_batch(n=7, seed=3)
     trace = m.forward(batch)
     order = ["hours", "job", "age"]  # permutation of schema order [job, age, hours]
-    perm = [trace.feature_order.index(name) for name in order]
+    perm = [m.feature_names.index(name) for name in order]
 
-    weights = m.bid_attention(trace.pseudo_embed, trace.embeddings, head=0, order=order)
-    np.testing.assert_allclose(weights.values, trace.attention[0].values[:, perm], atol=1e-12)
+    # same parameters on permuted columns; the reconstructor reads the
+    # concatenated embeddings, so its first layer's row blocks move too
+    permuted = FairIntModel([m.input_columns[c] for c in perm], m.config, seed=0)
+    arrays = m.parameter_arrays()
+    d = m.config.embed_dim
+    w = arrays["sar.layer0.w"]
+    arrays["sar.layer0.w"] = np.concatenate([w[c * d : (c + 1) * d] for c in perm])
+    permuted.load_arrays(arrays)
+    other = permuted.forward(batch)
 
-    interaction = m.interaction_embedding([weights], trace.embeddings, order=order)
-    np.testing.assert_allclose(interaction.values, trace.interaction.values, atol=1e-12)
-
-    prediction = m.predict(m.residual_fuse(interaction, trace.pseudo_embed))
-    np.testing.assert_allclose(prediction.values, trace.prediction.values, atol=1e-12)
+    np.testing.assert_allclose(other.attention[0].values, trace.attention[0].values[:, perm], atol=1e-12)
+    np.testing.assert_allclose(other.interaction.values, trace.interaction.values, atol=1e-12)
+    np.testing.assert_allclose(other.prediction.values, trace.prediction.values, atol=1e-12)
 
 
 # -- determinism and dropout -----------------------------------------------------------------
