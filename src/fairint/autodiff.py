@@ -2,15 +2,24 @@
 
 Every model and loss in this package is built from the operations here.
 Tensors wrap a row-major numpy float64 buffer; operations on tracked
-tensors record their inputs and a backward closure, so calling
+tensors record their inputs and a gradient function, so calling
 :func:`backward` on a scalar result fills in ``grad`` buffers for every
 tracked tensor that contributed to it.
+
+Each operation hands its result to ``_result`` with a ``grad_fn``:
+given d(root)/d(result), ``grad_fn`` returns one gradient per parent, in
+the order of the parents. It may hold on to the parents and to arrays,
+but never to the result itself, so a graph has no reference cycles and
+is freed as soon as its root is dropped. :func:`backward` is the only
+place that adds gradients into tensors. Inside a :func:`no_grad` block
+no operation records anything, which is how eval forwards run.
 
 Any operation that produces NaN or Inf from finite inputs raises
 :class:`~fairint.errors.NumericError` immediately; nothing non-finite is
 ever propagated silently.
 """
 
+import contextlib
 import json
 import math
 import struct
@@ -38,6 +47,7 @@ __all__ = [
     "dropout",
     "backward",
     "graph_nodes",
+    "no_grad",
     "save_parameters",
     "load_parameters",
 ]
@@ -118,15 +128,7 @@ class Tensor:
         return matmul(self, other)
 
     def abs(self):
-        out = _result(np.abs(self.values), (self,), "abs")
-        if out.grad_tracked:
-            sign = np.sign(self.values)
-
-            def _bw():
-                self._accum(out.grad * sign)
-
-            out._backward = _bw
-        return out
+        return _result(np.abs(self.values), (self,), "abs", lambda g: (g * np.sign(self.values),))
 
 
 @dataclass
@@ -140,77 +142,54 @@ class Parameter:
         self.tensor.grad_tracked = True
 
 
-def _result(values, parents: tuple, op: str) -> Tensor:
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within this block, operations record no graph: every result is untracked."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _result(values, parents: tuple, op: str, grad_fn) -> Tensor:
     v = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericError(f"operation {op!r} produced non-finite values")
-    if any(p.grad_tracked for p in parents):
-        return Tensor(v, grad_tracked=True, _parents=parents, _op=op)
+    if _grad_enabled and any(p.grad_tracked for p in parents):
+        out = Tensor(v, grad_tracked=True, _parents=parents, _op=op)
+        out._backward = grad_fn
+        return out
     return Tensor(v, grad_tracked=False, _op=op)
 
 
 def _add(a: Tensor, other):
     if not isinstance(other, Tensor):
-        c = float(other)
-        out = _result(a.values + c, (a,), "add_scalar")
-        if out.grad_tracked:
-
-            def _bw():
-                a._accum(out.grad)
-
-            out._backward = _bw
-        return out
+        return _result(a.values + float(other), (a,), "add_scalar", lambda g: (g,))
 
     b = other
     if a.values.shape == b.values.shape:
-        out = _result(a.values + b.values, (a, b), "add")
-        if out.grad_tracked:
-
-            def _bw():
-                a._accum(out.grad)
-                b._accum(out.grad)
-
-            out._backward = _bw
-        return out
+        return _result(a.values + b.values, (a, b), "add", lambda g: (g, g))
 
     # matrix + bias row: (m, n) + (n,)
     for mat, bias in ((a, b), (b, a)):
         if mat.values.ndim == 2 and bias.values.ndim == 1 and mat.values.shape[1] == bias.values.shape[0]:
-            out = _result(mat.values + bias.values, (mat, bias), "add_bias")
-            if out.grad_tracked:
-
-                def _bw(mat=mat, bias=bias):
-                    mat._accum(out.grad)
-                    bias._accum(out.grad.sum(axis=0))
-
-                out._backward = _bw
-            return out
+            return _result(mat.values + bias.values, (mat, bias), "add_bias", lambda g: (g, g.sum(axis=0)))
     raise ShapeError(f"cannot add shapes {a.values.shape} and {b.values.shape}")
 
 
 def _mul(a: Tensor, other):
     if not isinstance(other, Tensor):
         c = float(other)
-        out = _result(a.values * c, (a,), "mul_scalar")
-        if out.grad_tracked:
-
-            def _bw():
-                a._accum(out.grad * c)
-
-            out._backward = _bw
-        return out
+        return _result(a.values * c, (a,), "mul_scalar", lambda g: (g * c,))
 
     b = other
     if a.values.shape == b.values.shape:
-        out = _result(a.values * b.values, (a, b), "mul")
-        if out.grad_tracked:
-
-            def _bw():
-                a._accum(out.grad * b.values)
-                b._accum(out.grad * a.values)
-
-            out._backward = _bw
-        return out
+        return _result(a.values * b.values, (a, b), "mul", lambda g: (g * b.values, g * a.values))
 
     # column * matrix: (m, 1) * (m, n), either operand order
     for col, mat in ((a, b), (b, a)):
@@ -219,15 +198,11 @@ def _mul(a: Tensor, other):
             and mat.values.ndim == 2
             and col.values.shape == (mat.values.shape[0], 1)
         ):
-            out = _result(col.values * mat.values, (col, mat), "mul_col")
-            if out.grad_tracked:
 
-                def _bw(col=col, mat=mat):
-                    col._accum((out.grad * mat.values).sum(axis=1, keepdims=True))
-                    mat._accum(out.grad * col.values)
+            def grad_fn(g):
+                return (g * mat.values).sum(axis=1, keepdims=True), g * col.values
 
-                out._backward = _bw
-            return out
+            return _result(col.values * mat.values, (col, mat), "mul_col", grad_fn)
     raise ShapeError(f"cannot multiply shapes {a.values.shape} and {b.values.shape}")
 
 
@@ -237,28 +212,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.values.shape} and {b.values.shape}")
     if a.values.shape[1] != b.values.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.values.shape} vs {b.values.shape}")
-    out = _result(a.values @ b.values, (a, b), "matmul")
-    if out.grad_tracked:
-
-        def _bw():
-            a._accum(out.grad @ b.values.T)
-            b._accum(a.values.T @ out.grad)
-
-        out._backward = _bw
-    return out
+    return _result(a.values @ b.values, (a, b), "matmul", lambda g: (g @ b.values.T, a.values.T @ g))
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the derivative at exactly 0 is taken as 0."""
-    out = _result(np.maximum(x.values, 0.0), (x,), "relu")
-    if out.grad_tracked:
-        mask = x.values > 0.0
-
-        def _bw():
-            x._accum(out.grad * mask)
-
-        out._backward = _bw
-    return out
+    return _result(np.maximum(x.values, 0.0), (x,), "relu", lambda g: (g * (x.values > 0.0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -269,28 +228,14 @@ def sigmoid(x: Tensor) -> Tensor:
     y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     y[~pos] = ev / (1.0 + ev)
-    out = _result(y, (x,), "sigmoid")
-    if out.grad_tracked:
-
-        def _bw():
-            x._accum(out.grad * out.values * (1.0 - out.values))
-
-        out._backward = _bw
-    return out
+    return _result(y, (x,), "sigmoid", lambda g: (g * y * (1.0 - y),))
 
 
 def log(x: Tensor) -> Tensor:
     """Natural log; raises DomainError on any non-positive element."""
     if np.any(x.values <= 0.0):
         raise DomainError("log of a non-positive value")
-    out = _result(np.log(x.values), (x,), "log")
-    if out.grad_tracked:
-
-        def _bw():
-            x._accum(out.grad / x.values)
-
-        out._backward = _bw
-    return out
+    return _result(np.log(x.values), (x,), "log", lambda g: (g / x.values,))
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -300,62 +245,43 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     shifted = x.values - x.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _result(y, (x,), "softmax")
-    if out.grad_tracked:
 
-        def _bw():
-            y_ = out.values
-            inner = (out.grad * y_).sum(axis=-1, keepdims=True)
-            x._accum(y_ * (out.grad - inner))
+    def grad_fn(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - inner),)
 
-        out._backward = _bw
-    return out
+    return _result(y, (x,), "softmax", grad_fn)
 
 
 def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate tensors along the last axis."""
     if not parts:
         raise ShapeError("concat of an empty sequence")
-    out = _result(np.concatenate([p.values for p in parts], axis=-1), tuple(parts), "concat")
-    if out.grad_tracked:
-        widths = [p.values.shape[-1] for p in parts]
+    parts = tuple(parts)
 
-        def _bw():
-            offset = 0
-            for p, w in zip(parts, widths):
-                p._accum(out.grad[..., offset : offset + w])
-                offset += w
+    def grad_fn(g):
+        return np.split(g, np.cumsum([p.values.shape[-1] for p in parts[:-1]]), axis=-1)
 
-        out._backward = _bw
-    return out
+    return _result(np.concatenate([p.values for p in parts], axis=-1), parts, "concat", grad_fn)
 
 
 def slice_lastdim(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous slice [start:stop] of the last axis."""
     if not (0 <= start < stop <= x.values.shape[-1]):
         raise ShapeError(f"slice [{start}:{stop}] out of range for shape {x.values.shape}")
-    out = _result(x.values[..., start:stop], (x,), "slice")
-    if out.grad_tracked:
 
-        def _bw():
-            g = np.zeros_like(x.values)
-            g[..., start:stop] = out.grad
-            x._accum(g)
+    def grad_fn(g):
+        full = np.zeros_like(x.values)
+        full[..., start:stop] = g
+        return (full,)
 
-        out._backward = _bw
-    return out
+    return _result(x.values[..., start:stop], (x,), "slice", grad_fn)
 
 
 def sum_lastdim(x: Tensor) -> Tensor:
     """Sum over the last axis, keeping it as an extent of 1."""
-    out = _result(x.values.sum(axis=-1, keepdims=True), (x,), "sum_lastdim")
-    if out.grad_tracked:
-
-        def _bw():
-            x._accum(np.broadcast_to(out.grad, x.values.shape))
-
-        out._backward = _bw
-    return out
+    return _result(x.values.sum(axis=-1, keepdims=True), (x,), "sum_lastdim",
+                   lambda g: (np.broadcast_to(g, x.values.shape),))
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -363,26 +289,12 @@ def mean_all(x: Tensor) -> Tensor:
     n = x.values.size
     if n == 0:
         raise UsageError("mean of an empty tensor")
-    out = _result(x.values.mean(), (x,), "mean")
-    if out.grad_tracked:
-
-        def _bw():
-            x._accum(np.full_like(x.values, float(out.grad) / n))
-
-        out._backward = _bw
-    return out
+    return _result(x.values.mean(), (x,), "mean", lambda g: (np.full_like(x.values, float(g) / n),))
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    out = _result(x.values.sum(), (x,), "sum")
-    if out.grad_tracked:
-
-        def _bw():
-            x._accum(np.full_like(x.values, float(out.grad)))
-
-        out._backward = _bw
-    return out
+    return _result(x.values.sum(), (x,), "sum", lambda g: (np.full_like(x.values, float(g)),))
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:
@@ -399,16 +311,13 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     v = table.values.shape[1]
     if idx.size and (idx.min() < 0 or idx.max() >= v):
         raise DataError(f"category id out of range [0, {v}) in embedding lookup")
-    out = _result(table.values[:, idx].T, (table,), "embed")
-    if out.grad_tracked:
 
-        def _bw():
-            gt = np.zeros((v, table.values.shape[0]))
-            np.add.at(gt, idx, out.grad)
-            table._accum(gt.T)
+    def grad_fn(g):
+        gt = np.zeros((v, table.values.shape[0]))
+        np.add.at(gt, idx, g)
+        return (gt.T,)
 
-        out._backward = _bw
-    return out
+    return _result(table.values[:, idx].T, (table,), "embed", grad_fn)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -422,14 +331,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     if not training or rate == 0.0:
         return x
     keep = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
-    out = _result(x.values * keep, (x,), "dropout")
-    if out.grad_tracked:
-
-        def _bw():
-            x._accum(out.grad * keep)
-
-        out._backward = _bw
-    return out
+    return _result(x.values * keep, (x,), "dropout", lambda g: (g * keep,))
 
 
 def graph_nodes(root: Tensor) -> list:
@@ -474,7 +376,8 @@ def backward(root: Tensor, params: Iterable[Parameter] | None = None) -> None:
     root.grad = np.ones_like(root.values)
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                parent._accum(g)
 
 
 # -- parameter serialization -------------------------------------------------

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .autodiff import no_grad
 from .data import (
     apply_standardization,
     full_batch,
@@ -250,7 +251,8 @@ def cmd_explain(args) -> int:
     batch = full_batch(dataset, args.split)
     if batch.size == 0:
         raise UsageError(f"split {args.split!r} has no rows")
-    trace = model.forward(batch.features, training=False)
+    with no_grad():
+        trace = model.forward(batch.features, training=False)
 
     heads = []
     for h, tensor in enumerate(trace.attention):

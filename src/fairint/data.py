@@ -34,6 +34,7 @@ __all__ = [
     "Dataset",
     "Batch",
     "load_schema",
+    "parse_schema",
     "save_schema",
     "load_csv",
     "save_csv",
@@ -172,15 +173,20 @@ def load_schema(path) -> list[FeatureColumn]:
             doc = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: schema is not valid JSON: {exc}") from exc
+    return parse_schema(doc, path)
+
+
+def parse_schema(doc, source) -> list[FeatureColumn]:
+    """Validate a decoded schema document; ``source`` names it in errors."""
     if not isinstance(doc, list):
-        raise DataError(f"{path}: schema must be a JSON array of column objects")
+        raise DataError(f"{source}: schema must be a JSON array of column objects")
     columns = []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
-            raise DataError(f"{path}: schema entry {i} is not an object")
+            raise DataError(f"{source}: schema entry {i} is not an object")
         missing = {"name", "kind", "cardinality", "role"} - set(entry)
         if missing:
-            raise DataError(f"{path}: schema entry {i} is missing {sorted(missing)}")
+            raise DataError(f"{source}: schema entry {i} is missing {sorted(missing)}")
         columns.append(
             FeatureColumn(
                 name=entry["name"],
@@ -205,23 +211,23 @@ def save_schema(schema: list[FeatureColumn], path) -> None:
 # -- CSV ingestion ------------------------------------------------------------
 
 
-def _parse_label(text: str, where: str) -> float:
+def _parse_label(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise DataError(f"{where}: label {text!r} is not 0 or 1") from None
+        raise DataError(f"label {text!r} is not 0 or 1") from None
     if value not in (0.0, 1.0):
-        raise DataError(f"{where}: label {text!r} is not 0 or 1")
+        raise DataError(f"label {text!r} is not 0 or 1")
     return value
 
 
-def _parse_numeric(text: str, where: str) -> float:
+def _parse_numeric(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise DataError(f"{where}: {text!r} is not a number") from None
+        raise DataError(f"{text!r} is not a number") from None
     if not math.isfinite(value):
-        raise DataError(f"{where}: non-finite value {text!r}")
+        raise DataError(f"non-finite value {text!r}")
     return value
 
 
@@ -237,6 +243,11 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
     """
     schema = _validate_schema(list(schema))
     building = vocabularies is None
+    if not building:
+        missing = [c.name for c in schema if c.kind == KIND_CATEGORICAL and c.role != ROLE_LABEL
+                   and c.name not in vocabularies]
+        if missing:
+            raise DataError(f"no vocabulary for categorical columns {missing}")
     vocabs: dict[str, list[str]] = (
         {c.name: [] for c in schema if c.kind == KIND_CATEGORICAL}
         if building
@@ -260,24 +271,27 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
                 if len(row) != len(schema):
                     raise DataError(f"{path}: line {row_no}: expected {len(schema)} fields, got {len(row)}")
                 for col, text in zip(schema, row):
-                    where = f"{path}: line {row_no}, column {col.name!r}"
-                    if col.role == ROLE_LABEL:
-                        raw_columns[col.name].append(_parse_label(text, where))
-                    elif col.kind == KIND_NUMERICAL:
-                        raw_columns[col.name].append(_parse_numeric(text, where))
-                    else:
-                        col_ids = ids[col.name]
-                        cid = col_ids.get(text)
-                        if cid is None:
-                            vocab = vocabs[col.name]
-                            if building and len(vocab) < col.cardinality:
-                                cid = col_ids[text] = len(vocab)
-                                vocab.append(text)
-                            else:
-                                cid = col.unknown_id
-                        if col.role == ROLE_SENSITIVE and cid == col.unknown_id:
-                            raise DataError(f"{where}: sensitive value {text!r} is not one of the two known groups")
-                        raw_columns[col.name].append(cid)
+                    try:
+                        if col.role == ROLE_LABEL:
+                            raw_columns[col.name].append(_parse_label(text))
+                        elif col.kind == KIND_NUMERICAL:
+                            raw_columns[col.name].append(_parse_numeric(text))
+                        else:
+                            col_ids = ids[col.name]
+                            cid = col_ids.get(text)
+                            if cid is None:
+                                vocab = vocabs[col.name]
+                                if building and len(vocab) < col.cardinality:
+                                    cid = col_ids[text] = len(vocab)
+                                    vocab.append(text)
+                                else:
+                                    cid = col.unknown_id
+                            if col.role == ROLE_SENSITIVE and cid == col.unknown_id:
+                                raise DataError(f"sensitive value {text!r} is not one of the two known groups")
+                            raw_columns[col.name].append(cid)
+                    except DataError as exc:
+                        # the location is formatted only for the cell that failed
+                        raise DataError(f"{path}: line {row_no}, column {col.name!r}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: file is not UTF-8 text: {exc}") from None
 
@@ -336,7 +350,7 @@ def split(dataset: Dataset, ratios: tuple[float, float, float], seed: int) -> Da
     The shuffle is a seeded permutation; per-split counts differ from the
     exact fractions by less than one row. Standard deviation uses the
     population (1/n) form, and a constant column gets std 1 so its values
-    map to exact zeros.
+    map to exact zeros. A dataset that is already standardized is rejected.
     """
     if dataset.split_tags is not None:
         raise UsageError("dataset is already split")
@@ -356,24 +370,14 @@ def split(dataset: Dataset, ratios: tuple[float, float, float], seed: int) -> Da
 
     train_rows = tags == SPLIT_CODES["train"]
     stats: dict[str, tuple[float, float]] = {}
-    columns = dict(dataset.columns)
     for col in dataset.schema:
         if col.kind != KIND_NUMERICAL or col.role == ROLE_LABEL:
             continue
         values = dataset.columns[col.name]
         mu = float(values[train_rows].mean())
         sigma = float(values[train_rows].std())  # population form, ddof=0
-        if sigma == 0.0:
-            sigma = 1.0
-        stats[col.name] = (mu, sigma)
-        columns[col.name] = _freeze((values - mu) / sigma)
-
-    return replace(
-        dataset,
-        columns=columns,
-        split_tags=_freeze(tags),
-        standardize_stats=stats,
-    )
+        stats[col.name] = (mu, sigma if sigma != 0.0 else 1.0)
+    return apply_standardization(replace(dataset, split_tags=_freeze(tags)), stats)
 
 
 def apply_standardization(dataset: Dataset, stats: dict[str, tuple[float, float]]) -> Dataset:

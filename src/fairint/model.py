@@ -21,13 +21,14 @@ Weight matrices are stored in (input, output) orientation so the forward
 pass is plain right-multiplication.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, FeatureColumn
+from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, parse_schema
 from .errors import ConfigError, DataError, UsageError
 
 __all__ = [
@@ -60,18 +61,16 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ConfigError(f"embed_dim must be positive, got {self.embed_dim}")
-        if self.attention_heads < 1:
-            raise ConfigError(f"attention_heads must be positive, got {self.attention_heads}")
-        if self.value_dim is not None and self.value_dim < 1:
-            raise ConfigError(f"value_dim must be positive, got {self.value_dim}")
+        for name in ("embed_dim", "attention_heads", "value_dim"):
+            size = getattr(self, name)
+            if not (size is None and name == "value_dim") and (not isinstance(size, int) or size < 1):
+                raise ConfigError(f"{name} must be a positive int, got {size!r}")
         for name in ("sar_hidden", "head_hidden", "baseline_hidden"):
             widths = getattr(self, name)
             if any((not isinstance(w, int)) or w < 1 for w in widths):
                 raise ConfigError(f"{name} widths must be positive ints, got {widths}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not isinstance(self.dropout, (int, float)) or not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
     @property
     def head_width(self) -> int:
@@ -90,6 +89,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"model options must be an object, got {doc!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(doc) - known
         if extra:
@@ -97,6 +98,8 @@ class ModelConfig:
         kwargs = dict(doc)
         for name in ("sar_hidden", "head_hidden", "baseline_hidden"):
             if name in kwargs:
+                if not isinstance(kwargs[name], (list, tuple)):
+                    raise ConfigError(f"{name} must be a list of widths, got {kwargs[name]!r}")
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 
@@ -370,13 +373,34 @@ def load_model(path):
         raise DataError(f"{path}: model file metadata is missing {sorted(missing)}")
     if meta["kind"] not in ("fairint", "vanilla"):
         raise DataError(f"{path}: unknown model kind {meta['kind']!r}")
-    schema = [
-        FeatureColumn(name=d["name"], kind=d["kind"], role=d["role"], cardinality=d["cardinality"])
-        for d in meta["schema"]
-    ]
-    config = ModelConfig.from_dict(meta["model"])
+    _check_encoder_state(meta, path)
+    schema = parse_schema(meta["schema"], f"{path}: metadata")
+    try:
+        config = ModelConfig.from_dict(meta["model"])
+    except ConfigError as exc:
+        raise DataError(f"{path}: model file metadata: {exc}") from None
     inputs = [c for c in schema if c.role == ROLE_NON_SENSITIVE]
     cls = FairIntModel if meta["kind"] == "fairint" else VanillaModel
     model = cls(inputs, config, seed=0)
     model.load_arrays(arrays)
     return model, schema, meta
+
+
+def _check_encoder_state(meta: dict, path) -> None:
+    """Type-check the saved vocabularies and standardization statistics."""
+    vocabs = meta["vocabularies"]
+    if not isinstance(vocabs, dict) or not all(
+        isinstance(v, list) and all(isinstance(t, str) for t in v) for v in vocabs.values()
+    ):
+        raise DataError(f"{path}: model file metadata 'vocabularies' is not an object of string lists")
+    stats = meta["standardize_stats"]
+    if stats is not None and not (isinstance(stats, dict) and all(map(_is_mean_std, stats.values()))):
+        raise DataError(f"{path}: model file metadata 'standardize_stats' is not null or finite [mean, std > 0] pairs")
+
+
+def _is_mean_std(pair) -> bool:
+    return (
+        isinstance(pair, list) and len(pair) == 2
+        and all(isinstance(x, (int, float)) and math.isfinite(x) for x in pair)
+        and pair[1] > 0
+    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics as fm
-from .autodiff import backward
+from .autodiff import backward, no_grad
 from .data import Dataset, batches, full_batch
 from .errors import (
     ConfigError,
@@ -174,13 +174,14 @@ def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
     if batch.size == 0:
         raise UsageError(f"split {split!r} has no rows")
     true_s = batch.true_sensitive.astype(np.int64)
-    if isinstance(model, FairIntModel):
-        trace = model.forward(batch.features)
-        scores = trace.prediction.values.reshape(-1)
-        pseudo = trace.pseudo_scalar.values.reshape(-1)
-    else:
-        scores = model.forward(batch.features).values.reshape(-1)
-        pseudo = None
+    with no_grad():
+        if isinstance(model, FairIntModel):
+            trace = model.forward(batch.features)
+            scores = trace.prediction.values.reshape(-1)
+            pseudo = trace.pseudo_scalar.values.reshape(-1)
+        else:
+            scores = model.forward(batch.features).values.reshape(-1)
+            pseudo = None
     if groups_from == "reconstructed":
         if pseudo is None:
             raise UsageError("this model has no reconstructor; groups_from='reconstructed' needs one")

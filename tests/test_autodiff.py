@@ -6,6 +6,8 @@ Inputs for kinked ops (relu, abs) are kept away from 0 so the numeric
 derivative is well defined.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from fairint.autodiff import (
     log,
     matmul,
     mean_all,
+    no_grad,
     relu,
     save_parameters,
     sigmoid,
@@ -37,6 +40,10 @@ from fairint.errors import (
     ShapeError,
     UsageError,
 )
+from fairint.data import batches, split, synth_generate
+from fairint.losses import LossWeights, joint_loss
+from fairint.model import FairIntModel, ModelConfig
+from fairint.training import evaluate_model
 
 H = 1e-5
 TOL = 1e-4
@@ -291,6 +298,42 @@ def test_untracked_graph_records_no_parents():
     out = sigmoid(a * 3.0 + 1.0)
     assert graph_nodes(out) == [out]
     assert out._parents == ()
+
+    # inside no_grad, even an op on a parameter records nothing
+    p = Parameter("w", Tensor([[2.0]]))
+    with no_grad():
+        inside = sigmoid(p.tensor * 3.0 + 1.0)
+    assert not inside.grad_tracked
+    assert inside._parents == ()
+    assert (p.tensor * 3.0).grad_tracked
+    with pytest.raises(DomainError), no_grad():
+        log(p.tensor * 0.0)
+    assert (p.tensor * 3.0)._parents == (p.tensor,)
+
+
+def test_training_step_and_eval_leave_no_cyclic_garbage():
+    # graphs hold no reference cycles, so dropping the root frees them
+    # without the cyclic collector; eval builds no graph at all
+    dataset = split(synth_generate(n=600, bias_strength=2.0, proxy_corr=0.8, seed=3), (0.6, 0.2, 0.2), seed=3)
+    model = FairIntModel(dataset.input_columns, ModelConfig(dropout=0.1), seed=0)
+    batch = batches(dataset, "train", 128, seed=0, epoch=0)[0]
+
+    def step():
+        trace = model.forward(batch.features, training=True, rng=np.random.default_rng(0))
+        total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, LossWeights(2.0, 30.0))
+        backward(total, params=model.parameters())
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        step()
+        assert gc.collect() == 0
+        evaluate_model(model, dataset, "val")
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- error paths --------------------------------------------------------------

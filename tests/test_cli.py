@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface and its file artifacts."""
 
 import json
+import struct
 
 import pytest
 
@@ -297,6 +298,22 @@ def _insert_non_utf8(raw):
     return raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 :]
 
 
+SYNTH_INPUTS = ("proxy1", "proxy2", "noise1", "noise2", "noise3")
+
+
+def _with_metadata(**entries):
+    """Replace entries of a model file's JSON metadata, keeping its arrays."""
+
+    def corrupt(raw):
+        (length,) = struct.unpack_from("<I", raw, 12)  # after the magic and the version
+        meta = json.loads(raw[16 : 16 + length])
+        meta.update(entries)
+        text = json.dumps(meta).encode("utf-8")
+        return raw[:12] + struct.pack("<I", len(text)) + text + raw[16 + length :]
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "kind, corrupt, code",
     [
@@ -307,10 +324,19 @@ def _insert_non_utf8(raw):
         ("csv", _insert_non_utf8, 3),
         ("schema", _insert_non_utf8, 3),
         ("config", _insert_non_utf8, 2),
+        ("model", _with_metadata(schema=[1, 2]), 3),
+        ("model", _with_metadata(vocabularies=5), 3),
+        ("model", _with_metadata(vocabularies={}), 3),
+        ("model", _with_metadata(model=[1]), 3),
+        ("model", _with_metadata(model={"embed_dim": "4"}), 3),
+        ("model", _with_metadata(standardize_stats={"proxy1": 0.5}), 3),
+        ("model", _with_metadata(standardize_stats={c: [0.0, 0.0] for c in SYNTH_INPUTS}), 3),
     ],
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
         "csv_not_utf8", "schema_not_utf8", "config_not_utf8",
+        "meta_schema_not_objects", "meta_vocabularies_not_object", "meta_vocabulary_missing",
+        "meta_model_not_object", "meta_model_size_not_int", "meta_stats_not_pairs", "meta_stats_zero_std",
     ],
 )
 def test_malformed_input_exits_with_one_error_line(trained, tmp_path, capsys, kind, corrupt, code):

@@ -249,6 +249,9 @@ def test_split_validation():
     done = split(ds, (0.6, 0.2, 0.2), seed=0)
     with pytest.raises(UsageError, match="already split"):
         split(done, (0.6, 0.2, 0.2), seed=0)
+    standardized = apply_standardization(ds, {"x": (4.5, 2.0)})
+    with pytest.raises(UsageError, match="already standardized"):
+        split(standardized, (0.6, 0.2, 0.2), seed=0)
 
 
 def test_constant_column_standardizes_to_zeros():
