@@ -8,12 +8,10 @@ pattern: the per-feature attention variance collapses, meaning the model
 stops modulating interactions by group.
 """
 
-import numpy as np
-
 from dataclasses import replace
 
 from fairint.data import full_batch, split, synth_generate
-from fairint.model import ModelConfig
+from fairint.model import ModelConfig, attention_summary
 from fairint.training import TrainConfig, train
 
 dataset = split(synth_generate(n=6000, bias_strength=2.0, proxy_corr=0.8, seed=1),
@@ -25,18 +23,16 @@ recipe = TrainConfig(learning_rate=3e-3, batch_size=128, max_epochs=40, patience
 
 def attention_stats(config):
     model, _ = train(dataset, ModelConfig(), config)
-    batch = full_batch(dataset, "test")
-    trace = model.forward(batch.features, training=False)
-    weights = trace.attention[0].values  # single head: (rows, features)
-    return model.feature_names, weights.mean(axis=0), weights.var(axis=0)
+    return attention_summary(model, full_batch(dataset, "test").features)[0]["features"]  # single head
 
 
 for name, config in (
     ("unconstrained", recipe),
     ("tuned fairness weights", replace(recipe, lambda_ifc=5.0, lambda_fc=40.0)),
 ):
-    order, means, variances = attention_stats(config)
+    features = attention_stats(config)
     print(f"{name}: attention weight per feature on the test split")
-    for feature, mean, var in zip(order, means, variances):
-        print(f"  {feature:8s} mean {mean:.4f}   variance {var:.2e}")
-    print(f"  mean variance across features: {variances.mean():.2e}\n")
+    for f in features:
+        print(f"  {f['feature']:8s} mean {f['mean']:.4f}   variance {f['variance']:.2e}")
+    mean_variance = sum(f["variance"] for f in features) / len(features)
+    print(f"  mean variance across features: {mean_variance:.2e}\n")

@@ -39,8 +39,8 @@ __all__ = [
     "log",
     "softmax_lastdim",
     "concat_lastdim",
-    "slice_lastdim",
-    "sum_lastdim",
+    "feature_scores",
+    "feature_pool",
     "mean_all",
     "sum_all",
     "embedding_lookup",
@@ -188,22 +188,9 @@ def _mul(a: Tensor, other):
         return _result(a.values * c, (a,), "mul_scalar", lambda g: (g * c,))
 
     b = other
-    if a.values.shape == b.values.shape:
-        return _result(a.values * b.values, (a, b), "mul", lambda g: (g * b.values, g * a.values))
-
-    # column * matrix: (m, 1) * (m, n), either operand order
-    for col, mat in ((a, b), (b, a)):
-        if (
-            col.values.ndim == 2
-            and mat.values.ndim == 2
-            and col.values.shape == (mat.values.shape[0], 1)
-        ):
-
-            def grad_fn(g):
-                return (g * mat.values).sum(axis=1, keepdims=True), g * col.values
-
-            return _result(col.values * mat.values, (col, mat), "mul_col", grad_fn)
-    raise ShapeError(f"cannot multiply shapes {a.values.shape} and {b.values.shape}")
+    if a.values.shape != b.values.shape:
+        raise ShapeError(f"cannot multiply shapes {a.values.shape} and {b.values.shape}")
+    return _result(a.values * b.values, (a, b), "mul", lambda g: (g * b.values, g * a.values))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -265,23 +252,48 @@ def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
     return _result(np.concatenate([p.values for p in parts], axis=-1), parts, "concat", grad_fn)
 
 
-def slice_lastdim(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop] of the last axis."""
-    if not (0 <= start < stop <= x.values.shape[-1]):
-        raise ShapeError(f"slice [{start}:{stop}] out of range for shape {x.values.shape}")
+def _project_blocks(blocks: Tensor, proj: Tensor):
+    """Products of the C width-d blocks of (B, C*d) ``blocks`` with (d, k) ``proj``, as (B, C, k),
+    and the map from their gradient to the gradients of ``blocks`` and ``proj``."""
+    x, w = blocks.values, proj.values
+    if x.ndim != 2 or w.ndim != 2 or not 0 < w.shape[0] <= x.shape[1] or x.shape[1] % w.shape[0]:
+        raise ShapeError(f"cannot cut shape {x.shape} into blocks for a projection of shape {w.shape}")
+    rows = x.reshape(-1, w.shape[0])  # one row per (batch row, block)
+
+    def project_grads(g):
+        g_rows = g.reshape(-1, w.shape[1])
+        return (g_rows @ w.T).reshape(x.shape), rows.T @ g_rows
+
+    return (rows @ w).reshape(x.shape[0], -1, w.shape[1]), project_grads
+
+
+def feature_scores(blocks: Tensor, proj: Tensor, query: Tensor) -> Tensor:
+    """(B, C) scores of (B, C*d) ``blocks`` against (B, k) ``query``:
+    out[b, c] = (blocks[b, c] @ proj) . query[b], with ``proj`` (d, k)."""
+    keys, project_grads = _project_blocks(blocks, proj)
+    q = query.values
+    if q.shape != (keys.shape[0], keys.shape[2]):
+        raise ShapeError(f"query shape {q.shape} does not match keys of shape {keys.shape}")
 
     def grad_fn(g):
-        full = np.zeros_like(x.values)
-        full[..., start:stop] = g
-        return (full,)
+        return *project_grads(g[:, :, None] * q[:, None, :]), np.einsum("bc,bck->bk", g, keys)
 
-    return _result(x.values[..., start:stop], (x,), "slice", grad_fn)
+    return _result((keys * q[:, None, :]).sum(axis=-1), (blocks, proj, query), "feature_scores", grad_fn)
 
 
-def sum_lastdim(x: Tensor) -> Tensor:
-    """Sum over the last axis, keeping it as an extent of 1."""
-    return _result(x.values.sum(axis=-1, keepdims=True), (x,), "sum_lastdim",
-                   lambda g: (np.broadcast_to(g, x.values.shape),))
+def feature_pool(blocks: Tensor, proj: Tensor, weights: Tensor) -> Tensor:
+    """(B, k) weighted sum of the projected blocks of (B, C*d) ``blocks``:
+    out[b] = sum_c weights[b, c] * (blocks[b, c] @ proj), with ``proj`` (d, k)."""
+    values, project_grads = _project_blocks(blocks, proj)
+    w = weights.values
+    if w.shape != values.shape[:2]:
+        raise ShapeError(f"weights shape {w.shape} does not match values of shape {values.shape}")
+
+    def grad_fn(g):
+        return *project_grads(w[:, :, None] * g[:, None, :]), np.einsum("bk,bck->bc", g, values)
+
+    # einsum adds the features up in order, as a loop over them would
+    return _result(np.einsum("bc,bck->bk", w, values), (blocks, proj, weights), "feature_pool", grad_fn)
 
 
 def mean_all(x: Tensor) -> Tensor:

@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .autodiff import no_grad
 from .data import (
     apply_standardization,
     full_batch,
@@ -27,7 +26,7 @@ from .data import (
     synth_generate,
 )
 from .errors import ConfigError, DataError, FairIntError, UsageError
-from .model import FairIntModel, ModelConfig, load_model, save_model
+from .model import FairIntModel, ModelConfig, attention_summary, load_model, save_model
 from .probe import sensitive_probe
 from .training import TrainConfig, evaluate_model, sweep, train
 
@@ -251,26 +250,7 @@ def cmd_explain(args) -> int:
     batch = full_batch(dataset, args.split)
     if batch.size == 0:
         raise UsageError(f"split {args.split!r} has no rows")
-    with no_grad():
-        trace = model.forward(batch.features, training=False)
-
-    heads = []
-    for h, tensor in enumerate(trace.attention):
-        weights = tensor.values  # (rows, features), each row sums to 1
-        features = []
-        for c, name in enumerate(model.feature_names):
-            column = weights[:, c]
-            features.append(
-                {
-                    "feature": name,
-                    "mean": float(column.mean()),
-                    "variance": float(column.var()),
-                    "min": float(column.min()),
-                    "max": float(column.max()),
-                }
-            )
-        heads.append({"head": h, "features": features})
-
+    heads = attention_summary(model, batch.features)
     out_path = Path(args.out) if args.out else Path(args.model).parent / "attention.json"
     _emit({"split": args.split, "heads": heads}, out_path)
     return 0

@@ -5,13 +5,14 @@ they can be tested and inspected separately:
 
   1. embed_features: every non-sensitive column becomes a small dense
      embedding (table lookup for categoricals, learned direction scaled
-     by the standardized value for numericals).
+     by the standardized value); all of them side by side form one
+     (B, |C| * d) tensor, in ``feature_names`` order.
   2. sar_forward: a four-layer MLP reads all embeddings and reconstructs
      a pseudo-sensitive embedding, plus a scalar probability that the row
      belongs to group 1.
   3. bid_attention: the pseudo-sensitive embedding is the only attention
      query; each head scores every feature once (|C| scores per row, not
-     |C| squared) and normalizes with a softmax.
+     |C| squared, in one fused op) and normalizes with a softmax.
   4. interaction_embedding + residual_fuse: attention-weighted value
      projections, concatenated across heads, plus a residual projection
      of the pseudo-sensitive embedding, through a ReLU.
@@ -36,6 +37,7 @@ __all__ = [
     "ForwardTrace",
     "FairIntModel",
     "VanillaModel",
+    "attention_summary",
     "save_model",
     "load_model",
 ]
@@ -63,13 +65,14 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("embed_dim", "attention_heads", "value_dim"):
             size = getattr(self, name)
-            if not (size is None and name == "value_dim") and (not isinstance(size, int) or size < 1):
+            if not (size is None and name == "value_dim") and (type(size) is not int or size < 1):
                 raise ConfigError(f"{name} must be a positive int, got {size!r}")
         for name in ("sar_hidden", "head_hidden", "baseline_hidden"):
             widths = getattr(self, name)
-            if any((not isinstance(w, int)) or w < 1 for w in widths):
+            if any(type(w) is not int or w < 1 for w in widths):
                 raise ConfigError(f"{name} widths must be positive ints, got {widths}")
-        if not isinstance(self.dropout, (int, float)) or not 0.0 <= self.dropout < 1.0:
+        dropout = self.dropout
+        if isinstance(dropout, bool) or not isinstance(dropout, (int, float)) or not 0.0 <= dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
     @property
@@ -77,22 +80,13 @@ class ModelConfig:
         return self.value_dim if self.value_dim is not None else self.embed_dim
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "attention_heads": self.attention_heads,
-            "value_dim": self.value_dim,
-            "sar_hidden": list(self.sar_hidden),
-            "head_hidden": list(self.head_hidden),
-            "baseline_hidden": list(self.baseline_hidden),
-            "dropout": self.dropout,
-        }
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"model options must be an object, got {doc!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown model options: {sorted(extra)}")
         kwargs = dict(doc)
@@ -108,7 +102,7 @@ class ModelConfig:
 class ForwardTrace:
     """Everything one forward pass computed, kept for losses and reports."""
 
-    embeddings: dict          # feature name -> (B, d) Tensor
+    embeddings: Tensor        # (B, |C| * d): one block of width d per feature, in feature_names order
     pseudo_embed: Tensor      # (B, d)
     pseudo_scalar: Tensor     # (B, 1), in (0, 1)
     attention: list           # per head: (B, |C|) Tensor, rows sum to 1, columns in feature_names order
@@ -123,7 +117,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class _EmbeddingBase:
-    """Shared embedding construction and dropout plumbing."""
+    """Per-feature embedding tables, the embedding of a batch, and MLP plumbing."""
 
     def __init__(self, input_columns, config: ModelConfig, seed: int):
         if not input_columns:
@@ -136,6 +130,11 @@ class _EmbeddingBase:
         self.config = config
         self.params: dict[str, Parameter] = {}
         self._rng = np.random.default_rng(seed)
+        self._mlp_layers: dict[str, int] = {}
+        d = config.embed_dim
+        for col in self.input_columns:
+            shape = (d, col.table_size) if col.kind == KIND_CATEGORICAL else (1, d)
+            self._add(f"embed.{col.name}", self._rng.normal(0.0, 0.1, size=shape))
 
     def _add(self, name: str, values: np.ndarray) -> Parameter:
         if name in self.params:
@@ -144,22 +143,16 @@ class _EmbeddingBase:
         self.params[name] = p
         return p
 
-    def _add_embeddings(self):
-        d = self.config.embed_dim
-        for col in self.input_columns:
-            if col.kind == KIND_CATEGORICAL:
-                self._add(f"embed.{col.name}", self._rng.normal(0.0, 0.1, size=(d, col.table_size)))
-            else:
-                self._add(f"embed.{col.name}", self._rng.normal(0.0, 0.1, size=(1, d)))
-
     def _add_mlp(self, prefix: str, widths: list[int]):
         # widths = [in, h1, ..., out]; biases start at zero
+        self._mlp_layers[prefix] = len(widths) - 1
         for i in range(len(widths) - 1):
             self._add(f"{prefix}.layer{i}.w", _glorot(self._rng, widths[i], widths[i + 1]))
             self._add(f"{prefix}.layer{i}.b", np.zeros(widths[i + 1]))
 
-    def _run_mlp(self, prefix: str, n_layers: int, x: Tensor, training: bool, rng) -> Tensor:
+    def _run_mlp(self, prefix: str, x: Tensor, training: bool, rng) -> Tensor:
         # ReLU plus dropout on every layer except the last, which stays linear
+        n_layers = self._mlp_layers[prefix]
         for i in range(n_layers):
             w = self.params[f"{prefix}.layer{i}.w"].tensor
             b = self.params[f"{prefix}.layer{i}.b"].tensor
@@ -195,24 +188,25 @@ class _EmbeddingBase:
                 )
             p.tensor.values = arr.copy()
 
-    def embed_features(self, features: dict) -> dict:
-        """Map a batch's raw feature arrays to (B, d) embedding tensors.
+    def embed_features(self, features: dict) -> Tensor:
+        """Map a batch's raw feature arrays to one (B, |C| * d) embedding tensor.
 
-        A numerical value of exactly 0 embeds to the zero vector; a
-        categorical id selects one table column.
+        Feature c's embedding is the block of columns [c*d, (c+1)*d), in
+        ``feature_names`` order. A numerical value of exactly 0 embeds to
+        the zero vector; a categorical id selects one table column.
         """
-        out = {}
+        blocks = []
         for col in self.input_columns:
             if col.name not in features:
                 raise DataError(f"batch is missing feature column {col.name!r}")
             values = features[col.name]
             table = self.params[f"embed.{col.name}"].tensor
             if col.kind == KIND_CATEGORICAL:
-                out[col.name] = ad.embedding_lookup(table, np.asarray(values, dtype=np.int64))
+                blocks.append(ad.embedding_lookup(table, np.asarray(values, dtype=np.int64)))
             else:
                 x = Tensor(np.asarray(values, dtype=np.float64).reshape(-1, 1))
-                out[col.name] = ad.matmul(x, table)
-        return out
+                blocks.append(ad.matmul(x, table))
+        return ad.concat_lastdim(blocks)
 
 
 class FairIntModel(_EmbeddingBase):
@@ -222,35 +216,27 @@ class FairIntModel(_EmbeddingBase):
         super().__init__(input_columns, config, seed)
         d = config.embed_dim
         dv = config.head_width
-        n_feat = len(self.input_columns)
-
-        self._add_embeddings()
-        sar_widths = [n_feat * d, *config.sar_hidden, d]
-        self._sar_layers = len(sar_widths) - 1
-        self._add_mlp("sar", sar_widths)
+        self._add_mlp("sar", [len(self.input_columns) * d, *config.sar_hidden, d])
         self._add("sar_scalar.w", _glorot(self._rng, d, 1))
         for h in range(config.attention_heads):
             self._add(f"bid.h{h}.query", _glorot(self._rng, d, dv))
             self._add(f"bid.h{h}.key", _glorot(self._rng, d, dv))
             self._add(f"bid.h{h}.value", _glorot(self._rng, d, dv))
         self._add("fuse.w_res", _glorot(self._rng, d, dv * config.attention_heads))
-        head_widths = [dv * config.attention_heads, *config.head_hidden, 1]
-        self._head_layers = len(head_widths) - 1
-        self._add_mlp("head", head_widths)
+        self._add_mlp("head", [dv * config.attention_heads, *config.head_hidden, 1])
 
-    def sar_forward(self, embeddings: dict, training: bool = False, rng=None):
+    def sar_forward(self, embeddings: Tensor, training: bool = False, rng=None):
         """Reconstruct the sensitive attribute from all feature embeddings.
 
         Returns (pseudo_embed (B, d), pseudo_scalar (B, 1)). The scalar is
         a separate linear readout of the pseudo embedding through a
         sigmoid, so zero weights give exactly 0.5.
         """
-        joined = ad.concat_lastdim([embeddings[name] for name in self.feature_names])
-        pseudo = self._run_mlp("sar", self._sar_layers, joined, training, rng)
+        pseudo = self._run_mlp("sar", embeddings, training, rng)
         scalar = ad.sigmoid(ad.matmul(pseudo, self.params["sar_scalar.w"].tensor))
         return pseudo, scalar
 
-    def bid_attention(self, pseudo_embed: Tensor, embeddings: dict, head: int) -> Tensor:
+    def bid_attention(self, pseudo_embed: Tensor, embeddings: Tensor, head: int) -> Tensor:
         """Attention of the pseudo-sensitive embedding over the features.
 
         One dot-product score per feature per row (the pseudo embedding is
@@ -260,23 +246,15 @@ class FairIntModel(_EmbeddingBase):
         if not 0 <= head < self.config.attention_heads:
             raise UsageError(f"head {head} out of range")
         q = ad.matmul(pseudo_embed, self.params[f"bid.h{head}.query"].tensor)
-        scores = []
-        for name in self.feature_names:
-            k = ad.matmul(embeddings[name], self.params[f"bid.h{head}.key"].tensor)
-            scores.append(ad.sum_lastdim(q * k))
-        return ad.softmax_lastdim(ad.concat_lastdim(scores))
+        scores = ad.feature_scores(embeddings, self.params[f"bid.h{head}.key"].tensor, q)
+        return ad.softmax_lastdim(scores)
 
-    def interaction_embedding(self, attention: list, embeddings: dict) -> Tensor:
+    def interaction_embedding(self, attention: list, embeddings: Tensor) -> Tensor:
         """Attention-weighted sum of value projections, concatenated across heads."""
-        head_outputs = []
-        for h, weights in enumerate(attention):
-            value_w = self.params[f"bid.h{h}.value"].tensor
-            total = None
-            for c, name in enumerate(self.feature_names):
-                v = ad.matmul(embeddings[name], value_w)
-                term = ad.slice_lastdim(weights, c, c + 1) * v
-                total = term if total is None else total + term
-            head_outputs.append(total)
+        head_outputs = [
+            ad.feature_pool(embeddings, self.params[f"bid.h{h}.value"].tensor, weights)
+            for h, weights in enumerate(attention)
+        ]
         return ad.concat_lastdim(head_outputs) if len(head_outputs) > 1 else head_outputs[0]
 
     def residual_fuse(self, interaction: Tensor, pseudo_embed: Tensor) -> Tensor:
@@ -285,7 +263,7 @@ class FairIntModel(_EmbeddingBase):
 
     def predict(self, fused: Tensor, training: bool = False, rng=None) -> Tensor:
         """Probability head over the fused embedding."""
-        return ad.sigmoid(self._run_mlp("head", self._head_layers, fused, training, rng))
+        return ad.sigmoid(self._run_mlp("head", fused, training, rng))
 
     def forward(self, features: dict, training: bool = False, rng=None) -> ForwardTrace:
         """Full pass; see the module docstring for the stage breakdown."""
@@ -313,16 +291,25 @@ class VanillaModel(_EmbeddingBase):
 
     def __init__(self, input_columns, config: ModelConfig, seed: int):
         super().__init__(input_columns, config, seed)
-        self._add_embeddings()
-        widths = [len(self.input_columns) * config.embed_dim, *config.baseline_hidden, 1]
-        self._n_layers = len(widths) - 1
-        self._add_mlp("mlp", widths)
+        self._add_mlp("mlp", [len(self.input_columns) * config.embed_dim, *config.baseline_hidden, 1])
 
     def forward(self, features: dict, training: bool = False, rng=None) -> Tensor:
         """Probability of the positive class, shape (B, 1)."""
-        embeddings = self.embed_features(features)
-        joined = ad.concat_lastdim([embeddings[name] for name in self.feature_names])
-        return ad.sigmoid(self._run_mlp("mlp", self._n_layers, joined, training, rng))
+        return ad.sigmoid(self._run_mlp("mlp", self.embed_features(features), training, rng))
+
+
+def attention_summary(model: FairIntModel, features: dict) -> list:
+    """Per head and feature, the mean, variance, min and max of the attention weight over a batch."""
+    with ad.no_grad():
+        attention = model.forward(features).attention
+    return [
+        {"head": h, "features": [
+            {"feature": name, "mean": float(column.mean()), "variance": float(column.var()),
+             "min": float(column.min()), "max": float(column.max())}
+            for name, column in zip(model.feature_names, weights.values.T)
+        ]}
+        for h, weights in enumerate(attention)
+    ]
 
 
 # -- persistence ---------------------------------------------------------------

@@ -57,6 +57,17 @@ class TrainConfig:
     enable_bid: bool = True
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is an int too
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        for name in ("lambda_ifc", "lambda_fc", "learning_rate", "dropout", "l2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("enable_ifc", "enable_fc", "enable_bid"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         LossWeights(self.lambda_ifc, self.lambda_fc)  # validates non-negativity
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
@@ -84,6 +95,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"training options must be an object, got {doc!r}")
         extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown training options: {sorted(extra)}")

@@ -106,9 +106,10 @@ def test_c1_gradients_match_finite_differences():
          [smooth(3, 5), smooth(3, 5)]),
         ("concat", lambda xs: ad.sum_all(ad.concat_lastdim([xs[0], xs[1]]) * 0.5),
          [smooth(3, 2), smooth(3, 3)]),
-        ("slice", lambda xs: ad.sum_all(ad.slice_lastdim(xs[0], 1, 3)), [smooth(3, 5)]),
-        ("sum_lastdim", lambda xs: ad.sum_all(ad.sum_lastdim(xs[0]) * xs[1]),
-         [smooth(3, 4), smooth(3, 1)]),
+        ("feature_scores", lambda xs: ad.sum_all(ad.feature_scores(xs[0], xs[1], xs[2]) * xs[3]),
+         [smooth(3, 6), smooth(2, 4), smooth(3, 4), smooth(3, 3)]),
+        ("feature_pool", lambda xs: ad.sum_all(ad.feature_pool(xs[0], xs[1], xs[2]) * xs[3]),
+         [smooth(3, 6), smooth(2, 4), smooth(3, 3), smooth(3, 4)]),
         ("mean_all", lambda xs: ad.mean_all(xs[0] * xs[0]), [smooth(3, 4)]),
         ("sum_all", lambda xs: ad.sum_all(xs[0] * xs[0]), [smooth(3, 4)]),
         ("embedding", lambda xs: ad.sum_all(ad.embedding_lookup(xs[0], idx) * 0.7), [table]),

@@ -18,6 +18,8 @@ from fairint.autodiff import (
     concat_lastdim,
     dropout,
     embedding_lookup,
+    feature_pool,
+    feature_scores,
     graph_nodes,
     load_parameters,
     log,
@@ -27,10 +29,8 @@ from fairint.autodiff import (
     relu,
     save_parameters,
     sigmoid,
-    slice_lastdim,
     softmax_lastdim,
     sum_all,
-    sum_lastdim,
 )
 from fairint.errors import (
     ConfigError,
@@ -153,8 +153,8 @@ def test_grad_add_bias(seed):
 def test_grad_mul_elementwise_and_column(seed):
     rng = np.random.default_rng(seed)
     check_gradients(
-        lambda xs: sum_all(xs[0] * xs[1] + xs[2] * xs[0]),
-        [rng.standard_normal((4, 3)), rng.standard_normal((4, 3)), rng.standard_normal((4, 1))],
+        lambda xs: sum_all(xs[0] * xs[1]),
+        [rng.standard_normal((4, 3)), rng.standard_normal((4, 3))],
     )
 
 
@@ -207,13 +207,60 @@ def test_grad_softmax(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_concat_slice_sum(seed):
     rng = np.random.default_rng(seed)
-    c = Tensor(rng.standard_normal((3, 2)))
+    c = Tensor(rng.standard_normal((3, 5)))
+    check_gradients(
+        lambda xs: sum_all(concat_lastdim([xs[0], xs[1]]) * c),
+        [rng.standard_normal((3, 2)), rng.standard_normal((3, 3))],
+    )
 
-    def build(xs):
-        joined = concat_lastdim([xs[0], xs[1]])
-        return sum_all(slice_lastdim(joined, 1, 3) * c) + mean_all(sum_lastdim(joined))
 
-    check_gradients(build, [rng.standard_normal((3, 2)), rng.standard_normal((3, 3))])
+# (rows B, features C, block width d, projection width k): one feature, and k != d
+FEATURE_SHAPES = [(4, 3, 2, 3), (3, 1, 2, 2), (5, 2, 3, 2)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", FEATURE_SHAPES)
+def test_grad_feature_scores(seed, shape):
+    rows, n_feat, d, k = shape
+    rng = np.random.default_rng(seed)
+    c = Tensor(rng.standard_normal((rows, n_feat)))
+    check_gradients(
+        lambda xs: sum_all(feature_scores(xs[0], xs[1], xs[2]) * c),
+        [rng.standard_normal((rows, n_feat * d)), rng.standard_normal((d, k)), rng.standard_normal((rows, k))],
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", FEATURE_SHAPES)
+def test_grad_feature_pool(seed, shape):
+    rows, n_feat, d, k = shape
+    rng = np.random.default_rng(seed)
+    c = Tensor(rng.standard_normal((rows, k)))
+    check_gradients(
+        lambda xs: sum_all(feature_pool(xs[0], xs[1], xs[2]) * c),
+        [rng.standard_normal((rows, n_feat * d)), rng.standard_normal((d, k)), rng.random((rows, n_feat))],
+    )
+
+
+@pytest.mark.parametrize("n_feat, d, k", [(1, 4, 4), (5, 4, 4), (14, 4, 4), (3, 2, 5)])
+def test_feature_ops_equal_a_per_feature_loop(n_feat, d, k):
+    # at least two rows: numpy multiplies a single row through its
+    # matrix-vector path, which rounds differently from the matrix product
+    rng = np.random.default_rng(n_feat)
+    blocks = rng.standard_normal((257, n_feat * d))
+    proj, query = rng.standard_normal((d, k)), rng.standard_normal((257, k))
+    weights = rng.random((257, n_feat))
+    projections = [np.ascontiguousarray(blocks[:, c * d : (c + 1) * d]) @ proj for c in range(n_feat)]
+
+    scores = np.concatenate([(p * query).sum(axis=-1, keepdims=True) for p in projections], axis=-1)
+    got = feature_scores(Tensor(blocks), Tensor(proj), Tensor(query)).values
+    assert np.array_equal(got, scores)
+
+    pooled = weights[:, 0:1] * projections[0]
+    for c in range(1, n_feat):
+        pooled = pooled + weights[:, c : c + 1] * projections[c]
+    got = feature_pool(Tensor(blocks), Tensor(proj), Tensor(weights)).values
+    assert np.array_equal(got, pooled)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -347,8 +394,25 @@ def test_shape_mismatches_raise():
         a * Tensor(np.ones((2, 2)))
     with pytest.raises(ShapeError):
         matmul(a, Tensor(np.ones((2, 3))))
+    proj, query, weights = Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3)))
+    blocks = Tensor(np.ones((2, 6)))  # three blocks of width 2
+    for op, third in ((feature_scores, query), (feature_pool, weights)):
+        with pytest.raises(ShapeError):
+            op(Tensor(np.ones((2, 5))), proj, third)  # width not a multiple of d
+        with pytest.raises(ShapeError):
+            op(Tensor(np.ones((2, 1))), proj, third)  # narrower than one block
+        with pytest.raises(ShapeError):
+            op(Tensor(np.ones(6)), proj, third)
+        with pytest.raises(ShapeError):
+            op(blocks, Tensor(np.ones(2)), third)
     with pytest.raises(ShapeError):
-        slice_lastdim(a, 2, 5)
+        feature_scores(blocks, proj, Tensor(np.ones((2, 3))))  # query width is not k
+    with pytest.raises(ShapeError):
+        feature_scores(blocks, proj, Tensor(np.ones((3, 4))))  # query rows are not B
+    with pytest.raises(ShapeError):
+        feature_pool(blocks, proj, Tensor(np.ones((2, 2))))  # one weight per block
+    with pytest.raises(ShapeError):
+        feature_pool(blocks, proj, Tensor(np.ones((2, 3, 1))))
 
 
 def test_log_of_nonpositive_raises_domain_error():

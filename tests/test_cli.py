@@ -314,6 +314,21 @@ def _with_metadata(**entries):
     return corrupt
 
 
+def _with_config(**sections):
+    """Merge entries into an experiment config's sections; a non-object replaces the section."""
+
+    def corrupt(raw):
+        doc = json.loads(raw)
+        for key, value in sections.items():
+            if isinstance(value, dict):
+                doc[key].update(value)
+            else:
+                doc[key] = value
+        return json.dumps(doc).encode("utf-8")
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "kind, corrupt, code",
     [
@@ -331,12 +346,24 @@ def _with_metadata(**entries):
         ("model", _with_metadata(model={"embed_dim": "4"}), 3),
         ("model", _with_metadata(standardize_stats={"proxy1": 0.5}), 3),
         ("model", _with_metadata(standardize_stats={c: [0.0, 0.0] for c in SYNTH_INPUTS}), 3),
+        ("config", _with_config(train=5), 2),
+        ("config", _with_config(train={"learning_rate": "x"}), 2),
+        ("config", _with_config(train={"batch_size": 2.5}), 2),
+        ("config", _with_config(train={"max_epochs": 1.5}), 2),
+        ("config", _with_config(train={"seed": "1"}), 2),
+        ("config", _with_config(train={"patience": True}), 2),
+        ("config", _with_config(train={"lambda_fc": True}), 2),
+        ("config", _with_config(train={"enable_ifc": "no"}), 2),
+        ("config", _with_config(model={"embed_dim": True}), 2),
     ],
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
         "csv_not_utf8", "schema_not_utf8", "config_not_utf8",
         "meta_schema_not_objects", "meta_vocabularies_not_object", "meta_vocabulary_missing",
         "meta_model_not_object", "meta_model_size_not_int", "meta_stats_not_pairs", "meta_stats_zero_std",
+        "train_not_object", "train_rate_not_number", "train_batch_not_int", "train_epochs_not_int",
+        "train_seed_not_int", "train_patience_bool", "train_lambda_bool", "train_enable_not_bool",
+        "model_size_bool",
     ],
 )
 def test_malformed_input_exits_with_one_error_line(trained, tmp_path, capsys, kind, corrupt, code):

@@ -7,6 +7,7 @@ import fairint.autodiff as ad
 from fairint.autodiff import Tensor, backward, mean_all, log
 from fairint.data import FeatureColumn
 from fairint.errors import ConfigError, DataError, UsageError
+from fairint.losses import LossWeights, assign_groups, joint_loss
 from fairint.model import FairIntModel, ForwardTrace, ModelConfig, VanillaModel
 
 
@@ -21,6 +22,11 @@ def small_model(seed=0, **config_kwargs):
     config = ModelConfig(embed_dim=2, sar_hidden=(5, 4, 3), **config_kwargs)
     columns = cols(("job", "categorical", 3), ("age", "numerical", None), ("hours", "numerical", None))
     return FairIntModel(columns, config, seed=seed)
+
+
+def block(embeddings, c, d=2):
+    """Feature c's (B, d) block of a (B, C*d) embedding tensor."""
+    return embeddings.values[:, c * d : (c + 1) * d]
 
 
 def small_batch(n=6, seed=0):
@@ -69,24 +75,24 @@ def test_config_dict_round_trip():
 def test_numerical_zero_embeds_to_zero_vector():
     m = small_model()
     emb = m.embed_features({"job": np.array([0]), "age": np.array([0.0]), "hours": np.array([2.0])})
-    np.testing.assert_array_equal(emb["age"].values, np.zeros((1, 2)))
-    assert not np.allclose(emb["hours"].values, 0.0)
+    assert emb.shape == (1, 6)
+    np.testing.assert_array_equal(block(emb, 1), np.zeros((1, 2)))
+    assert not np.allclose(block(emb, 2), 0.0)
 
 
 def test_categorical_id_selects_table_column():
     m = small_model()
     table = m.params["embed.job"].tensor.values
     emb = m.embed_features({"job": np.array([2, 0]), "age": np.zeros(2), "hours": np.zeros(2)})
-    np.testing.assert_array_equal(emb["job"].values[0], table[:, 2])
-    np.testing.assert_array_equal(emb["job"].values[1], table[:, 0])
+    np.testing.assert_array_equal(block(emb, 0)[0], table[:, 2])
+    np.testing.assert_array_equal(block(emb, 0)[1], table[:, 0])
 
 
 def test_equal_rows_get_equal_embeddings_and_predictions():
     m = small_model()
     batch = {"job": np.array([1, 1]), "age": np.array([0.3, 0.3]), "hours": np.array([-1.0, -1.0])}
     trace = m.forward(batch)
-    for t in trace.embeddings.values():
-        np.testing.assert_array_equal(t.values[0], t.values[1])
+    np.testing.assert_array_equal(trace.embeddings.values[0], trace.embeddings.values[1])
     np.testing.assert_array_equal(trace.prediction.values[0], trace.prediction.values[1])
 
 
@@ -143,7 +149,7 @@ def test_attention_log2_oracle():
     m.params["bid.h0.query"].tensor.values[:] = 1.0
     m.params["bid.h0.key"].tensor.values[:] = 1.0
     pseudo = Tensor([[1.0]])
-    embeddings = {"a": Tensor([[np.log(2.0)]]), "b": Tensor([[0.0]])}
+    embeddings = Tensor([[np.log(2.0), 0.0]])  # features a and b, one column each
     weights = m.bid_attention(pseudo, embeddings, head=0)
     np.testing.assert_allclose(weights.values, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
@@ -174,7 +180,7 @@ def test_interaction_single_feature_is_value_projection():
     emb = m.embed_features({"only": np.array([1.3, -0.7])})
     attn = [Tensor(np.ones((2, 1)))]
     got = m.interaction_embedding(attn, emb)
-    want = emb["only"].values @ m.params["bid.h0.value"].tensor.values
+    want = emb.values @ m.params["bid.h0.value"].tensor.values
     np.testing.assert_allclose(got.values, want, atol=1e-12)
 
 
@@ -183,7 +189,7 @@ def test_interaction_weights_one_zero_select_first_feature():
     emb = m.embed_features(small_batch(n=2))
     attn = [Tensor(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))]
     got = m.interaction_embedding(attn, emb)
-    want = emb["job"].values @ m.params["bid.h0.value"].tensor.values
+    want = block(emb, 0) @ m.params["bid.h0.value"].tensor.values
     np.testing.assert_allclose(got.values, want, atol=1e-12)
 
 
@@ -263,6 +269,30 @@ def test_permuting_feature_order_permutes_attention_and_keeps_output():
     np.testing.assert_allclose(other.attention[0].values, trace.attention[0].values[:, perm], atol=1e-12)
     np.testing.assert_allclose(other.interaction.values, trace.interaction.values, atol=1e-12)
     np.testing.assert_allclose(other.prediction.values, trace.prediction.values, atol=1e-12)
+
+
+# -- graph size ------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, card", [("numerical", None), ("categorical", 2)])
+def test_each_added_feature_adds_two_nodes_to_a_fair_step(kind, card):
+    # its embedding op and its table; attention scores and pooling are one
+    # node per head whatever the feature count
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 2, size=32).astype(np.float64)
+    sensitive = rng.integers(0, 2, size=32).astype(np.float64)
+
+    def step_nodes(columns):
+        m = FairIntModel(columns, ModelConfig(), seed=3)
+        features = {c.name: rng.integers(0, 2, size=32) if c.kind == "categorical" else rng.standard_normal(32)
+                    for c in columns}
+        trace = m.forward(features, training=True)
+        assert set(assign_groups(trace.pseudo_scalar)) == {0, 1}  # both penalties run
+        total, _ = joint_loss(trace, labels, sensitive, LossWeights(2.0, 30.0))
+        return len(ad.graph_nodes(total))
+
+    base = small_model().input_columns
+    assert step_nodes(base + cols(("extra", kind, card))) - step_nodes(base) == 2
 
 
 # -- determinism and dropout -----------------------------------------------------------------
