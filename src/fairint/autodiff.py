@@ -471,7 +471,7 @@ def load_parameters(path) -> tuple[dict, dict]:
     mlen = u32("the header")
     try:
         metadata = json.loads(take(mlen, "the metadata").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
         raise DataError(f"{path}: model file metadata is not valid JSON: {exc}") from None
     if not isinstance(metadata, dict):
         raise DataError(f"{path}: model file metadata is not a JSON object")

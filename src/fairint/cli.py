@@ -18,6 +18,7 @@ from pathlib import Path
 from .data import (
     apply_standardization,
     full_batch,
+    is_finite_number,
     load_csv,
     load_schema,
     save_csv,
@@ -57,7 +58,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise ConfigError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -87,6 +88,9 @@ def load_experiment_config(path) -> ExperimentConfig:
             raise ConfigError(
                 f"{path}: 'synth' must be an object with keys {sorted(_SYNTH_KEYS)}"
             )
+        n, beta, rho = source["n"], source["beta"], source["rho"]
+        if type(n) is not int or not (is_finite_number(beta) and is_finite_number(rho)):  # type() excludes bools
+            raise ConfigError(f"{path}: 'synth' needs an int 'n' and finite numbers 'beta' and 'rho'")
 
     return ExperimentConfig(
         source_kind=source_kind,

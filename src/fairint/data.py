@@ -15,6 +15,7 @@ seen categories as 0 and 1 and maps anything else to 2.
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +45,14 @@ __all__ = [
     "full_batch",
     "synth_generate",
     "SYNTH_SCHEMA",
+    "is_finite_number",
 ]
+
+
+def is_finite_number(value) -> bool:
+    """An int or float, not a bool, that converts to a finite float64."""
+    # NaN fails the comparison, and so does an int too large for a float
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ def _validate_schema(columns: list[FeatureColumn]) -> list[FeatureColumn]:
         if c.role not in (ROLE_SENSITIVE, ROLE_NON_SENSITIVE, ROLE_LABEL):
             raise DataError(f"column {c.name!r}: unknown role {c.role!r}")
         if c.kind == KIND_CATEGORICAL:
-            if not isinstance(c.cardinality, int) or c.cardinality < 1:
+            if type(c.cardinality) is not int or c.cardinality < 1:  # type() excludes bools
                 raise DataError(f"column {c.name!r}: categorical cardinality must be a positive int")
         elif c.cardinality is not None:
             raise DataError(f"column {c.name!r}: numerical columns take no cardinality")
@@ -171,7 +179,7 @@ def load_schema(path) -> list[FeatureColumn]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
         raise DataError(f"{path}: schema is not valid JSON: {exc}") from exc
     return parse_schema(doc, path)
 
@@ -187,6 +195,8 @@ def parse_schema(doc, source) -> list[FeatureColumn]:
         missing = {"name", "kind", "cardinality", "role"} - set(entry)
         if missing:
             raise DataError(f"{source}: schema entry {i} is missing {sorted(missing)}")
+        if not all(isinstance(entry[key], str) for key in ("name", "kind", "role")):
+            raise DataError(f"{source}: schema entry {i} needs a string name, kind and role")
         columns.append(
             FeatureColumn(
                 name=entry["name"],
@@ -468,7 +478,7 @@ def synth_generate(n: int, bias_strength: float, proxy_corr: float, seed: int) -
     """
     if n < 100:
         raise ConfigError(f"synthetic generator needs n >= 100, got {n}")
-    if bias_strength < 0:
+    if not bias_strength >= 0:  # also rejects NaN
         raise ConfigError(f"bias_strength must be >= 0, got {bias_strength}")
     if not 0.0 <= proxy_corr <= 1.0:
         raise ConfigError(f"proxy_corr must be in [0, 1], got {proxy_corr}")

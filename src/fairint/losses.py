@@ -4,8 +4,8 @@ The joint objective combines four pieces:
 
   l0     task cross-entropy on the label
   l_sar  squared error of the reconstructed sensitive probability
-  l_ifc  KL(p0 || p1) + KL(p1 || p0) between the two pseudo-groups'
-         fused-embedding distributions
+  l_ifc  KL(p0 || p1) + KL(p1 || p0) = sum (p0 - p1)(log p0 - log p1)
+         between the two pseudo-groups' fused-embedding distributions
   l_fc   2 * |CE0 - CE1|, the gap between the two pseudo-groups' mean
          cross-entropies
 
@@ -13,15 +13,16 @@ weighted as ``total = l0 + lambda_ifc * l_ifc + lambda_fc * l_fc + l_sar``.
 Group membership everywhere comes from the reconstructed probability, not
 the true sensitive column, so the fairness pressure works even where the
 sensitive attribute is unavailable at inference time. The sensitive
-attribute is binary, so there are exactly two pseudo-groups, 0 and 1; a
-batch whose rows all fall into one of them adds 0 to both penalties.
+attribute is binary, so there are exactly two pseudo-groups, 0 and 1. Both
+penalties read one constant (2, B) group-mean matrix M, whose row g averages
+the rows of group g; a batch with one group adds 0 to both penalties.
 
 A weight of exactly 0 skips its term entirely: the term is not evaluated
 and contributes no graph nodes, which keeps training dynamics bitwise
 identical to a run where the term does not exist.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,28 +67,21 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "l0": self.l0,
-            "l_sar": self.l_sar,
-            "l_ifc": self.l_ifc,
-            "l_fc": self.l_fc,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
-def _as_column(values, n: int, what: str) -> Tensor:
+def _as_column(values, n: int, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     if arr.shape[0] != n:
         raise ShapeError(f"{what} has {arr.shape[0]} rows, expected {n}")
-    return Tensor(arr)
+    return arr
 
 
-def _row_ce(pred: Tensor, y: Tensor) -> Tensor:
-    # -log of the probability assigned to the correct class; for binary
-    # labels this equals the usual two-term cross entropy but stays exact
-    # when the model is confidently correct (p_correct == 1 -> 0).
-    p_correct = y * pred + (1.0 - y) * (1.0 - pred)
-    return ad.log(p_correct) * -1.0
+def _row_ce(pred: Tensor, y: np.ndarray) -> Tensor:
+    # -log of the probability of the correct class, pred * 1 + 0 or pred * -1 + 1
+    # for 0/1 labels: bit for bit the two-term y * pred + (1 - y) * (1 - pred),
+    # and exactly 0 when the model is confidently correct.
+    return ad.log(pred * Tensor(2.0 * y - 1.0) + Tensor(1.0 - y)) * -1.0
 
 
 def ce_loss(pred: Tensor, labels) -> Tensor:
@@ -95,8 +89,7 @@ def ce_loss(pred: Tensor, labels) -> Tensor:
     n = pred.values.shape[0]
     if n == 0:
         raise UsageError("cross entropy of an empty batch")
-    y = _as_column(labels, n, "labels")
-    return ad.mean_all(_row_ce(pred, y))
+    return ad.mean_all(_row_ce(pred, _as_column(labels, n, "labels")))
 
 
 def reconstruction_loss(pseudo_scalar: Tensor, sensitive) -> Tensor:
@@ -104,8 +97,7 @@ def reconstruction_loss(pseudo_scalar: Tensor, sensitive) -> Tensor:
     n = pseudo_scalar.values.shape[0]
     if n == 0:
         raise UsageError("reconstruction loss of an empty batch")
-    s = _as_column(sensitive, n, "sensitive values")
-    diff = pseudo_scalar - s
+    diff = pseudo_scalar - Tensor(_as_column(sensitive, n, "sensitive values"))
     return ad.mean_all(diff * diff)
 
 
@@ -119,15 +111,19 @@ def assign_groups(pseudo_scalar) -> np.ndarray:
     return (values.reshape(-1) >= 0.5).astype(np.int64)
 
 
-def _two_groups(groups) -> list[tuple[Tensor, int]] | None:
-    """(1, B) row mask and row count of pseudo-groups 0 and 1; None if one is empty."""
+_GROUP_DIFFERENCE = Tensor(np.array([[1.0, -1.0]]))
+
+
+def _group_means(groups) -> Tensor | None:
+    """Constant (2, B) matrix whose rows average pseudo-groups 0 and 1; None if one is empty."""
     groups = np.asarray(groups).reshape(-1)
-    rows = [groups == 0, groups == 1]
-    if not (rows[0] | rows[1]).all():
+    members = np.stack([groups == 0, groups == 1])
+    if not members.any(axis=0).all():
         raise UsageError(f"group ids must be 0 or 1, got {np.unique(groups).tolist()}")
-    if not (rows[0].any() and rows[1].any()):
+    counts = members.sum(axis=1, keepdims=True)
+    if not counts.all():
         return None
-    return [(Tensor(r.astype(np.float64).reshape(1, -1)), int(r.sum())) for r in rows]
+    return Tensor(members / counts)
 
 
 def group_divergence_loss(fused: Tensor, groups: np.ndarray) -> Tensor:
@@ -135,16 +131,17 @@ def group_divergence_loss(fused: Tensor, groups: np.ndarray) -> Tensor:
 
     Each group's fused embeddings are averaged and pushed through a
     softmax, giving one categorical distribution over embedding
-    coordinates per group. A batch whose rows all fall into one group
-    contributes 0. Always non-negative, and 0 exactly when the two
+    coordinates per group; the two KL terms add up to
+    sum (p0 - p1)(log p0 - log p1). A batch whose rows all fall into one
+    group contributes 0. Always non-negative, and 0 exactly when the two
     distributions coincide.
     """
-    split = _two_groups(groups)
-    if split is None:
+    means = _group_means(groups)
+    if means is None:
         return Tensor(0.0)
-    p0, p1 = [ad.softmax_lastdim(ad.matmul(mask, fused) * (1.0 / count)) for mask, count in split]
-    log0, log1 = ad.log(p0), ad.log(p1)
-    return ad.sum_all(p0 * (log0 - log1)) + ad.sum_all(p1 * (log1 - log0))
+    p = ad.softmax_lastdim(ad.matmul(means, fused))  # (2, k): row g is p_g
+    p_diff, log_ratio = ad.matmul(_GROUP_DIFFERENCE, p), ad.matmul(_GROUP_DIFFERENCE, ad.log(p))
+    return ad.sum_all(p_diff * log_ratio)
 
 
 def group_gap_loss(pred: Tensor, labels, groups: np.ndarray) -> Tensor:
@@ -155,14 +152,12 @@ def group_gap_loss(pred: Tensor, labels, groups: np.ndarray) -> Tensor:
     fall into one group contributes 0. Invariant to swapping the two
     group ids.
     """
-    n = pred.values.shape[0]
-    y = _as_column(labels, n, "labels")
-    split = _two_groups(groups)
-    if split is None:
+    y = _as_column(labels, pred.values.shape[0], "labels")
+    means = _group_means(groups)
+    if means is None:
         return Tensor(0.0)
-    rows = _row_ce(pred, y)
-    ce0, ce1 = [ad.sum_all(ad.matmul(mask, rows)) * (1.0 / count) for mask, count in split]
-    return (ce0 - ce1).abs() * 2.0
+    contrast = ad.matmul(_GROUP_DIFFERENCE, means)  # (1, B) row that takes CE0 - CE1
+    return ad.sum_all(ad.matmul(contrast, _row_ce(pred, y))).abs() * 2.0
 
 
 def joint_loss(trace, labels, sensitive, weights: LossWeights):

@@ -163,10 +163,11 @@ def evaluate(
             "count": int(rows.sum()),
         }
 
+    r0, r1 = group_rates["0"], group_rates["1"]
     return FairnessReport(
         auc=auc_roc(scores, y),
-        ddp=delta_dp(pred, s),
-        deo=delta_eo(pred, y, s),
+        ddp=abs(r0["positive_rate"] - r1["positive_rate"]),
+        deo=abs(r0["tpr"] - r1["tpr"]) + abs(r0["fpr"] - r1["fpr"]),
         group_rates=group_rates,
         sar_accuracy=None,
         threshold=float(threshold),

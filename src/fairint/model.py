@@ -22,14 +22,13 @@ Weight matrices are stored in (input, output) orientation so the forward
 pass is plain right-multiplication.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, parse_schema
+from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, is_finite_number, parse_schema
 from .errors import ConfigError, DataError, UsageError
 
 __all__ = [
@@ -388,6 +387,6 @@ def _check_encoder_state(meta: dict, path) -> None:
 def _is_mean_std(pair) -> bool:
     return (
         isinstance(pair, list) and len(pair) == 2
-        and all(isinstance(x, (int, float)) and math.isfinite(x) for x in pair)
+        and all(map(is_finite_number, pair))
         and pair[1] > 0
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metrics as fm
 from .autodiff import backward, no_grad
-from .data import Dataset, batches, full_batch
+from .data import Dataset, batches, full_batch, is_finite_number
 from .errors import (
     ConfigError,
     DomainError,
@@ -63,8 +63,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an int, got {value!r}")
         for name in ("lambda_ifc", "lambda_fc", "learning_rate", "dropout", "l2"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not is_finite_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("enable_ifc", "enable_fc", "enable_bid"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -173,6 +173,13 @@ def _freeze_model(model) -> None:
         p.tensor.values.setflags(write=False)
 
 
+def _nonempty_split(dataset: Dataset, split: str):
+    batch = full_batch(dataset, split)
+    if batch.size == 0:
+        raise UsageError(f"split {split!r} has no rows")
+    return batch
+
+
 def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
                    groups_from: str = "true") -> fm.FairnessReport:
     """Eval-mode forward over a whole split, then the full metric report.
@@ -183,9 +190,7 @@ def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
     reconstruction-accuracy entry is always measured against the true
     column.
     """
-    batch = full_batch(dataset, split)
-    if batch.size == 0:
-        raise UsageError(f"split {split!r} has no rows")
+    batch = _nonempty_split(dataset, split)
     true_s = batch.true_sensitive.astype(np.int64)
     with no_grad():
         if isinstance(model, FairIntModel):
@@ -214,15 +219,19 @@ def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
 def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig):
     """Run one full optimization and return (frozen model, history).
 
-    The dataset must already be split. Training walks seeded shuffled
-    mini-batches; any non-finite value surfacing in the loss stops the
-    run with the epoch and batch in the error. Early stopping triggers
-    after ``patience`` epochs without a new best validation AUC, and the
-    returned parameters always belong to the best epoch, never a later
-    one.
+    The dataset must already be split, and a validation split on which
+    the metrics are undefined raises before the first step. Training
+    walks seeded shuffled mini-batches; any non-finite value surfacing in
+    the loss stops the run with the epoch and batch in the error. Early
+    stopping triggers after ``patience`` epochs without a new best
+    validation AUC, and the returned parameters always belong to the best
+    epoch, never a later one.
     """
     if dataset.split_tags is None:
         raise UsageError("dataset must be split before training")
+    # whether the validation metrics are defined depends on the rows, not the scores
+    val = _nonempty_split(dataset, "val")
+    fm.evaluate(np.zeros(val.size), val.labels, val.true_sensitive.astype(np.int64))
     cfg = train_config
     arch = replace(model_config, dropout=cfg.dropout)
     if cfg.enable_bid:

@@ -346,6 +346,7 @@ def _with_config(**sections):
         ("model", _with_metadata(model={"embed_dim": "4"}), 3),
         ("model", _with_metadata(standardize_stats={"proxy1": 0.5}), 3),
         ("model", _with_metadata(standardize_stats={c: [0.0, 0.0] for c in SYNTH_INPUTS}), 3),
+        ("model", _with_metadata(standardize_stats={c: [10**400, 1.0] for c in SYNTH_INPUTS}), 3),
         ("config", _with_config(train=5), 2),
         ("config", _with_config(train={"learning_rate": "x"}), 2),
         ("config", _with_config(train={"batch_size": 2.5}), 2),
@@ -355,15 +356,22 @@ def _with_config(**sections):
         ("config", _with_config(train={"lambda_fc": True}), 2),
         ("config", _with_config(train={"enable_ifc": "no"}), 2),
         ("config", _with_config(model={"embed_dim": True}), 2),
+        ("config", _with_config(train={"learning_rate": float("nan")}), 2),
+        ("config", _with_config(train={"lambda_fc": float("inf")}), 2),
+        ("config", _with_config(train={"l2": float("nan")}), 2),
+        ("config", lambda raw: raw.replace(b'"seed": 1', b'"seed": 1' + b"0" * 5000), 2),
+        ("schema", lambda raw: raw.replace(b'"cardinality": 2', b'"cardinality": 2' + b"0" * 5000), 3),
     ],
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
         "csv_not_utf8", "schema_not_utf8", "config_not_utf8",
         "meta_schema_not_objects", "meta_vocabularies_not_object", "meta_vocabulary_missing",
         "meta_model_not_object", "meta_model_size_not_int", "meta_stats_not_pairs", "meta_stats_zero_std",
+        "meta_stats_int_too_large",
         "train_not_object", "train_rate_not_number", "train_batch_not_int", "train_epochs_not_int",
         "train_seed_not_int", "train_patience_bool", "train_lambda_bool", "train_enable_not_bool",
-        "model_size_bool",
+        "model_size_bool", "train_rate_nan", "train_lambda_infinite", "train_l2_nan",
+        "config_int_too_long", "schema_int_too_long",
     ],
 )
 def test_malformed_input_exits_with_one_error_line(trained, tmp_path, capsys, kind, corrupt, code):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from fairint.autodiff import Tensor, backward, graph_nodes
-from fairint.data import FeatureColumn
+from fairint.autodiff import Tensor, backward, graph_nodes, log, mean_all
+from fairint.data import FeatureColumn, full_batch, split, synth_generate
 from fairint.errors import ConfigError, ShapeError, UsageError
 from fairint.losses import (
     LossBreakdown,
@@ -41,6 +41,21 @@ def test_ce_hand_oracle():
     got = ce_loss(col([0.9, 0.2]), [1.0, 0.0]).item()
     assert abs(got - want) < 1e-12
     assert abs(got - 0.1643) < 1e-4
+
+
+def test_ce_equals_the_two_term_form_bit_for_bit():
+    rng = np.random.default_rng(5)
+    p = np.concatenate([rng.uniform(0.01, 0.99, 14), [1.0, 1.0]])
+    y = np.concatenate([rng.integers(0, 2, 14), [1, 1]]).astype(np.float64)
+    got_pred = Tensor(p.reshape(-1, 1), grad_tracked=True)
+    want_pred = Tensor(p.reshape(-1, 1), grad_tracked=True)
+    got = ce_loss(got_pred, y)
+    yt = col(y)
+    want = mean_all(log(yt * want_pred + (1.0 - yt) * (1.0 - want_pred)) * -1.0)
+    backward(got)
+    backward(want)
+    assert got.item() == want.item()
+    assert np.array_equal(got_pred.grad, want_pred.grad)
 
 
 def test_ce_validation():
@@ -229,6 +244,20 @@ def test_joint_skipped_terms_add_no_graph_nodes():
     plain, _ = joint_loss(m.forward(batch), labels, sensitive, LossWeights(0.0, 0.0))
     weighted, _ = joint_loss(m.forward(batch), labels, sensitive, LossWeights(1.0, 1.0))
     assert len(graph_nodes(weighted)) > len(graph_nodes(plain))
+
+
+def test_joint_loss_adds_28_nodes_with_two_groups_and_11_with_one():
+    ds = split(synth_generate(n=400, bias_strength=2.0, proxy_corr=0.8, seed=7), (0.6, 0.2, 0.2), seed=7)
+    batch = full_batch(ds, "train")
+    m = FairIntModel(ds.input_columns, ModelConfig(), seed=0)
+    groups = assign_groups(m.forward(batch.features).pseudo_scalar)
+    assert len(ds.input_columns) == 5 and 0 < groups.sum() < groups.size
+    one_group = {name: values[groups == 1] for name, values in batch.features.items()}
+    for features, rows, added in [(batch.features, slice(None), 28), (one_group, groups == 1, 11)]:
+        trace = m.forward(features)
+        forward = {id(n) for t in (trace.prediction, trace.pseudo_scalar, trace.fused) for n in graph_nodes(t)}
+        total, _ = joint_loss(trace, batch.labels[rows], batch.true_sensitive[rows], LossWeights(2.0, 30.0))
+        assert len(graph_nodes(total)) - len(forward) == added
 
 
 def test_joint_breakdown_formula_is_exact():

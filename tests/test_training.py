@@ -7,7 +7,7 @@ import pytest
 
 from fairint.autodiff import Parameter, Tensor, backward, mean_all
 from fairint.data import full_batch, split, synth_generate
-from fairint.errors import ConfigError, TrainingError, UsageError
+from fairint.errors import ConfigError, MetricError, TrainingError, UsageError
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
 from fairint.training import (
     Adam,
@@ -68,6 +68,10 @@ def test_config_rejects_bad_values():
         TrainConfig(seed=-1)
     with pytest.raises(ConfigError):
         TrainConfig(lambda_ifc=-0.5)
+    for name in ("lambda_ifc", "lambda_fc", "learning_rate", "dropout", "l2"):
+        for value in (float("nan"), float("inf"), -float("inf"), 10**400):
+            with pytest.raises(ConfigError, match="finite"):
+                TrainConfig(**{name: value})
 
 
 def test_config_round_trip():
@@ -129,6 +133,35 @@ def test_train_requires_split():
     ds = synth_generate(n=200, bias_strength=2.0, proxy_corr=0.8, seed=0)
     with pytest.raises(UsageError, match="split"):
         train(ds, ModelConfig(), quick_config())
+
+
+def _with_val_rows(ds, column, value, where=None):
+    """Copy of ``ds`` whose validation rows (those of them where ``where`` holds) get ``value``."""
+    rows = ds.split_tags == 1
+    if where is not None:
+        rows &= where(ds)
+    columns = dict(ds.columns)
+    columns[column] = columns[column].copy()
+    columns[column][rows] = value
+    return replace(ds, columns=columns)
+
+
+@pytest.mark.parametrize(
+    "degrade, error",
+    [
+        (lambda ds: _with_val_rows(ds, "y", 1.0), MetricError),
+        (lambda ds: _with_val_rows(ds, "s", 0), MetricError),
+        (lambda ds: _with_val_rows(ds, "y", 0.0, where=lambda ds: ds.columns["s"] == 1), MetricError),
+        (lambda ds: replace(ds, split_tags=np.where(ds.split_tags == 1, 0, ds.split_tags)), UsageError),
+    ],
+    ids=["one_class", "one_group", "group_without_positives", "empty"],
+)
+def test_degenerate_validation_split_fails_before_the_first_step(tiny, monkeypatch, degrade, error):
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
+    with pytest.raises(error):
+        train(degrade(tiny), ModelConfig(), quick_config(max_epochs=1))
+    assert steps == []
 
 
 def test_zero_epochs_returns_initialized_params(tiny):
@@ -242,8 +275,8 @@ def test_report_gaps_reconstruct_from_group_rates(tiny, trained):
     rates = report.group_rates
     ddp = abs(rates["0"]["positive_rate"] - rates["1"]["positive_rate"])
     deo = abs(rates["0"]["tpr"] - rates["1"]["tpr"]) + abs(rates["0"]["fpr"] - rates["1"]["fpr"])
-    assert abs(report.ddp - ddp) < 1e-12
-    assert abs(report.deo - deo) < 1e-12
+    assert report.ddp == ddp
+    assert report.deo == deo
 
 
 def test_evaluate_empty_split_is_an_error(trained):
