@@ -14,6 +14,16 @@ is freed as soon as its root is dropped. :func:`backward` is the only
 place that adds gradients into tensors. Inside a :func:`no_grad` block
 no operation records anything, which is how eval forwards run.
 
+A model keeps all of its parameters in two flat float64 buffers made by
+:func:`pack_parameters`: one for values, one for gradients, each holding
+the parameters back to back in the order they were added. Every
+parameter's ``tensor.values`` and ``tensor.grad`` are C-contiguous views
+into them, so one vectorised pass over a buffer updates or resets every
+parameter at once. Writes to either buffer happen in place, for the whole
+life of the model: nothing rebinds a parameter's ``values`` or ``grad``.
+:func:`backward` adds into a grad that is already set, so a training
+step zeroes the grad buffer before it calls :func:`backward`.
+
 Any operation that produces NaN or Inf from finite inputs raises
 :class:`~fairint.errors.NumericError` immediately; nothing non-finite is
 ever propagated silently.
@@ -24,7 +34,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +58,7 @@ __all__ = [
     "backward",
     "graph_nodes",
     "no_grad",
+    "pack_parameters",
     "save_parameters",
     "load_parameters",
 ]
@@ -140,6 +151,30 @@ class Parameter:
 
     def __post_init__(self):
         self.tensor.grad_tracked = True
+
+
+def pack_parameters(arrays: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Copy named arrays, in order, into one flat values buffer.
+
+    Returns ``(values, grads, params)``: that buffer, a zeroed grad buffer
+    of the same size, and one :class:`Parameter` per name whose
+    ``tensor.values`` and ``tensor.grad`` are views into the two buffers.
+    """
+    values = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays.values()])
+    grads = np.zeros_like(values)
+    params, start = {}, 0
+    for name, a in arrays.items():
+        params[name] = Parameter(name, buffer_view(values, grads, start, np.shape(a)))
+        start += np.size(a)
+    return values, grads, params
+
+
+def buffer_view(values: np.ndarray, grads: np.ndarray, start: int, shape: tuple) -> Tensor:
+    """A tracked tensor over ``values[start:start + prod(shape)]``, its grad the same slice of ``grads``."""
+    stop = start + math.prod(shape)
+    view = Tensor(values[start:stop].reshape(shape), grad_tracked=True)
+    view.grad = grads[start:stop].reshape(shape)
+    return view
 
 
 _grad_enabled = True
@@ -370,18 +405,14 @@ def graph_nodes(root: Tensor) -> list:
     return topo
 
 
-def backward(root: Tensor, params: Iterable[Parameter] | None = None) -> None:
-    """Populate gradients of ``root`` w.r.t. every tracked tensor feeding it.
+def backward(root: Tensor) -> None:
+    """Add d(root)/d(t) into the grad of every tracked tensor t feeding ``root``.
 
-    ``root`` must hold a single element. If ``params`` is given, each
-    listed parameter's grad buffer is reset first, so parameters the graph
-    never touched end up with exact zeros.
+    ``root`` must hold a single element. A grad that is already set, such
+    as a parameter's view into its grad buffer, is added to in place.
     """
     if root.values.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {root.values.shape}")
-    if params is not None:
-        for p in params:
-            p.tensor.grad = np.zeros_like(p.tensor.values)
     if not root.grad_tracked:
         return
     order = graph_nodes(root)

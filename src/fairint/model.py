@@ -116,7 +116,13 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class _EmbeddingBase:
-    """Per-feature embedding tables, the embedding of a batch, and MLP plumbing."""
+    """Per-feature embedding tables, the embedding of a batch, and MLP plumbing.
+
+    The constructor adds the embedding tables, then the subclass's
+    ``_add_layers``, and packs every parameter, in that order, into one
+    values buffer ``param_values`` and one grad buffer ``param_grads``
+    (see :func:`fairint.autodiff.pack_parameters`).
+    """
 
     def __init__(self, input_columns, config: ModelConfig, seed: int):
         if not input_columns:
@@ -127,20 +133,21 @@ class _EmbeddingBase:
         self.input_columns = list(input_columns)
         self.feature_names = [c.name for c in self.input_columns]
         self.config = config
-        self.params: dict[str, Parameter] = {}
         self._rng = np.random.default_rng(seed)
         self._mlp_layers: dict[str, int] = {}
+        self._initial: dict[str, np.ndarray] = {}
         d = config.embed_dim
         for col in self.input_columns:
             shape = (d, col.table_size) if col.kind == KIND_CATEGORICAL else (1, d)
             self._add(f"embed.{col.name}", self._rng.normal(0.0, 0.1, size=shape))
+        self._add_layers()
+        self.param_values, self.param_grads, self.params = ad.pack_parameters(self._initial)
+        del self._initial
 
-    def _add(self, name: str, values: np.ndarray) -> Parameter:
-        if name in self.params:
+    def _add(self, name: str, values: np.ndarray) -> None:
+        if name in self._initial:
             raise UsageError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, Tensor(values))
-        self.params[name] = p
-        return p
+        self._initial[name] = values
 
     def _add_mlp(self, prefix: str, widths: list[int]):
         # widths = [in, h1, ..., out]; biases start at zero
@@ -185,7 +192,7 @@ class _EmbeddingBase:
                 raise DataError(
                     f"parameter {name!r} has shape {arr.shape}, expected {p.tensor.values.shape}"
                 )
-            p.tensor.values = arr.copy()
+            p.tensor.values[...] = arr
 
     def embed_features(self, features: dict) -> Tensor:
         """Map a batch's raw feature arrays to one (B, |C| * d) embedding tensor.
@@ -211,8 +218,8 @@ class _EmbeddingBase:
 class FairIntModel(_EmbeddingBase):
     """Interaction model with pseudo-sensitive attention and residual fusion."""
 
-    def __init__(self, input_columns, config: ModelConfig, seed: int):
-        super().__init__(input_columns, config, seed)
+    def _add_layers(self):
+        config = self.config
         d = config.embed_dim
         dv = config.head_width
         self._add_mlp("sar", [len(self.input_columns) * d, *config.sar_hidden, d])
@@ -288,9 +295,8 @@ class FairIntModel(_EmbeddingBase):
 class VanillaModel(_EmbeddingBase):
     """Baseline: concatenated feature embeddings through a plain MLP."""
 
-    def __init__(self, input_columns, config: ModelConfig, seed: int):
-        super().__init__(input_columns, config, seed)
-        self._add_mlp("mlp", [len(self.input_columns) * config.embed_dim, *config.baseline_hidden, 1])
+    def _add_layers(self):
+        self._add_mlp("mlp", [len(self.input_columns) * self.config.embed_dim, *self.config.baseline_hidden, 1])
 
     def forward(self, features: dict, training: bool = False, rng=None) -> Tensor:
         """Probability of the positive class, shape (B, 1)."""

@@ -132,45 +132,43 @@ class TrainHistory:
 
 
 class Adam:
-    """Adaptive moment updates with a coupled L2 penalty.
+    """Adaptive moment updates with a coupled L2 penalty, over one flat parameter buffer.
 
-    The penalty term is l2 * sum(w^2) over every trainable parameter, so
-    its gradient contribution is 2 * l2 * w; it enters the moment
-    estimates like any other gradient and never touches the logged loss
-    values.
+    ``values`` and ``grads`` are a model's parameter and gradient buffers;
+    each step updates ``values`` in place, in one vectorised pass. The
+    penalty term is l2 * sum(w^2) over every trainable parameter, so its
+    gradient contribution is 2 * l2 * w; it enters the moment estimates
+    like any other gradient and never touches the logged loss values.
     """
 
-    def __init__(self, params, learning_rate: float, l2: float = 0.0,
+    def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float, l2: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        self.values, self.grads = values, grads
         self.learning_rate = learning_rate
         self.l2 = l2
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._m = [np.zeros_like(p.tensor.values) for p in self.params]
-        self._v = [np.zeros_like(p.tensor.values) for p in self.params]
+        self._m = np.zeros_like(values)
+        self._v = np.zeros_like(values)
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.tensor.grad is None:
-                raise UsageError(f"parameter {p.name!r} has no gradient; call backward first")
-            g = p.tensor.grad
-            if self.l2 > 0.0:
-                g = g + 2.0 * self.l2 * p.tensor.values
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            p.tensor.values = p.tensor.values - update
+        g = self.grads
+        if self.l2 > 0.0:
+            g = g + 2.0 * self.l2 * self.values
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self.values -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def _freeze_model(model) -> None:
-    for p in model.parameters():
-        p.tensor.values.setflags(write=False)
+    for values in (model.param_values, *model.parameter_arrays().values()):
+        values.setflags(write=False)
 
 
 def _nonempty_split(dataset: Dataset, split: str):
@@ -239,13 +237,12 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     else:
         model = VanillaModel(dataset.input_columns, arch, seed=cfg.seed)
     weights = cfg.effective_weights()
-    params = model.parameters()
-    optimizer = Adam(params, cfg.learning_rate, l2=cfg.l2)
+    optimizer = Adam(model.param_values, model.param_grads, cfg.learning_rate, l2=cfg.l2)
 
     records: list[EpochRecord] = []
     best_auc = -math.inf
     best_epoch: int | None = None
-    best_arrays: dict | None = None
+    best_values: np.ndarray | None = None
     epochs_since_best = 0
     stopping_reason = "max_epochs"
 
@@ -263,7 +260,8 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
                     total = ce_loss(pred, batch.labels)
                     l0 = total.item()
                     breakdown = LossBreakdown(l0=l0, l_sar=0.0, l_ifc=0.0, l_fc=0.0, total=l0)
-                backward(total, params=params)
+                model.param_grads.fill(0.0)
+                backward(total)
                 optimizer.step()
             except (NumericError, DomainError) as exc:
                 raise TrainingError(
@@ -280,7 +278,7 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
         if val_report.auc > best_auc:
             best_auc = val_report.auc
             best_epoch = epoch
-            best_arrays = {name: arr.copy() for name, arr in model.parameter_arrays().items()}
+            best_values = model.param_values.copy()
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -288,8 +286,8 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
                 stopping_reason = "early_stopping"
                 break
 
-    if best_arrays is not None:
-        model.load_arrays(best_arrays)
+    if best_values is not None:
+        model.param_values[:] = best_values
     _freeze_model(model)
     return model, TrainHistory(epochs=records, best_epoch=best_epoch, stopping_reason=stopping_reason)
 

@@ -143,7 +143,7 @@ def test_c1_gradients_match_finite_differences():
 
     root, breakdown = total()
     assert breakdown.l_ifc > 0.0 and breakdown.l_fc > 0.0
-    backward(root, model.parameters())
+    backward(root)
 
     h = 1e-5
     worst = 0.0

@@ -26,6 +26,7 @@ from fairint.autodiff import (
     matmul,
     mean_all,
     no_grad,
+    pack_parameters,
     relu,
     save_parameters,
     sigmoid,
@@ -319,18 +320,32 @@ def test_replaying_a_graph_gives_identical_node_count_and_grads():
 
 
 def test_backward_zeroes_untouched_parameters():
-    used = Parameter("used", Tensor([[1.0, 2.0]]))
-    unused = Parameter("unused", Tensor([[3.0], [4.0]]))
-    root = sum_all(used.tensor * 2.0)
-    backward(root, params=[used, unused])
-    np.testing.assert_array_equal(used.tensor.grad, [[2.0, 2.0]])
-    np.testing.assert_array_equal(unused.tensor.grad, [[0.0], [0.0]])
+    # a step zeroes the whole grad buffer, then adds only what its graph reaches
+    values, grads, params = pack_parameters({"used": [[1.0, 2.0]], "unused": [[3.0], [4.0]]})
+    used, unused = params["used"].tensor, params["unused"].tensor
+    backward(sum_all(used * 5.0) + sum_all(unused * 1.0))  # an earlier step's gradients
+    grads.fill(0.0)
+    backward(sum_all(used * 2.0))
+    np.testing.assert_array_equal(used.grad, [[2.0, 2.0]])
+    np.testing.assert_array_equal(unused.grad, [[0.0], [0.0]])
+    assert np.shares_memory(used.grad, grads) and np.shares_memory(unused.grad, grads)
+
+
+def test_pack_parameters_lays_out_views_in_order():
+    values, grads, params = pack_parameters({"a": np.ones((2, 3)), "b": np.array([7.0]), "c": np.zeros((1, 2))})
+    np.testing.assert_array_equal(values, [1, 1, 1, 1, 1, 1, 7, 0, 0])
+    assert grads.shape == values.shape and not grads.any()
+    for p in params.values():
+        assert p.tensor.grad_tracked and p.tensor.values.flags["C_CONTIGUOUS"]
+        assert np.shares_memory(p.tensor.values, values) and np.shares_memory(p.tensor.grad, grads)
+    values[6] = 9.0
+    assert params["b"].tensor.values[0] == 9.0
 
 
 def test_parameter_reused_twice_accumulates():
     p = Parameter("w", Tensor([[1.0, 2.0]]))
     root = sum_all(p.tensor * 3.0) + sum_all(p.tensor * p.tensor)
-    backward(root, params=[p])
+    backward(root)
     np.testing.assert_allclose(p.tensor.grad, [[3.0 + 2.0, 3.0 + 4.0]])
 
 
@@ -368,7 +383,7 @@ def test_training_step_and_eval_leave_no_cyclic_garbage():
     def step():
         trace = model.forward(batch.features, training=True, rng=np.random.default_rng(0))
         total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, LossWeights(2.0, 30.0))
-        backward(total, params=model.parameters())
+        backward(total)
 
     was_enabled = gc.isenabled()
     gc.disable()

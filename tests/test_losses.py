@@ -291,7 +291,7 @@ def test_joint_gradients_match_finite_differences():
     assert 0 < groups.sum() < 10, "need both groups present for a meaningful check"
 
     total, _ = joint_loss(trace, labels, sensitive, weights)
-    backward(total, params=m.parameters())
+    backward(total)
 
     h = 1e-5
     for p in m.parameters():

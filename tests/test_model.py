@@ -219,7 +219,7 @@ def test_residual_fuse_gradient_reaches_both_branches():
         return mean_all(m.forward(batch).prediction)
 
     root = loss()
-    backward(root, params=m.parameters())
+    backward(root)
     for name in ("fuse.w_res", "bid.h0.value"):
         g = m.params[name].tensor.grad
         assert np.any(g != 0.0), f"{name} received no gradient"
@@ -348,7 +348,8 @@ def test_vanilla_deterministic_and_seed_sensitive():
 def param_fd_max_rel_err(model, loss_fn, name, h=1e-5):
     p = model.params[name]
     root = loss_fn()
-    backward(root, params=model.parameters())
+    model.param_grads.fill(0.0)
+    backward(root)
     analytic = p.tensor.grad.copy()
     numeric = np.zeros_like(analytic)
     flat = p.tensor.values.reshape(-1)

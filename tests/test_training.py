@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairint.autodiff import Parameter, Tensor, backward, mean_all
+from fairint.autodiff import backward, mean_all, pack_parameters
 from fairint.data import full_batch, split, synth_generate
 from fairint.errors import ConfigError, MetricError, TrainingError, UsageError
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
@@ -94,20 +94,43 @@ def test_effective_weights_respect_toggles():
 
 
 def test_adam_minimizes_a_quadratic():
-    weight = Parameter("w", Tensor(np.array([[10.0]])))
-    optimizer = Adam([weight], learning_rate=0.3)
+    values, grads, params = pack_parameters({"w": np.array([[10.0]])})
+    weight = params["w"].tensor
+    optimizer = Adam(values, grads, learning_rate=0.3)
     for _ in range(200):
-        shifted = weight.tensor + (-3.0)
+        shifted = weight + (-3.0)
         loss = mean_all(shifted * shifted)
-        backward(loss, params=[weight])
+        grads.fill(0.0)
+        backward(loss)
         optimizer.step()
-    assert abs(weight.tensor.values[0, 0] - 3.0) < 1e-3
+    assert abs(weight.values[0, 0] - 3.0) < 1e-3
 
 
-def test_adam_requires_gradients():
-    weight = Parameter("w", Tensor(np.array([[1.0]])))
-    with pytest.raises(UsageError, match="backward"):
-        Adam([weight], learning_rate=0.1).step()
+def test_flat_adam_equals_a_per_parameter_loop_bit_for_bit():
+    # the reference is the per-parameter update the flat pass replaced
+    rng = np.random.default_rng(5)
+    shapes = {"a": (3, 4), "b": (4,), "c": (1, 2), "d": (5, 1)}
+    values, grads, params = pack_parameters({k: rng.standard_normal(s) for k, s in shapes.items()})
+    ref_values = {k: p.tensor.values.copy() for k, p in params.items()}
+    ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+    lr, l2, beta1, beta2, eps = 3e-3, 1e-4, 0.9, 0.999, 1e-8
+    optimizer = Adam(values, grads, learning_rate=lr, l2=l2)
+    for t in range(1, 51):
+        grads[:] = rng.standard_normal(grads.size)
+        b1c, b2c = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for name, p in params.items():
+            g = p.tensor.grad + 2.0 * l2 * ref_values[name]
+            m, v = ref_m[name], ref_v[name]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            ref_values[name] = ref_values[name] - lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+        optimizer.step()
+        for name, p in params.items():
+            assert p.tensor.values.tobytes() == ref_values[name].tobytes(), (t, name)
+            assert np.shares_memory(p.tensor.values, values)
 
 
 def test_l2_changes_updates_but_not_logged_losses(tiny):
@@ -183,6 +206,18 @@ def test_returned_parameters_are_frozen(trained):
     first = next(iter(arrays.values()))
     with pytest.raises(ValueError):
         first[0] = 0.0
+
+
+def test_parameters_stay_views_into_the_model_buffers(tiny, trained):
+    # train() restores the best epoch and freezes in place; load_arrays writes in place
+    model, _ = trained
+    fresh = FairIntModel(tiny.input_columns, ModelConfig(), seed=1)
+    fresh.load_arrays(model.parameter_arrays())
+    for m in (model, fresh):
+        for p in m.parameters():
+            assert np.shares_memory(p.tensor.values, m.param_values)
+            assert np.shares_memory(p.tensor.grad, m.param_grads)
+    assert np.array_equal(fresh.param_values, model.param_values)
 
 
 def test_training_is_bitwise_deterministic(tiny):
