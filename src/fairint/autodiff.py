@@ -14,15 +14,12 @@ is freed as soon as its root is dropped. :func:`backward` is the only
 place that adds gradients into tensors. Inside a :func:`no_grad` block
 no operation records anything, which is how eval forwards run.
 
-A model keeps all of its parameters in two flat float64 buffers made by
-:func:`pack_parameters`: one for values, one for gradients, each holding
-the parameters back to back in the order they were added. Every
-parameter's ``tensor.values`` and ``tensor.grad`` are C-contiguous views
-into them, so one vectorised pass over a buffer updates or resets every
-parameter at once. Writes to either buffer happen in place, for the whole
-life of the model: nothing rebinds a parameter's ``values`` or ``grad``.
-:func:`backward` adds into a grad that is already set, so a training
-step zeroes the grad buffer before it calls :func:`backward`.
+A model keeps its parameters back to back, in the order it added them,
+in one flat float64 values buffer and one grad buffer
+(:func:`pack_parameters`); each parameter's ``tensor.values`` and
+``tensor.grad`` are C-contiguous views into them. Every write to either
+buffer happens in place, for the life of the model. :func:`backward` adds
+into a grad already set, so a training step zeroes the grad buffer first.
 
 Any operation that produces NaN or Inf from finite inputs raises
 :class:`~fairint.errors.NumericError` immediately; nothing non-finite is
@@ -53,7 +50,7 @@ __all__ = [
     "feature_pool",
     "mean_all",
     "sum_all",
-    "embedding_lookup",
+    "gather_scale",
     "dropout",
     "backward",
     "graph_nodes",
@@ -74,13 +71,13 @@ class Tensor:
 
     __slots__ = ("values", "grad_tracked", "grad", "_parents", "_backward", "op")
 
-    def __init__(self, values, grad_tracked: bool = False, _parents=(), _op: str = "leaf"):
+    def __init__(self, values, grad_tracked: bool = False, _parents=(), _op: str = "leaf", grad=None):
         v = np.asarray(values, dtype=np.float64)
         if not v.flags["C_CONTIGUOUS"]:
             v = np.ascontiguousarray(v)
         self.values = v
         self.grad_tracked = bool(grad_tracked)
-        self.grad = None
+        self.grad = grad
         self._parents = tuple(_parents)
         self._backward = None
         self.op = _op
@@ -154,27 +151,16 @@ class Parameter:
 
 
 def pack_parameters(arrays: dict) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Copy named arrays, in order, into one flat values buffer.
-
-    Returns ``(values, grads, params)``: that buffer, a zeroed grad buffer
-    of the same size, and one :class:`Parameter` per name whose
-    ``tensor.values`` and ``tensor.grad`` are views into the two buffers.
-    """
+    """Copy named arrays, in order, into one flat values buffer. Returns that buffer, a
+    zeroed grad buffer of its size, and a :class:`Parameter` per name viewing both."""
     values = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays.values()])
     grads = np.zeros_like(values)
     params, start = {}, 0
     for name, a in arrays.items():
-        params[name] = Parameter(name, buffer_view(values, grads, start, np.shape(a)))
-        start += np.size(a)
+        part, shape = slice(start, start + np.size(a)), np.shape(a)
+        params[name] = Parameter(name, Tensor(values[part].reshape(shape), grad=grads[part].reshape(shape)))
+        start = part.stop
     return values, grads, params
-
-
-def buffer_view(values: np.ndarray, grads: np.ndarray, start: int, shape: tuple) -> Tensor:
-    """A tracked tensor over ``values[start:start + prod(shape)]``, its grad the same slice of ``grads``."""
-    stop = start + math.prod(shape)
-    view = Tensor(values[start:stop].reshape(shape), grad_tracked=True)
-    view.grad = grads[start:stop].reshape(shape)
-    return view
 
 
 _grad_enabled = True
@@ -344,27 +330,26 @@ def sum_all(x: Tensor) -> Tensor:
     return _result(x.values.sum(), (x,), "sum", lambda g: (np.full_like(x.values, float(g)),))
 
 
-def embedding_lookup(table: Tensor, indices) -> Tensor:
-    """Gather columns of a (d, V) table for a batch of category ids.
-
-    Returns a (len(indices), d) tensor; the backward pass scatters
-    gradient only into the selected columns.
-    """
-    idx = np.asarray(indices)
-    if idx.ndim != 1:
-        raise ShapeError(f"indices must be 1-D, got shape {idx.shape}")
-    if table.values.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-D, got shape {table.values.shape}")
-    v = table.values.shape[1]
-    if idx.size and (idx.min() < 0 or idx.max() >= v):
-        raise DataError(f"category id out of range [0, {v}) in embedding lookup")
+def gather_scale(source: Tensor, index, scale) -> Tensor:
+    """(B, K) elements of ``source`` at the flat positions of (B, K) integer ``index``,
+    each row cut into J equal blocks scaled by the matching entry of (B, J) ``scale``;
+    backward adds each gradient times its scale into the element it was read from."""
+    flat = source.values.reshape(-1)
+    idx = np.asarray(index)
+    s = np.asarray(scale, dtype=np.float64)
+    if idx.ndim != 2 or s.ndim != 2 or len(s) != len(idx) or not s.shape[1] or idx.shape[1] % s.shape[1]:
+        raise ShapeError(f"cannot cut index of shape {idx.shape} into blocks for scale of shape {s.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= flat.size):
+        raise DataError(f"index out of range [0, {flat.size}) in gather")
+    out = flat[idx]
+    blocks = (len(idx), s.shape[1], idx.shape[1] // s.shape[1])
+    out.reshape(blocks)[...] *= s[:, :, None]
 
     def grad_fn(g):
-        gt = np.zeros((v, table.values.shape[0]))
-        np.add.at(gt, idx, g)
-        return (gt.T,)
+        weights = (g.reshape(blocks) * s[:, :, None]).reshape(-1)
+        return (np.bincount(idx.reshape(-1), weights=weights, minlength=flat.size).reshape(source.values.shape),)
 
-    return _result(table.values[:, idx].T, (table,), "embed", grad_fn)
+    return _result(out, (source,), "gather_scale", grad_fn)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -408,8 +393,8 @@ def graph_nodes(root: Tensor) -> list:
 def backward(root: Tensor) -> None:
     """Add d(root)/d(t) into the grad of every tracked tensor t feeding ``root``.
 
-    ``root`` must hold a single element. A grad that is already set, such
-    as a parameter's view into its grad buffer, is added to in place.
+    ``root`` must hold a single element. A grad already set, such as a
+    parameter's view into its grad buffer, is added to in place.
     """
     if root.values.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {root.values.shape}")

@@ -357,6 +357,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a size too large to allocate, such as a huge synth n
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     except FairIntError as exc:  # training, metric, numeric: the run itself failed
         print(f"error: {exc}", file=sys.stderr)
         return 4

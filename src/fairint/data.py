@@ -478,8 +478,8 @@ def synth_generate(n: int, bias_strength: float, proxy_corr: float, seed: int) -
     """
     if n < 100:
         raise ConfigError(f"synthetic generator needs n >= 100, got {n}")
-    if not bias_strength >= 0:  # also rejects NaN
-        raise ConfigError(f"bias_strength must be >= 0, got {bias_strength}")
+    if not is_finite_number(bias_strength) or bias_strength < 0:
+        raise ConfigError(f"bias_strength must be a finite number >= 0, got {bias_strength}")
     if not 0.0 <= proxy_corr <= 1.0:
         raise ConfigError(f"proxy_corr must be in [0, 1], got {proxy_corr}")
 
@@ -492,7 +492,8 @@ def synth_generate(n: int, bias_strength: float, proxy_corr: float, seed: int) -
     proxy2 = rho * sign * 0.5 + (1.0 - rho) * eps[:, 1]
     noise1, noise2, noise3 = eps[:, 2], eps[:, 3], eps[:, 4]
     logit = 1.0 * proxy1 - 0.8 * noise1 + 0.5 * noise2 + beta * sign
-    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.float64)
+    with np.errstate(over="ignore"):  # exp overflows to inf only where the probability is exactly 0.0
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.float64)
 
     columns = {
         "proxy1": _freeze(proxy1),

@@ -10,7 +10,6 @@ used.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import MetricError, UsageError
 
@@ -86,7 +85,11 @@ def auc_roc(scores, y) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError(f"AUC needs both classes, got {n_pos} positives and {n_neg} negatives")
-    ranks = scipy.stats.rankdata(scores)  # average rank on ties
+    # average 1-based rank: a tie group at sorted positions [start, end) gets (start + end + 1) / 2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    start = end - counts
+    ranks = ((start + end + 1) / 2.0)[group]
     rank_sum_pos = ranks[y == 1].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -4,9 +4,9 @@ The fair model runs in five stages, each exposed as its own method so
 they can be tested and inspected separately:
 
   1. embed_features: every non-sensitive column becomes a small dense
-     embedding (table lookup for categoricals, learned direction scaled
-     by the standardized value); all of them side by side form one
-     (B, |C| * d) tensor, in ``feature_names`` order.
+     embedding (a table column for categoricals, a learned direction
+     scaled by the standardized value); one scaled gather from all the
+     tables forms the (B, |C| * d) tensor, in ``feature_names`` order.
   2. sar_forward: a four-layer MLP reads all embeddings and reconstructs
      a pseudo-sensitive embedding, plus a scalar probability that the row
      belongs to group 1.
@@ -116,13 +116,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class _EmbeddingBase:
-    """Per-feature embedding tables, the embedding of a batch, and MLP plumbing.
-
-    The constructor adds the embedding tables, then the subclass's
-    ``_add_layers``, and packs every parameter, in that order, into one
-    values buffer ``param_values`` and one grad buffer ``param_grads``
-    (see :func:`fairint.autodiff.pack_parameters`).
-    """
+    """Embedding tables, the embedding of a batch, and MLP plumbing; subclasses add their layers in ``_add_layers``."""
 
     def __init__(self, input_columns, config: ModelConfig, seed: int):
         if not input_columns:
@@ -137,12 +131,19 @@ class _EmbeddingBase:
         self._mlp_layers: dict[str, int] = {}
         self._initial: dict[str, np.ndarray] = {}
         d = config.embed_dim
-        for col in self.input_columns:
-            shape = (d, col.table_size) if col.kind == KIND_CATEGORICAL else (1, d)
-            self._add(f"embed.{col.name}", self._rng.normal(0.0, 0.1, size=shape))
+        self._categorical = np.array([col.kind == KIND_CATEGORICAL for col in self.input_columns])
+        self._vocab = np.array([col.table_size if cat else 1 for col, cat in zip(self.input_columns, self._categorical)])
+        for col, cat, vocab in zip(self.input_columns, self._categorical, self._vocab):
+            self._add(f"embed.{col.name}", self._rng.normal(0.0, 0.1, size=(d, vocab) if cat else (1, d)))
         self._add_layers()
         self.param_values, self.param_grads, self.params = ad.pack_parameters(self._initial)
         del self._initial
+        # the tables lead the buffer; a numerical (1, d) row is laid out like a (d, 1)
+        # table, so element k of feature c is at offset_c + k * vocab_c + id (id 0 if numerical)
+        offsets = np.cumsum(d * self._vocab) - d * self._vocab
+        self._table_index = (offsets[:, None] + np.arange(d) * self._vocab[:, None]).reshape(-1)
+        n_tables = d * self._vocab.sum()
+        self._tables = Tensor(self.param_values[:n_tables], True, grad=self.param_grads[:n_tables])
 
     def _add(self, name: str, values: np.ndarray) -> None:
         if name in self._initial:
@@ -177,6 +178,11 @@ class _EmbeddingBase:
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.tensor.values for name, p in self.params.items()}
 
+    def freeze(self) -> None:
+        """Make the buffer and every view into it read-only."""
+        for values in (self.param_values, self._tables.values, *self.parameter_arrays().values()):
+            values.setflags(write=False)
+
     def load_arrays(self, arrays: dict) -> None:
         """Overwrite every parameter from a name -> array mapping."""
         missing = set(self.params) - set(arrays)
@@ -198,21 +204,21 @@ class _EmbeddingBase:
         """Map a batch's raw feature arrays to one (B, |C| * d) embedding tensor.
 
         Feature c's embedding is the block of columns [c*d, (c+1)*d), in
-        ``feature_names`` order. A numerical value of exactly 0 embeds to
-        the zero vector; a categorical id selects one table column.
+        ``feature_names`` order. A categorical id selects one column of its
+        table; a numerical value scales its (1, d) row, so 0 embeds to zeros.
         """
-        blocks = []
-        for col in self.input_columns:
-            if col.name not in features:
-                raise DataError(f"batch is missing feature column {col.name!r}")
-            values = features[col.name]
-            table = self.params[f"embed.{col.name}"].tensor
-            if col.kind == KIND_CATEGORICAL:
-                blocks.append(ad.embedding_lookup(table, np.asarray(values, dtype=np.int64)))
-            else:
-                x = Tensor(np.asarray(values, dtype=np.float64).reshape(-1, 1))
-                blocks.append(ad.matmul(x, table))
-        return ad.concat_lastdim(blocks)
+        for name in self.feature_names:
+            if name not in features:
+                raise DataError(f"batch is missing feature column {name!r}")
+        x = np.column_stack([np.asarray(features[name], dtype=np.float64) for name in self.feature_names])
+        ids = np.where(self._categorical, x, 0.0)
+        outside = ~((ids >= 0) & (ids < self._vocab))
+        if outside.any():
+            c = int(outside.any(axis=0).argmax())
+            raise DataError(f"category id out of range [0, {self._vocab[c]}) for feature {self.feature_names[c]!r}")
+        index = np.repeat(ids.astype(np.int64), self.config.embed_dim, axis=1)
+        index += self._table_index  # in place: a broadcast add into a new array is several times slower
+        return ad.gather_scale(self._tables, index, np.where(self._categorical, 1.0, x))
 
 
 class FairIntModel(_EmbeddingBase):

@@ -132,13 +132,12 @@ class TrainHistory:
 
 
 class Adam:
-    """Adaptive moment updates with a coupled L2 penalty, over one flat parameter buffer.
+    """Adaptive moment updates with a coupled L2 penalty, in place on a model's flat ``values`` buffer.
 
-    ``values`` and ``grads`` are a model's parameter and gradient buffers;
-    each step updates ``values`` in place, in one vectorised pass. The
-    penalty term is l2 * sum(w^2) over every trainable parameter, so its
-    gradient contribution is 2 * l2 * w; it enters the moment estimates
-    like any other gradient and never touches the logged loss values.
+    The penalty term is l2 * sum(w^2) over every trainable parameter, so
+    its gradient contribution is 2 * l2 * w; it enters the moment
+    estimates like any other gradient and never touches the logged loss
+    values.
     """
 
     def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float, l2: float = 0.0,
@@ -158,17 +157,11 @@ class Adam:
         g = self.grads
         if self.l2 > 0.0:
             g = g + 2.0 * self.l2 * self.values
-        m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        self.values -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-
-def _freeze_model(model) -> None:
-    for values in (model.param_values, *model.parameter_arrays().values()):
-        values.setflags(write=False)
+        self._m *= self.beta1
+        self._m += (1.0 - self.beta1) * g
+        self._v *= self.beta2
+        self._v += (1.0 - self.beta2) * g * g
+        self.values -= self.learning_rate * (self._m / b1c) / (np.sqrt(self._v / b2c) + self.eps)
 
 
 def _nonempty_split(dataset: Dataset, split: str):
@@ -288,7 +281,7 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
 
     if best_values is not None:
         model.param_values[:] = best_values
-    _freeze_model(model)
+    model.freeze()
     return model, TrainHistory(epochs=records, best_epoch=best_epoch, stopping_reason=stopping_reason)
 
 

@@ -85,8 +85,11 @@ def test_c1_gradients_match_finite_differences():
         # magnitudes in [0.1, 1] with random signs: clear of relu/abs kinks
         return rng.uniform(0.1, 1.0, shape) * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
 
-    table = rng.standard_normal((3, 5))  # (embed dim, vocabulary)
-    idx = np.array([0, 2, 2, 4, 1])
+    # a (2, 3) categorical table and two (1, 2) numerical rows, laid out flat as
+    # a model's tables are; the batch repeats ids and rows, each row is scaled
+    tables = rng.standard_normal(10)
+    index = np.array([[0, 3, 6, 7], [2, 5, 6, 7], [2, 5, 8, 9], [1, 4, 8, 9]])
+    scale = np.array([[1.0, 0.4], [1.0, -1.3], [1.0, 2.0], [1.0, 0.5]])  # one per block of 2
     drop_rng = lambda: np.random.default_rng(3)  # fresh identical mask every call
     op_cases = [
         ("add", lambda xs: ad.sum_all(xs[0] + xs[1]), [smooth(3, 4), smooth(3, 4)]),
@@ -112,7 +115,8 @@ def test_c1_gradients_match_finite_differences():
          [smooth(3, 6), smooth(2, 4), smooth(3, 3), smooth(3, 4)]),
         ("mean_all", lambda xs: ad.mean_all(xs[0] * xs[0]), [smooth(3, 4)]),
         ("sum_all", lambda xs: ad.sum_all(xs[0] * xs[0]), [smooth(3, 4)]),
-        ("embedding", lambda xs: ad.sum_all(ad.embedding_lookup(xs[0], idx) * 0.7), [table]),
+        ("gather_scale", lambda xs: ad.sum_all(ad.gather_scale(xs[0], index, scale) * xs[1]),
+         [tables, smooth(4, 4)]),
         ("dropout", lambda xs: ad.sum_all(ad.dropout(xs[0], 0.4, drop_rng(), training=True)),
          [smooth(4, 5)]),
     ]

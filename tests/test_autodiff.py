@@ -17,9 +17,9 @@ from fairint.autodiff import (
     backward,
     concat_lastdim,
     dropout,
-    embedding_lookup,
     feature_pool,
     feature_scores,
+    gather_scale,
     graph_nodes,
     load_parameters,
     log,
@@ -41,9 +41,9 @@ from fairint.errors import (
     ShapeError,
     UsageError,
 )
-from fairint.data import batches, split, synth_generate
+from fairint.data import FeatureColumn, batches, split, synth_generate
 from fairint.losses import LossWeights, joint_loss
-from fairint.model import FairIntModel, ModelConfig
+from fairint.model import FairIntModel, ModelConfig, VanillaModel
 from fairint.training import evaluate_model
 
 H = 1e-5
@@ -266,12 +266,52 @@ def test_feature_ops_equal_a_per_feature_loop(n_feat, d, k):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_embedding_lookup_with_repeats(seed):
+    # the embedding lookup is one scaled gather from a flat source
     rng = np.random.default_rng(seed)
-    idx = np.array([0, 2, 2, 1, 0])
-    c = Tensor(rng.standard_normal((5, 3)))
-    check_gradients(
-        lambda xs: sum_all(embedding_lookup(xs[0], idx) * c), [rng.standard_normal((3, 4))]
-    )
+    index = np.array([[0, 2, 2, 4], [1, 0, 5, 5], [5, 5, 3, 3]])
+    scale = rng.standard_normal((3, 2))  # one per block of 2
+    c = Tensor(rng.standard_normal((3, 4)))
+    check_gradients(lambda xs: sum_all(gather_scale(xs[0], index, scale) * c), [rng.standard_normal((2, 3))])
+
+
+EMBED_CASES = {
+    "categorical": [("a", "categorical", 2), ("b", "categorical", 4)],
+    "numerical": [("a", "numerical", None), ("b", "numerical", None)],
+    "mixed": [("a", "numerical", None), ("b", "categorical", 3), ("c", "numerical", None), ("d", "categorical", 1)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMBED_CASES))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_embed_features_over_the_parameter_buffer(seed, case):
+    # finite differences taken in the model's own buffer, as training sees it;
+    # 12 rows drawn from tables of at most 5 ids repeat ids
+    rng = np.random.default_rng(seed)
+    columns = [FeatureColumn(name, kind, "non_sensitive", cardinality=card) for name, kind, card in EMBED_CASES[case]]
+    model = VanillaModel(columns, ModelConfig(embed_dim=3, baseline_hidden=(2,)), seed=seed)
+    features = {c.name: rng.integers(0, c.table_size, size=12) if c.kind == "categorical" else rng.standard_normal(12)
+                for c in columns}
+    c = Tensor(rng.standard_normal((12, 3 * len(columns))))
+
+    def loss():
+        return sum_all(model.embed_features(features) * c)
+
+    backward(loss())
+    analytic = model.param_grads.copy()
+    numeric = np.zeros_like(analytic)
+    for i in range(model.param_values.size):
+        keep = model.param_values[i]
+        model.param_values[i] = keep + H
+        up = loss().item()
+        model.param_values[i] = keep - H
+        down = loss().item()
+        model.param_values[i] = keep
+        numeric[i] = (up - down) / (2 * H)
+    rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    assert rel.max() < TOL, f"max relative error {rel.max():.3e}"
+    for name in model.feature_names:
+        p = model.params[f"embed.{name}"].tensor
+        assert np.shares_memory(p.grad, model.param_grads) and p.grad.any()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -385,6 +425,10 @@ def test_training_step_and_eval_leave_no_cyclic_garbage():
         total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, LossWeights(2.0, 30.0))
         backward(total)
 
+    # a first pass of each loads what numpy imports lazily (np.unique loads numpy.ma),
+    # whose module set-up leaves cyclic garbage once
+    step()
+    evaluate_model(model, dataset, "val")
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -451,7 +495,21 @@ def test_tensor_division_rejected():
 def test_embedding_index_out_of_range():
     table = Tensor(np.ones((2, 3)))
     with pytest.raises(DataError):
-        embedding_lookup(table, np.array([0, 3]))
+        gather_scale(table, np.array([[0, 6]]), np.ones((1, 2)))
+    with pytest.raises(DataError):
+        gather_scale(table, np.array([[-1, 0]]), np.ones((1, 1)))
+    for scale in (np.ones((1, 3)), np.ones((2, 1)), np.ones((1, 0)), np.ones(2)):
+        with pytest.raises(ShapeError):
+            gather_scale(table, np.array([[0, 1]]), scale)
+    # id 3 is inside the tables' segment (sizes 3 and 5, d = 2) but not inside job's own table
+    columns = [FeatureColumn("job", "categorical", "non_sensitive", cardinality=2),
+               FeatureColumn("city", "categorical", "non_sensitive", cardinality=4)]
+    model = VanillaModel(columns, ModelConfig(embed_dim=2, baseline_hidden=(2,)), seed=0)
+    assert model.embed_features({"job": np.array([2]), "city": np.array([4])}).shape == (1, 4)
+    for bad in ({"job": np.array([3]), "city": np.array([0])}, {"job": np.array([0]), "city": np.array([5])},
+                {"job": np.array([-1]), "city": np.array([0])}):
+        with pytest.raises(DataError, match="out of range"):
+            model.embed_features(bad)
 
 
 # -- dropout statistics -------------------------------------------------------

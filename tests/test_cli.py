@@ -1,10 +1,16 @@
 """End-to-end checks of the command-line surface and its file artifacts."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import fairint
 from fairint.autodiff import load_parameters, save_parameters
 from fairint.cli import load_experiment_config, main
 
@@ -109,6 +115,13 @@ def test_bad_train_options_exit_2(tmp_path):
     assert main(["train", "--config", str(path)]) == 2
 
 
+def test_importing_the_cli_does_not_import_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(fairint.__file__).resolve().parents[1]))
+    code = "import sys, fairint.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 # -- synth ---------------------------------------------------------------------
 
 
@@ -139,6 +152,17 @@ def test_synth_schema_contents(tmp_path):
 def test_synth_rejects_tiny_n(tmp_path):
     assert main(["synth", "--n", "50", "--beta", "1.0", "--rho", "0.5",
                  "--out", str(tmp_path / "t.csv")]) == 2
+
+
+def test_synth_extreme_beta_is_quiet_and_infinite_beta_is_rejected(tmp_path, capsys):
+    args = ["synth", "--n", "100", "--rho", "0.5", "--out", str(tmp_path / "b.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would surface on stderr
+        assert main(args + ["--beta", "1e308"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(args + ["--beta", "inf"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_synth_unwritable_path_is_io_error(tmp_path):
@@ -361,6 +385,8 @@ def _with_config(**sections):
         ("config", _with_config(train={"l2": float("nan")}), 2),
         ("config", lambda raw: raw.replace(b'"seed": 1', b'"seed": 1' + b"0" * 5000), 2),
         ("schema", lambda raw: raw.replace(b'"cardinality": 2', b'"cardinality": 2' + b"0" * 5000), 3),
+        # PiB-scale: numpy refuses the allocation before touching memory
+        ("config", _with_config(synth={"n": 10**15}), 3),
     ],
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
@@ -371,7 +397,7 @@ def _with_config(**sections):
         "train_not_object", "train_rate_not_number", "train_batch_not_int", "train_epochs_not_int",
         "train_seed_not_int", "train_patience_bool", "train_lambda_bool", "train_enable_not_bool",
         "model_size_bool", "train_rate_nan", "train_lambda_infinite", "train_l2_nan",
-        "config_int_too_long", "schema_int_too_long",
+        "config_int_too_long", "schema_int_too_long", "synth_n_too_large_to_allocate",
     ],
 )
 def test_malformed_input_exits_with_one_error_line(trained, tmp_path, capsys, kind, corrupt, code):

@@ -153,5 +153,9 @@ def test_mutated_schema(files, data):
 @given(data=st.data())
 def test_mutated_config(files, data):
     doc = data.draw(reshaped(CONFIG))
+    if isinstance(doc.get("synth"), dict) and data.draw(st.booleans()):
+        # PiB-scale sizes only: numpy refuses them before allocating, where a
+        # size that fits in virtual memory could be granted and exhaust it
+        doc["synth"]["n"] = data.draw(st.sampled_from([10**15, 10**18]))
     doc["output_dir"] = str(files["dir"] / "fuzzed_run")  # a path, not input to fuzz
     run(["train", "--config", _write(files, "fuzzed.json", json.dumps(doc).encode())])

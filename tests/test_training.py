@@ -206,6 +206,9 @@ def test_returned_parameters_are_frozen(trained):
     first = next(iter(arrays.values()))
     with pytest.raises(ValueError):
         first[0] = 0.0
+    for view in (model.param_values, model._tables.values):  # the buffer and the embedding gather's leaf
+        with pytest.raises(ValueError):
+            view[0] = 0.0
 
 
 def test_parameters_stay_views_into_the_model_buffers(tiny, trained):
