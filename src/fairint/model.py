@@ -116,7 +116,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class _EmbeddingBase:
-    """Embedding tables, the embedding of a batch, and MLP plumbing; subclasses add their layers in ``_add_layers``."""
+    """Embedding tables, the embedding of a batch and MLP plumbing; subclasses add layers in ``_add_layers``."""
 
     def __init__(self, input_columns, config: ModelConfig, seed: int):
         if not input_columns:
@@ -132,7 +132,7 @@ class _EmbeddingBase:
         self._initial: dict[str, np.ndarray] = {}
         d = config.embed_dim
         self._categorical = np.array([col.kind == KIND_CATEGORICAL for col in self.input_columns])
-        self._vocab = np.array([col.table_size if cat else 1 for col, cat in zip(self.input_columns, self._categorical)])
+        self._vocab = np.array([c.table_size if cat else 1 for c, cat in zip(self.input_columns, self._categorical)])
         for col, cat, vocab in zip(self.input_columns, self._categorical, self._vocab):
             self._add(f"embed.{col.name}", self._rng.normal(0.0, 0.1, size=(d, vocab) if cat else (1, d)))
         self._add_layers()
@@ -143,7 +143,7 @@ class _EmbeddingBase:
         offsets = np.cumsum(d * self._vocab) - d * self._vocab
         self._table_index = (offsets[:, None] + np.arange(d) * self._vocab[:, None]).reshape(-1)
         n_tables = d * self._vocab.sum()
-        self._tables = Tensor(self.param_values[:n_tables], True, grad=self.param_grads[:n_tables])
+        self._tables = Tensor(self.param_values[:n_tables], grad_tracked=True, grad=self.param_grads[:n_tables])
 
     def _add(self, name: str, values: np.ndarray) -> None:
         if name in self._initial:
