@@ -16,10 +16,11 @@ no operation records anything, which is how eval forwards run.
 
 A model keeps its parameters back to back, in the order it added them,
 in one flat float64 values buffer and one grad buffer
-(:func:`pack_parameters`); each parameter's ``tensor.values`` and
-``tensor.grad`` are C-contiguous views into them. Every write to either
-buffer happens in place, for the life of the model. :func:`backward` adds
-into a grad already set, so a training step zeroes the grad buffer first.
+(:func:`pack_parameters`). Its ``params`` maps each name to a tracked
+tensor whose ``values`` and ``grad`` are C-contiguous views into them.
+Every write to either buffer happens in place, for the life of the
+model. :func:`backward` adds into a grad already set, so a training step
+zeroes the grad buffer first.
 
 Any operation that produces NaN or Inf from finite inputs raises
 :class:`~fairint.errors.NumericError` immediately; nothing non-finite is
@@ -30,7 +31,6 @@ import contextlib
 import json
 import math
 import struct
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ from .errors import ConfigError, DataError, DomainError, NumericError, ShapeErro
 
 __all__ = [
     "Tensor",
-    "Parameter",
     "matmul",
     "relu",
     "sigmoid",
@@ -139,26 +138,15 @@ class Tensor:
         return _result(np.abs(self.values), (self,), "abs", lambda g: (g * np.sign(self.values),))
 
 
-@dataclass
-class Parameter:
-    """A named, trainable tensor. Names must be unique within a collection."""
-
-    name: str
-    tensor: Tensor
-
-    def __post_init__(self):
-        self.tensor.grad_tracked = True
-
-
 def pack_parameters(arrays: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     """Copy named arrays, in order, into one flat values buffer. Returns that buffer, a
-    zeroed grad buffer of its size, and a :class:`Parameter` per name viewing both."""
+    zeroed grad buffer of its size, and ``params``: name -> tracked tensor viewing both."""
     values = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays.values()])
     grads = np.zeros_like(values)
     params, start = {}, 0
     for name, a in arrays.items():
         part, shape = slice(start, start + np.size(a)), np.shape(a)
-        params[name] = Parameter(name, Tensor(values[part].reshape(shape), grad=grads[part].reshape(shape)))
+        params[name] = Tensor(values[part].reshape(shape), grad_tracked=True, grad=grads[part].reshape(shape))
         start = part.stop
     return values, grads, params
 
@@ -352,15 +340,14 @@ def gather_scale(source: Tensor, index, scale) -> Tensor:
     return _result(out, (source,), "gather_scale", grad_fn)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
 
-    In eval mode (``training=False``) this is the identity and draws nothing
-    from ``rng``.
+    At rate 0 this is the identity and draws nothing from ``rng``.
     """
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     keep = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
     return _result(x.values * keep, (x,), "dropout", lambda g: (g * keep,))
@@ -428,19 +415,9 @@ _MAGIC = b"FAIRINTM"
 _VERSION = 1
 
 
-def save_parameters(path, params, metadata: dict | None = None) -> None:
-    """Write named f64 arrays plus a JSON metadata object to ``path``.
-
-    ``params`` is a mapping name -> array, or an iterable of
-    :class:`Parameter`. Duplicate names are rejected.
-    """
-    if isinstance(params, dict):
-        items = [(str(k), np.asarray(v, dtype=np.float64)) for k, v in params.items()]
-    else:
-        items = [(p.name, p.tensor.values) for p in params]
-    names = [n for n, _ in items]
-    if len(set(names)) != len(names):
-        raise UsageError("duplicate parameter names in collection")
+def save_parameters(path, arrays: dict, metadata: dict | None = None) -> None:
+    """Write a name -> f64 array mapping plus a JSON metadata object to ``path``."""
+    items = [(str(k), np.asarray(v, dtype=np.float64)) for k, v in arrays.items()]
     meta_bytes = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -463,7 +440,8 @@ def load_parameters(path) -> tuple[dict, dict]:
 
     Returns ``(arrays, metadata)`` with arrays keyed by name in file order.
     Any length or extent that runs past the end of the file, trailing
-    bytes, or metadata that is not a JSON object raise DataError.
+    bytes, metadata that is not a JSON object, or a parameter holding NaN
+    or Inf raise DataError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -505,6 +483,8 @@ def load_parameters(path) -> tuple[dict, dict]:
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, what))
         data = take(8 * math.prod(shape), what)
         arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"{path}: parameter {name!r} holds non-finite values")
     if off != len(raw):
         raise DataError(f"{path}: model file has {len(raw) - off} trailing bytes")
     return arrays, metadata

@@ -11,9 +11,12 @@ metric failure.
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .data import (
     apply_standardization,
@@ -184,11 +187,7 @@ def cmd_eval(args) -> int:
         schema = load_schema(args.schema)
     dataset = _dataset_for_model(meta, schema, args.csv)
     report = evaluate_model(
-        model,
-        dataset,
-        args.split,
-        threshold=args.threshold,
-        groups_from=_metric_groups(args.groups_from),
+        model, dataset, "all", threshold=args.threshold, groups_from=_metric_groups(args.groups_from)
     )
     _emit(report.to_dict(), args.out)
     return 0
@@ -251,12 +250,9 @@ def cmd_explain(args) -> int:
     if args.schema is not None:
         schema = load_schema(args.schema)
     dataset = _dataset_for_model(meta, schema, args.csv)
-    batch = full_batch(dataset, args.split)
-    if batch.size == 0:
-        raise UsageError(f"split {args.split!r} has no rows")
-    heads = attention_summary(model, batch.features)
+    heads = attention_summary(model, full_batch(dataset, "all").features)
     out_path = Path(args.out) if args.out else Path(args.model).parent / "attention.json"
-    _emit({"split": args.split, "heads": heads}, out_path)
+    _emit({"split": "all", "heads": heads}, out_path)
     return 0
 
 
@@ -281,8 +277,18 @@ def cmd_synth(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"--threshold must be a finite number, got {text!r}")
+    return value
+
+
 def _metric_flags(parser) -> None:
-    parser.add_argument("--threshold", type=float, default=0.5, help="decision threshold")
+    parser.add_argument("--threshold", type=_threshold, default=0.5, help="decision threshold")
     parser.add_argument(
         "--groups-from",
         choices=("true", "pseudo"),
@@ -308,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file written by train")
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", default=None, help="schema JSON; defaults to the one saved in the model")
-    p.add_argument("--split", choices=("train", "val", "test", "all"), default="all")
     _metric_flags(p)
     p.add_argument("--out", default=None, help="also write the report JSON here")
     p.set_defaults(handler=cmd_eval)
@@ -323,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file written by train")
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", default=None, help="schema JSON; defaults to the one saved in the model")
-    p.add_argument("--split", choices=("train", "val", "test", "all"), default="all")
     p.add_argument("--out", default=None, help="where to write attention.json (default: next to the model)")
     p.set_defaults(handler=cmd_explain)
 
@@ -345,9 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args = build_parser().parse_args(argv)  # a non-finite --threshold raises UsageError here
+        # every op checks its result for NaN and Inf, so numpy's overflow warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

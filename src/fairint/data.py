@@ -40,6 +40,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "split",
+    "mean_std",
     "apply_standardization",
     "batches",
     "full_batch",
@@ -358,9 +359,9 @@ def split(dataset: Dataset, ratios: tuple[float, float, float], seed: int) -> Da
     """Tag rows train/val/test and standardize numericals from train stats.
 
     The shuffle is a seeded permutation; per-split counts differ from the
-    exact fractions by less than one row. Standard deviation uses the
-    population (1/n) form, and a constant column gets std 1 so its values
-    map to exact zeros. A dataset that is already standardized is rejected.
+    exact fractions by less than one row. Statistics come from
+    :func:`mean_std`, so a constant column maps to exact zeros. A dataset
+    that is already standardized is rejected.
     """
     if dataset.split_tags is not None:
         raise UsageError("dataset is already split")
@@ -379,15 +380,22 @@ def split(dataset: Dataset, ratios: tuple[float, float, float], seed: int) -> Da
     tags[perm[counts[0] + counts[1] :]] = SPLIT_CODES["test"]
 
     train_rows = tags == SPLIT_CODES["train"]
-    stats: dict[str, tuple[float, float]] = {}
-    for col in dataset.schema:
-        if col.kind != KIND_NUMERICAL or col.role == ROLE_LABEL:
-            continue
-        values = dataset.columns[col.name]
-        mu = float(values[train_rows].mean())
-        sigma = float(values[train_rows].std())  # population form, ddof=0
-        stats[col.name] = (mu, sigma if sigma != 0.0 else 1.0)
+    stats = {
+        col.name: mean_std(dataset.columns[col.name][train_rows], col.name)
+        for col in dataset.schema
+        if col.kind == KIND_NUMERICAL and col.role != ROLE_LABEL
+    }
     return apply_standardization(replace(dataset, split_tags=_freeze(tags)), stats)
+
+
+def mean_std(values: np.ndarray, column: str) -> tuple[float, float]:
+    """Population (1/n) mean and standard deviation of a numerical column,
+    with std 1 for a constant column; DataError if either overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sigma = float(values.mean()), float(values.std())
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise DataError(f"column {column!r}: mean or standard deviation overflows float64")
+    return mu, sigma if sigma != 0.0 else 1.0
 
 
 def apply_standardization(dataset: Dataset, stats: dict[str, tuple[float, float]]) -> Dataset:

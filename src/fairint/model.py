@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, is_finite_number, parse_schema
 from .errors import ConfigError, DataError, UsageError
 
@@ -134,7 +134,7 @@ class _EmbeddingBase:
         self._categorical = np.array([col.kind == KIND_CATEGORICAL for col in self.input_columns])
         self._vocab = np.array([c.table_size if cat else 1 for c, cat in zip(self.input_columns, self._categorical)])
         for col, cat, vocab in zip(self.input_columns, self._categorical, self._vocab):
-            self._add(f"embed.{col.name}", self._rng.normal(0.0, 0.1, size=(d, vocab) if cat else (1, d)))
+            self._initial[f"embed.{col.name}"] = self._rng.normal(0.0, 0.1, size=(d, vocab) if cat else (1, d))
         self._add_layers()
         self.param_values, self.param_grads, self.params = ad.pack_parameters(self._initial)
         del self._initial
@@ -145,38 +145,28 @@ class _EmbeddingBase:
         n_tables = d * self._vocab.sum()
         self._tables = Tensor(self.param_values[:n_tables], grad_tracked=True, grad=self.param_grads[:n_tables])
 
-    def _add(self, name: str, values: np.ndarray) -> None:
-        if name in self._initial:
-            raise UsageError(f"duplicate parameter name {name!r}")
-        self._initial[name] = values
-
     def _add_mlp(self, prefix: str, widths: list[int]):
         # widths = [in, h1, ..., out]; biases start at zero
         self._mlp_layers[prefix] = len(widths) - 1
         for i in range(len(widths) - 1):
-            self._add(f"{prefix}.layer{i}.w", _glorot(self._rng, widths[i], widths[i + 1]))
-            self._add(f"{prefix}.layer{i}.b", np.zeros(widths[i + 1]))
+            self._initial[f"{prefix}.layer{i}.w"] = _glorot(self._rng, widths[i], widths[i + 1])
+            self._initial[f"{prefix}.layer{i}.b"] = np.zeros(widths[i + 1])
 
     def _run_mlp(self, prefix: str, x: Tensor, training: bool, rng) -> Tensor:
         # ReLU plus dropout on every layer except the last, which stays linear
         n_layers = self._mlp_layers[prefix]
         for i in range(n_layers):
-            w = self.params[f"{prefix}.layer{i}.w"].tensor
-            b = self.params[f"{prefix}.layer{i}.b"].tensor
-            x = ad.matmul(x, w) + b
+            x = ad.matmul(x, self.params[f"{prefix}.layer{i}.w"]) + self.params[f"{prefix}.layer{i}.b"]
             if i < n_layers - 1:
                 x = ad.relu(x)
                 if training and self.config.dropout > 0.0:
                     if rng is None:
                         raise UsageError("training-mode forward with dropout needs a generator")
-                    x = ad.dropout(x, self.config.dropout, rng, training=True)
+                    x = ad.dropout(x, self.config.dropout, rng)
         return x
 
-    def parameters(self) -> list[Parameter]:
-        return list(self.params.values())
-
     def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.tensor.values for name, p in self.params.items()}
+        return {name: p.values for name, p in self.params.items()}
 
     def freeze(self) -> None:
         """Make the buffer and every view into it read-only."""
@@ -194,11 +184,9 @@ class _EmbeddingBase:
             )
         for name, p in self.params.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.tensor.values.shape:
-                raise DataError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {p.tensor.values.shape}"
-                )
-            p.tensor.values[...] = arr
+            if arr.shape != p.values.shape:
+                raise DataError(f"parameter {name!r} has shape {arr.shape}, expected {p.values.shape}")
+            p.values[...] = arr
 
     def embed_features(self, features: dict) -> Tensor:
         """Map a batch's raw feature arrays to one (B, |C| * d) embedding tensor.
@@ -229,12 +217,11 @@ class FairIntModel(_EmbeddingBase):
         d = config.embed_dim
         dv = config.head_width
         self._add_mlp("sar", [len(self.input_columns) * d, *config.sar_hidden, d])
-        self._add("sar_scalar.w", _glorot(self._rng, d, 1))
+        self._initial["sar_scalar.w"] = _glorot(self._rng, d, 1)
         for h in range(config.attention_heads):
-            self._add(f"bid.h{h}.query", _glorot(self._rng, d, dv))
-            self._add(f"bid.h{h}.key", _glorot(self._rng, d, dv))
-            self._add(f"bid.h{h}.value", _glorot(self._rng, d, dv))
-        self._add("fuse.w_res", _glorot(self._rng, d, dv * config.attention_heads))
+            for role in ("query", "key", "value"):
+                self._initial[f"bid.h{h}.{role}"] = _glorot(self._rng, d, dv)
+        self._initial["fuse.w_res"] = _glorot(self._rng, d, dv * config.attention_heads)
         self._add_mlp("head", [dv * config.attention_heads, *config.head_hidden, 1])
 
     def sar_forward(self, embeddings: Tensor, training: bool = False, rng=None):
@@ -245,7 +232,7 @@ class FairIntModel(_EmbeddingBase):
         sigmoid, so zero weights give exactly 0.5.
         """
         pseudo = self._run_mlp("sar", embeddings, training, rng)
-        scalar = ad.sigmoid(ad.matmul(pseudo, self.params["sar_scalar.w"].tensor))
+        scalar = ad.sigmoid(ad.matmul(pseudo, self.params["sar_scalar.w"]))
         return pseudo, scalar
 
     def bid_attention(self, pseudo_embed: Tensor, embeddings: Tensor, head: int) -> Tensor:
@@ -257,21 +244,21 @@ class FairIntModel(_EmbeddingBase):
         """
         if not 0 <= head < self.config.attention_heads:
             raise UsageError(f"head {head} out of range")
-        q = ad.matmul(pseudo_embed, self.params[f"bid.h{head}.query"].tensor)
-        scores = ad.feature_scores(embeddings, self.params[f"bid.h{head}.key"].tensor, q)
+        q = ad.matmul(pseudo_embed, self.params[f"bid.h{head}.query"])
+        scores = ad.feature_scores(embeddings, self.params[f"bid.h{head}.key"], q)
         return ad.softmax_lastdim(scores)
 
     def interaction_embedding(self, attention: list, embeddings: Tensor) -> Tensor:
         """Attention-weighted sum of value projections, concatenated across heads."""
         head_outputs = [
-            ad.feature_pool(embeddings, self.params[f"bid.h{h}.value"].tensor, weights)
+            ad.feature_pool(embeddings, self.params[f"bid.h{h}.value"], weights)
             for h, weights in enumerate(attention)
         ]
         return ad.concat_lastdim(head_outputs) if len(head_outputs) > 1 else head_outputs[0]
 
     def residual_fuse(self, interaction: Tensor, pseudo_embed: Tensor) -> Tensor:
         """ReLU of the interaction embedding plus a projection of the pseudo embedding."""
-        return ad.relu(interaction + ad.matmul(pseudo_embed, self.params["fuse.w_res"].tensor))
+        return ad.relu(interaction + ad.matmul(pseudo_embed, self.params["fuse.w_res"]))
 
     def predict(self, fused: Tensor, training: bool = False, rng=None) -> Tensor:
         """Probability head over the fused embedding."""

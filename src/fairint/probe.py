@@ -13,7 +13,7 @@ features.
 
 import numpy as np
 
-from .data import KIND_CATEGORICAL, Dataset
+from .data import KIND_CATEGORICAL, Dataset, mean_std
 from .errors import DataError
 
 __all__ = ["ProbeResult", "sensitive_probe"]
@@ -49,11 +49,8 @@ def _design_matrix(dataset: Dataset):
                 columns.append((raw == level).astype(np.float64))
                 names.append(f"{feature.name}={value}")
         else:
-            values = raw.astype(np.float64)
-            sigma = values.std()
-            if sigma == 0.0:
-                sigma = 1.0
-            columns.append((values - values.mean()) / sigma)
+            mu, sigma = mean_std(raw, feature.name)
+            columns.append((raw - mu) / sigma)
             names.append(feature.name)
     return np.column_stack(columns), names
 

@@ -140,28 +140,28 @@ class Adam:
     values.
     """
 
-    def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float, l2: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float, l2: float = 0.0):
         self.values, self.grads = values, grads
         self.learning_rate = learning_rate
         self.l2 = l2
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = np.zeros_like(values)
         self._v = np.zeros_like(values)
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - self.BETA1 ** self.t
+        b2c = 1.0 - self.BETA2 ** self.t
         g = self.grads
         if self.l2 > 0.0:
             g = g + 2.0 * self.l2 * self.values
-        self._m *= self.beta1
-        self._m += (1.0 - self.beta1) * g
-        self._v *= self.beta2
-        self._v += (1.0 - self.beta2) * g * g
-        self.values -= self.learning_rate * (self._m / b1c) / (np.sqrt(self._v / b2c) + self.eps)
+        self._m *= self.BETA1
+        self._m += (1.0 - self.BETA1) * g
+        self._v *= self.BETA2
+        self._v += (1.0 - self.BETA2) * g * g
+        self.values -= self.learning_rate * (self._m / b1c) / (np.sqrt(self._v / b2c) + self.EPS)
 
 
 def _nonempty_split(dataset: Dataset, split: str):

@@ -117,7 +117,7 @@ def test_c1_gradients_match_finite_differences():
         ("sum_all", lambda xs: ad.sum_all(xs[0] * xs[0]), [smooth(3, 4)]),
         ("gather_scale", lambda xs: ad.sum_all(ad.gather_scale(xs[0], index, scale) * xs[1]),
          [tables, smooth(4, 4)]),
-        ("dropout", lambda xs: ad.sum_all(ad.dropout(xs[0], 0.4, drop_rng(), training=True)),
+        ("dropout", lambda xs: ad.sum_all(ad.dropout(xs[0], 0.4, drop_rng())),
          [smooth(4, 5)]),
     ]
     for name, build, arrays in op_cases:
@@ -151,9 +151,9 @@ def test_c1_gradients_match_finite_differences():
 
     h = 1e-5
     worst = 0.0
-    for p in model.parameters():
-        flat = p.tensor.values.reshape(-1)
-        grad = p.tensor.grad.reshape(-1)
+    for p in model.params.values():
+        flat = p.values.reshape(-1)
+        grad = p.grad.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + h

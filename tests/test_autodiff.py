@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fairint.autodiff import (
-    Parameter,
     Tensor,
     backward,
     concat_lastdim,
@@ -310,7 +309,7 @@ def test_grad_embed_features_over_the_parameter_buffer(seed, case):
     rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     assert rel.max() < TOL, f"max relative error {rel.max():.3e}"
     for name in model.feature_names:
-        p = model.params[f"embed.{name}"].tensor
+        p = model.params[f"embed.{name}"]
         assert np.shares_memory(p.grad, model.param_grads) and p.grad.any()
 
 
@@ -319,7 +318,7 @@ def test_grad_dropout_fixed_mask(seed):
     rng = np.random.default_rng(seed)
     # recreate the generator inside the build so every call sees the same mask
     check_gradients(
-        lambda xs: sum_all(dropout(xs[0], 0.4, np.random.default_rng(99), training=True)),
+        lambda xs: sum_all(dropout(xs[0], 0.4, np.random.default_rng(99))),
         [rng.standard_normal((4, 6))],
     )
 
@@ -362,7 +361,7 @@ def test_replaying_a_graph_gives_identical_node_count_and_grads():
 def test_backward_zeroes_untouched_parameters():
     # a step zeroes the whole grad buffer, then adds only what its graph reaches
     values, grads, params = pack_parameters({"used": [[1.0, 2.0]], "unused": [[3.0], [4.0]]})
-    used, unused = params["used"].tensor, params["unused"].tensor
+    used, unused = params["used"], params["unused"]
     backward(sum_all(used * 5.0) + sum_all(unused * 1.0))  # an earlier step's gradients
     grads.fill(0.0)
     backward(sum_all(used * 2.0))
@@ -376,17 +375,17 @@ def test_pack_parameters_lays_out_views_in_order():
     np.testing.assert_array_equal(values, [1, 1, 1, 1, 1, 1, 7, 0, 0])
     assert grads.shape == values.shape and not grads.any()
     for p in params.values():
-        assert p.tensor.grad_tracked and p.tensor.values.flags["C_CONTIGUOUS"]
-        assert np.shares_memory(p.tensor.values, values) and np.shares_memory(p.tensor.grad, grads)
+        assert p.grad_tracked and p.values.flags["C_CONTIGUOUS"]
+        assert np.shares_memory(p.values, values) and np.shares_memory(p.grad, grads)
     values[6] = 9.0
-    assert params["b"].tensor.values[0] == 9.0
+    assert params["b"].values[0] == 9.0
 
 
 def test_parameter_reused_twice_accumulates():
-    p = Parameter("w", Tensor([[1.0, 2.0]]))
-    root = sum_all(p.tensor * 3.0) + sum_all(p.tensor * p.tensor)
+    p = Tensor([[1.0, 2.0]], grad_tracked=True)
+    root = sum_all(p * 3.0) + sum_all(p * p)
     backward(root)
-    np.testing.assert_allclose(p.tensor.grad, [[3.0 + 2.0, 3.0 + 4.0]])
+    np.testing.assert_allclose(p.grad, [[3.0 + 2.0, 3.0 + 4.0]])
 
 
 def test_backward_requires_scalar_root():
@@ -402,15 +401,15 @@ def test_untracked_graph_records_no_parents():
     assert out._parents == ()
 
     # inside no_grad, even an op on a parameter records nothing
-    p = Parameter("w", Tensor([[2.0]]))
+    p = Tensor([[2.0]], grad_tracked=True)
     with no_grad():
-        inside = sigmoid(p.tensor * 3.0 + 1.0)
+        inside = sigmoid(p * 3.0 + 1.0)
     assert not inside.grad_tracked
     assert inside._parents == ()
-    assert (p.tensor * 3.0).grad_tracked
+    assert (p * 3.0).grad_tracked
     with pytest.raises(DomainError), no_grad():
-        log(p.tensor * 0.0)
-    assert (p.tensor * 3.0)._parents == (p.tensor,)
+        log(p * 0.0)
+    assert (p * 3.0)._parents == (p,)
 
 
 def test_training_step_and_eval_leave_no_cyclic_garbage():
@@ -515,26 +514,24 @@ def test_embedding_index_out_of_range():
 # -- dropout statistics -------------------------------------------------------
 
 
-def test_dropout_eval_mode_is_identity():
+def test_dropout_rate_zero_is_identity():
     x = Tensor(np.ones((3, 3)))
-    rng = np.random.default_rng(0)
-    assert dropout(x, 0.5, rng, training=False) is x
-    assert dropout(x, 0.0, rng, training=True) is x
+    assert dropout(x, 0.0, np.random.default_rng(0)) is x
 
 
 def test_dropout_rate_must_be_below_one():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        dropout(Tensor([1.0]), 1.0, rng, training=True)
+        dropout(Tensor([1.0]), 1.0, rng)
     with pytest.raises(ConfigError):
-        dropout(Tensor([1.0]), -0.1, rng, training=True)
+        dropout(Tensor([1.0]), -0.1, rng)
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.5, 0.7])
 def test_dropout_preserves_mean_activation(rate):
     rng = np.random.default_rng(42)
     x = Tensor(np.ones(100_000))
-    out = dropout(x, rate, rng, training=True)
+    out = dropout(x, rate, rng)
     assert abs(out.values.mean() - 1.0) < 0.02
     kept = out.values[out.values != 0.0]
     np.testing.assert_allclose(kept, 1.0 / (1.0 - rate))
@@ -562,28 +559,18 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
         assert back[name].tobytes() == arrays[name].tobytes()
 
 
-def test_save_accepts_parameter_list(tmp_path):
-    params = [
-        Parameter("a", Tensor([[1.0, 2.0]])),
-        Parameter("b", Tensor([3.0])),
-    ]
-    path = tmp_path / "params.bin"
-    save_parameters(path, params)
-    back, meta = load_parameters(path)
-    assert meta == {}
-    np.testing.assert_array_equal(back["a"], [[1.0, 2.0]])
-
-
-def test_duplicate_parameter_names_rejected(tmp_path):
-    params = [Parameter("a", Tensor([1.0])), Parameter("a", Tensor([2.0]))]
-    with pytest.raises(UsageError):
-        save_parameters(tmp_path / "p.bin", params)
-
-
 def test_loading_garbage_raises_data_error(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"definitely not a model file")
     with pytest.raises(DataError):
+        load_parameters(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loading_a_non_finite_parameter_names_the_file_and_the_parameter(tmp_path, bad):
+    path = tmp_path / "params.bin"
+    save_parameters(path, {"ok": np.ones(2), "w": np.array([[0.5, bad]])})
+    with pytest.raises(DataError, match=r"params\.bin: parameter 'w' holds non-finite values"):
         load_parameters(path)
 
 

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -280,7 +281,7 @@ def test_explain_writes_one_row_per_feature(trained, capsys):
     model = str(trained["dir"] / "model.bin")
     assert main(["explain", "--model", model, "--csv", str(trained["csv"])]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"split", "heads"}
+    assert set(doc) == {"split", "heads"} and doc["split"] == "all"
     assert (trained["dir"] / "attention.json").exists()  # default lands next to the model
     for head in doc["heads"]:
         assert set(head) == {"head", "features"}
@@ -338,6 +339,22 @@ def _with_metadata(**entries):
     return corrupt
 
 
+def _with_arrays(**fills):
+    """Fill named parameter records of a model file with one value each, keeping its metadata."""
+
+    def corrupt(raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.bin"
+            path.write_bytes(raw)
+            arrays, meta = load_parameters(path)
+            for name, value in fills.items():
+                arrays[name][...] = value
+            save_parameters(path, arrays, meta)
+            return path.read_bytes()
+
+    return corrupt
+
+
 def _with_config(**sections):
     """Merge entries into an experiment config's sections; a non-object replaces the section."""
 
@@ -387,6 +404,11 @@ def _with_config(**sections):
         ("schema", lambda raw: raw.replace(b'"cardinality": 2', b'"cardinality": 2' + b"0" * 5000), 3),
         # PiB-scale: numpy refuses the allocation before touching memory
         ("config", _with_config(synth={"n": 10**15}), 3),
+        ("model", _with_arrays(**{"bid.h0.key": float("nan")}), 3),
+        ("model", _with_arrays(**{"head.layer0.b": float("inf")}), 3),
+        # finite weights whose products overflow: the op's own check, with no numpy warning
+        ("model", _with_arrays(**{"sar.layer0.w": 1e308}), 4),
+        ("config", _with_config(train={"learning_rate": 1e300}), 4),
     ],
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
@@ -398,6 +420,7 @@ def _with_config(**sections):
         "train_seed_not_int", "train_patience_bool", "train_lambda_bool", "train_enable_not_bool",
         "model_size_bool", "train_rate_nan", "train_lambda_infinite", "train_l2_nan",
         "config_int_too_long", "schema_int_too_long", "synth_n_too_large_to_allocate",
+        "weights_nan", "weights_inf", "weights_overflow_in_matmul", "train_rate_overflows",
     ],
 )
 def test_malformed_input_exits_with_one_error_line(trained, tmp_path, capsys, kind, corrupt, code):
@@ -416,9 +439,59 @@ def test_malformed_input_exits_with_one_error_line(trained, tmp_path, capsys, ki
         "schema": ["probe", "--csv", str(files["csv"]), "--schema", str(files["schema"])],
         "config": ["train", "--config", str(files["config"])],
     }[kind]
-    assert main(argv) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # pytest records warnings, so stderr alone would not show them
+        assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_exits_2_before_any_work(trained, tmp_path, capsys, command, value):
+    config, _ = write_config(tmp_path)
+    argv = {
+        "train": ["train", "--config", str(config)],
+        "eval": ["eval", "--model", str(trained["dir"] / "model.bin"), "--csv", str(trained["csv"])],
+    }[command]
+    assert main(argv + [f"--threshold={value}"]) == 2
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--threshold" in lines[0]
+    assert out.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_column_whose_statistics_overflow_exits_3(tmp_path, capsys):
+    schema = [
+        {"name": "a", "kind": "numerical", "cardinality": None, "role": "non_sensitive"},
+        {"name": "s", "kind": "categorical", "cardinality": 2, "role": "sensitive"},
+        {"name": "y", "kind": "categorical", "cardinality": 2, "role": "label"},
+    ]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    # every cell is finite, but the squares of the deviations are not
+    cells = [repr((-1.5e308, 1.5e308)[i // 50 % 2]) if i % 50 == 0 else str(i / 10) for i in range(400)]
+    rows = "\n".join(f"{a},{i % 2},{(i // 2) % 2}" for i, a in enumerate(cells))
+    (tmp_path / "data.csv").write_text("a,s,y\n" + rows + "\n")
+    config, _ = write_config(
+        tmp_path, synth=None,
+        dataset={"csv_path": str(tmp_path / "data.csv"), "schema_path": str(tmp_path / "schema.json")},
+    )
+    for argv in (["train", "--config", str(config)],
+                 ["probe", "--csv", str(tmp_path / "data.csv"), "--schema", str(tmp_path / "schema.json")]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "'a'" in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_scoring_commands_take_no_split_flag(trained, command):
+    # a CSV loaded for scoring is never split, so only "all" could work
+    with pytest.raises(SystemExit):
+        main([command, "--model", str(trained["dir"] / "model.bin"), "--csv", str(trained["csv"]), "--split", "all"])
 
 
 # -- sweep ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Data pipeline tests: encoding, splitting, batching, synthesis."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,15 @@ def test_constant_column_standardizes_to_zeros():
     ds = split(make_numeric_dataset([5.0] * 10), (0.6, 0.2, 0.2), seed=1)
     np.testing.assert_array_equal(ds.columns["x"], np.zeros(10))
     assert ds.standardize_stats["x"] == (5.0, 1.0)
+
+
+def test_split_rejects_a_column_whose_statistics_overflow():
+    # the mean is finite, but the squared deviations are not
+    ds = make_numeric_dataset([1e200, -1e200] * 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        with pytest.raises(DataError, match="column 'x'"):
+            split(ds, (0.6, 0.2, 0.2), seed=1)
 
 
 def test_apply_standardization_matches_split_stats():

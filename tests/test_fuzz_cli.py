@@ -2,8 +2,9 @@
 
 Each example writes one mutated file (model.bin bytes or metadata, CSV
 text, schema JSON or experiment config JSON), runs the subcommand that reads it, and
-requires exit 0, or exit 2, 3 or 4 with exactly one ``error:`` line on
-stderr, never an exception escaping ``main``. Examples are derandomized,
+requires exit 0 with strict JSON on stdout, or exit 2, 3 or 4 with
+exactly one ``error:`` line on stderr, never an exception or a warning
+escaping ``main``. Examples are derandomized,
 so the suite is deterministic; sizes in generated configs stay small so
 that a run which does train stays cheap.
 """
@@ -12,6 +13,7 @@ import contextlib
 import io
 import json
 import struct
+import warnings
 
 import pytest
 
@@ -43,6 +45,8 @@ ODD_VALUES = st.one_of(
     st.dictionaries(st.sampled_from(["n", "name", "x"]), st.integers(0, 2), max_size=2),
 )
 
+THRESHOLDS = st.sampled_from(["nan", "inf", "-inf", "0.5"])
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -50,17 +54,28 @@ def files(tmp_path_factory):
     config = tmp / "config.json"
     config.write_text(json.dumps({**CONFIG, "output_dir": str(tmp / "run")}), encoding="utf-8")
     assert run(["train", "--config", str(config)]) == 0
-    assert run(["synth", "--n", "120", "--beta", "2.0", "--rho", "0.8", "--out", str(tmp / "data.csv")]) == 0
+    assert run(["synth", "--n", "120", "--beta", "2.0", "--rho", "0.8", "--out", str(tmp / "data.csv")], doc=False) == 0
     return {"dir": tmp, "model": tmp / "run" / "model.bin", "csv": tmp / "data.csv",
             "schema": tmp / "data.schema.json"}
 
 
-def run(argv) -> int:
-    """``main(argv)``, checking the exit code and the stderr contract."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _reject(constant):
+    raise AssertionError(f"stdout holds {constant}, which is not JSON")
+
+
+def run(argv, doc: bool = True) -> int:
+    """``main(argv)``, checking the exit code and the stdout and stderr contract.
+
+    Warnings are errors, since pytest would record them rather than let
+    them reach stderr. With ``doc``, a success prints one JSON document.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(argv)
     assert code in (0, 2, 3, 4)
+    if code == 0 and doc:
+        json.loads(out.getvalue(), parse_constant=_reject)
     if code != 0:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
@@ -136,7 +151,8 @@ def test_mutated_csv(files, data):
     body = raw.index(b"\n") + 1  # after the header
     csv = _write(files, "fuzzed.csv", data.draw(mutated(raw, b"0123456789.-e,\n\r\" xnaNI\xff", body, len(raw))))
     run(["probe", "--csv", csv, "--schema", str(files["schema"])])
-    run(["eval", "--model", str(files["model"]), "--csv", csv])
+    threshold = [f"--threshold={data.draw(THRESHOLDS)}"] if data.draw(st.booleans()) else []
+    run(["eval", "--model", str(files["model"]), "--csv", csv, *threshold])
 
 
 @FUZZ
@@ -158,4 +174,5 @@ def test_mutated_config(files, data):
         # size that fits in virtual memory could be granted and exhaust it
         doc["synth"]["n"] = data.draw(st.sampled_from([10**15, 10**18]))
     doc["output_dir"] = str(files["dir"] / "fuzzed_run")  # a path, not input to fuzz
-    run(["train", "--config", _write(files, "fuzzed.json", json.dumps(doc).encode())])
+    threshold = [f"--threshold={data.draw(THRESHOLDS)}"] if data.draw(st.booleans()) else []
+    run(["train", "--config", _write(files, "fuzzed.json", json.dumps(doc).encode()), *threshold])

@@ -219,7 +219,7 @@ def split_readout(m, batch):
     mu = P.mean(axis=0)
     v = np.array([-mu[1], mu[0]])
     t = P @ v
-    m.params["sar_scalar.w"].tensor.values[:] = (v / np.abs(t).min()).reshape(2, 1)
+    m.params["sar_scalar.w"].values[:] = (v / np.abs(t).min()).reshape(2, 1)
 
 
 def test_joint_weights_validation():
@@ -294,9 +294,9 @@ def test_joint_gradients_match_finite_differences():
     backward(total)
 
     h = 1e-5
-    for p in m.parameters():
-        analytic = p.tensor.grad.copy().reshape(-1)
-        flat = p.tensor.values.reshape(-1)
+    for p in m.params.values():
+        analytic = p.grad.copy().reshape(-1)
+        flat = p.values.reshape(-1)
         numeric = np.zeros_like(analytic)
         for i in range(flat.size):
             orig = flat[i]

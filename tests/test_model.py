@@ -82,7 +82,7 @@ def test_numerical_zero_embeds_to_zero_vector():
 
 def test_categorical_id_selects_table_column():
     m = small_model()
-    table = m.params["embed.job"].tensor.values
+    table = m.params["embed.job"].values
     emb = m.embed_features({"job": np.array([2, 0]), "age": np.zeros(2), "hours": np.zeros(2)})
     np.testing.assert_array_equal(block(emb, 0)[0], table[:, 2])
     np.testing.assert_array_equal(block(emb, 0)[1], table[:, 0])
@@ -107,7 +107,7 @@ def test_missing_feature_column_raises():
 
 def test_sar_zero_scalar_weights_give_half():
     m = small_model()
-    m.params["sar_scalar.w"].tensor.values[:] = 0.0
+    m.params["sar_scalar.w"].values[:] = 0.0
     trace = m.forward(small_batch())
     np.testing.assert_array_equal(trace.pseudo_scalar.values, np.full((6, 1), 0.5))
 
@@ -130,7 +130,7 @@ def test_sar_output_width_is_embed_dim_regardless_of_feature_count():
 
 def test_attention_uniform_when_scores_equal():
     m = small_model()
-    m.params["bid.h0.query"].tensor.values[:] = 0.0  # all scores collapse to 0
+    m.params["bid.h0.query"].values[:] = 0.0  # all scores collapse to 0
     trace = m.forward(small_batch())
     np.testing.assert_allclose(trace.attention[0].values, np.full((6, 3), 1.0 / 3.0), atol=1e-12)
 
@@ -146,8 +146,8 @@ def test_attention_log2_oracle():
     # scores [ln 2, 0] must normalize to [2/3, 1/3]
     config = ModelConfig(embed_dim=1, sar_hidden=(2,))
     m = FairIntModel(cols(("a", "numerical", None), ("b", "numerical", None)), config, seed=0)
-    m.params["bid.h0.query"].tensor.values[:] = 1.0
-    m.params["bid.h0.key"].tensor.values[:] = 1.0
+    m.params["bid.h0.query"].values[:] = 1.0
+    m.params["bid.h0.key"].values[:] = 1.0
     pseudo = Tensor([[1.0]])
     embeddings = Tensor([[np.log(2.0), 0.0]])  # features a and b, one column each
     weights = m.bid_attention(pseudo, embeddings, head=0)
@@ -180,7 +180,7 @@ def test_interaction_single_feature_is_value_projection():
     emb = m.embed_features({"only": np.array([1.3, -0.7])})
     attn = [Tensor(np.ones((2, 1)))]
     got = m.interaction_embedding(attn, emb)
-    want = emb.values @ m.params["bid.h0.value"].tensor.values
+    want = emb.values @ m.params["bid.h0.value"].values
     np.testing.assert_allclose(got.values, want, atol=1e-12)
 
 
@@ -189,7 +189,7 @@ def test_interaction_weights_one_zero_select_first_feature():
     emb = m.embed_features(small_batch(n=2))
     attn = [Tensor(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))]
     got = m.interaction_embedding(attn, emb)
-    want = block(emb, 0) @ m.params["bid.h0.value"].tensor.values
+    want = block(emb, 0) @ m.params["bid.h0.value"].values
     np.testing.assert_allclose(got.values, want, atol=1e-12)
 
 
@@ -202,7 +202,7 @@ def test_interaction_concatenates_heads():
 
 def test_residual_fuse_relu_oracle():
     m = small_model(seed=0)
-    m.params["fuse.w_res"].tensor.values[:] = np.eye(2)
+    m.params["fuse.w_res"].values[:] = np.eye(2)
     interaction = Tensor(np.zeros((1, 2)))
     pseudo = Tensor(np.array([[-1.0, 2.0]]))
     fused = m.residual_fuse(interaction, pseudo)
@@ -221,7 +221,7 @@ def test_residual_fuse_gradient_reaches_both_branches():
     root = loss()
     backward(root)
     for name in ("fuse.w_res", "bid.h0.value"):
-        g = m.params[name].tensor.grad
+        g = m.params[name].grad
         assert np.any(g != 0.0), f"{name} received no gradient"
 
 
@@ -230,16 +230,16 @@ def test_residual_fuse_gradient_reaches_both_branches():
 
 def test_predict_zero_weights_give_half():
     m = small_model()
-    m.params["head.layer0.w"].tensor.values[:] = 0.0
-    m.params["head.layer0.b"].tensor.values[:] = 0.0
+    m.params["head.layer0.w"].values[:] = 0.0
+    m.params["head.layer0.b"].values[:] = 0.0
     trace = m.forward(small_batch())
     np.testing.assert_array_equal(trace.prediction.values, np.full((6, 1), 0.5))
 
 
 def test_predict_monotone_in_logit():
     m = small_model()
-    m.params["head.layer0.w"].tensor.values[:] = [[1.0], [0.0]]
-    m.params["head.layer0.b"].tensor.values[:] = 0.0
+    m.params["head.layer0.w"].values[:] = [[1.0], [0.0]]
+    m.params["head.layer0.b"].values[:] = 0.0
     fused = Tensor(np.array([[-2.0, 9.9], [0.0, 9.9], [3.0, 9.9]]))
     p = m.predict(fused).values.ravel()
     assert p[0] < p[1] < p[2]
@@ -326,7 +326,7 @@ def test_dropout_needs_generator_and_perturbs_training_forward():
 def test_vanilla_zero_weights_give_half():
     config = ModelConfig(embed_dim=2, baseline_hidden=(4,))
     m = VanillaModel(cols(("a", "numerical", None), ("b", "categorical", 2)), config, seed=0)
-    m.params["mlp.layer1.w"].tensor.values[:] = 0.0
+    m.params["mlp.layer1.w"].values[:] = 0.0
     out = m.forward({"a": np.array([1.0, -1.0]), "b": np.array([0, 1])})
     np.testing.assert_array_equal(out.values, np.full((2, 1), 0.5))
 
@@ -350,9 +350,9 @@ def param_fd_max_rel_err(model, loss_fn, name, h=1e-5):
     root = loss_fn()
     model.param_grads.fill(0.0)
     backward(root)
-    analytic = p.tensor.grad.copy()
+    analytic = p.grad.copy()
     numeric = np.zeros_like(analytic)
-    flat = p.tensor.values.reshape(-1)
+    flat = p.values.reshape(-1)
     out = numeric.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
@@ -396,7 +396,7 @@ def test_full_network_gradients_match_finite_differences():
 def test_parameter_arrays_round_trip_between_models(tmp_path):
     m1 = small_model(seed=20)
     path = tmp_path / "m.bin"
-    ad.save_parameters(path, m1.parameters(), {"note": "round trip"})
+    ad.save_parameters(path, m1.parameter_arrays(), {"note": "round trip"})
     arrays, meta = ad.load_parameters(path)
     m2 = small_model(seed=99)  # different init, same architecture
     m2.load_arrays(arrays)

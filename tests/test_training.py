@@ -95,7 +95,7 @@ def test_effective_weights_respect_toggles():
 
 def test_adam_minimizes_a_quadratic():
     values, grads, params = pack_parameters({"w": np.array([[10.0]])})
-    weight = params["w"].tensor
+    weight = params["w"]
     optimizer = Adam(values, grads, learning_rate=0.3)
     for _ in range(200):
         shifted = weight + (-3.0)
@@ -111,7 +111,7 @@ def test_flat_adam_equals_a_per_parameter_loop_bit_for_bit():
     rng = np.random.default_rng(5)
     shapes = {"a": (3, 4), "b": (4,), "c": (1, 2), "d": (5, 1)}
     values, grads, params = pack_parameters({k: rng.standard_normal(s) for k, s in shapes.items()})
-    ref_values = {k: p.tensor.values.copy() for k, p in params.items()}
+    ref_values = {k: p.values.copy() for k, p in params.items()}
     ref_m = {k: np.zeros(s) for k, s in shapes.items()}
     ref_v = {k: np.zeros(s) for k, s in shapes.items()}
     lr, l2, beta1, beta2, eps = 3e-3, 1e-4, 0.9, 0.999, 1e-8
@@ -120,7 +120,7 @@ def test_flat_adam_equals_a_per_parameter_loop_bit_for_bit():
         grads[:] = rng.standard_normal(grads.size)
         b1c, b2c = 1.0 - beta1 ** t, 1.0 - beta2 ** t
         for name, p in params.items():
-            g = p.tensor.grad + 2.0 * l2 * ref_values[name]
+            g = p.grad + 2.0 * l2 * ref_values[name]
             m, v = ref_m[name], ref_v[name]
             m *= beta1
             m += (1.0 - beta1) * g
@@ -129,8 +129,8 @@ def test_flat_adam_equals_a_per_parameter_loop_bit_for_bit():
             ref_values[name] = ref_values[name] - lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
         optimizer.step()
         for name, p in params.items():
-            assert p.tensor.values.tobytes() == ref_values[name].tobytes(), (t, name)
-            assert np.shares_memory(p.tensor.values, values)
+            assert p.values.tobytes() == ref_values[name].tobytes(), (t, name)
+            assert np.shares_memory(p.values, values)
 
 
 def test_l2_changes_updates_but_not_logged_losses(tiny):
@@ -217,9 +217,9 @@ def test_parameters_stay_views_into_the_model_buffers(tiny, trained):
     fresh = FairIntModel(tiny.input_columns, ModelConfig(), seed=1)
     fresh.load_arrays(model.parameter_arrays())
     for m in (model, fresh):
-        for p in m.parameters():
-            assert np.shares_memory(p.tensor.values, m.param_values)
-            assert np.shares_memory(p.tensor.grad, m.param_grads)
+        for p in m.params.values():
+            assert np.shares_memory(p.values, m.param_values)
+            assert np.shares_memory(p.grad, m.param_grads)
     assert np.array_equal(fresh.param_values, model.param_values)
 
 
