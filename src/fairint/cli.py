@@ -11,7 +11,6 @@ metric failure.
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -281,8 +280,8 @@ def _threshold(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+        value = None
+    if not is_finite_number(value):
         raise UsageError(f"--threshold must be a finite number, got {text!r}")
     return value
 
