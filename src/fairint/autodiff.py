@@ -22,9 +22,18 @@ Every write to either buffer happens in place, for the life of the
 model. :func:`backward` adds into a grad already set, so a training step
 zeroes the grad buffer first.
 
+Two fused operations keep common chains to one graph node each.
+:func:`dense` is one MLP layer: ``x @ w + b``, an optional ReLU and
+optional inverted dropout. :func:`row_cross_entropy` is the per-row
+binary cross-entropy of probabilities against 0/1 labels. Each one's
+backward runs the arithmetic of the chain it replaces, in the same order,
+so gradients come out bit for bit as they would from the separate ops.
+
 Any operation that produces NaN or Inf from finite inputs raises
 :class:`~fairint.errors.NumericError` immediately; nothing non-finite is
-ever propagated silently.
+ever propagated silently. A fused op checks its intermediate results too:
+:func:`dense` checks the pre-activation ``x @ w + b`` as well as its
+output, since ReLU would turn a ``-inf`` pre-activation into 0.
 """
 
 import contextlib
@@ -50,7 +59,8 @@ __all__ = [
     "mean_all",
     "sum_all",
     "gather_scale",
-    "dropout",
+    "dense",
+    "row_cross_entropy",
     "backward",
     "graph_nodes",
     "no_grad",
@@ -340,17 +350,53 @@ def gather_scale(source: Tensor, index, scale) -> Tensor:
     return _result(out, (source,), "gather_scale", grad_fn)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
-
-    At rate 0 this is the identity and draws nothing from ``rng``.
-    """
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0, rng=None) -> Tensor:
+    """One MLP layer: (m, k) ``x`` @ (k, n) ``w`` + (n,) ``b``, then max(0, .) if ``relu``,
+    then inverted dropout at ``rate``: zero with probability ``rate``, scale survivors
+    by 1/(1-rate). Dropout draws ``rng.random`` once, in the output's shape; at rate 0
+    it draws nothing and needs no generator."""
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    keep = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
-    return _result(x.values * keep, (x,), "dropout", lambda g: (g * keep,))
+    xv, wv, bv = x.values, w.values, b.values
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise ShapeError(f"dense cannot combine shapes {xv.shape}, {wv.shape} and {bv.shape}")
+    out = xv @ wv + bv
+    if not np.isfinite(out).all():
+        raise NumericError("operation 'dense' produced non-finite values before its activation")
+    active = keep = None
+    if relu:
+        active = out > 0.0
+        out = np.maximum(out, 0.0)
+    if rate > 0.0:
+        if rng is None:
+            raise UsageError(f"dropout at rate {rate} needs a generator")
+        keep = (rng.random(out.shape) >= rate) / (1.0 - rate)
+        out = out * keep
+
+    def grad_fn(g):
+        if keep is not None:
+            g = g * keep
+        if active is not None:
+            g = g * active
+        return g @ wv.T, xv.T @ g, g.sum(axis=0)
+
+    return _result(out, (x, w, b), "dense", grad_fn)
+
+
+def row_cross_entropy(pred: Tensor, labels) -> Tensor:
+    """Per-row binary cross-entropy -log(pred * (2y - 1) + (1 - y)) of probabilities ``pred``
+    against 0/1 ``labels`` of the same shape: -log of the probability given to the right
+    class, bit for bit the two-term y * pred + (1 - y) * (1 - pred) inside the log, and
+    exactly 0 when the model is confidently correct. DomainError if that probability is
+    not positive."""
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != pred.values.shape:
+        raise ShapeError(f"labels of shape {y.shape} do not match predictions of shape {pred.values.shape}")
+    sign = 2.0 * y - 1.0
+    picked = pred.values * sign + (1.0 - y)
+    if np.any(picked <= 0.0):
+        raise DomainError("log of a non-positive value")
+    return _result(np.log(picked) * -1.0, (pred,), "row_cross_entropy", lambda g: (((g * -1.0) / picked) * sign,))
 
 
 def graph_nodes(root: Tensor) -> list:

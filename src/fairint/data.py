@@ -399,7 +399,8 @@ def mean_std(values: np.ndarray, column: str) -> tuple[float, float]:
 
 
 def apply_standardization(dataset: Dataset, stats: dict[str, tuple[float, float]]) -> Dataset:
-    """Standardize a raw dataset with statistics saved from a training run."""
+    """Standardize a raw dataset with statistics saved from a training run;
+    DataError naming the column if a standardized value overflows float64."""
     if dataset.standardize_stats is not None:
         raise UsageError("dataset is already standardized")
     columns = dict(dataset.columns)
@@ -409,7 +410,11 @@ def apply_standardization(dataset: Dataset, stats: dict[str, tuple[float, float]
         if col.name not in stats:
             raise DataError(f"no standardization statistics for column {col.name!r}")
         mu, sigma = stats[col.name]
-        columns[col.name] = _freeze((dataset.columns[col.name] - mu) / sigma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = (dataset.columns[col.name] - mu) / sigma
+        if not np.isfinite(scaled).all():
+            raise DataError(f"column {col.name!r}: a value overflows float64 when standardized")
+        columns[col.name] = _freeze(scaled)
     return replace(dataset, columns=columns, standardize_stats={k: tuple(v) for k, v in stats.items()})
 
 

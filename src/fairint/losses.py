@@ -77,19 +77,12 @@ def _as_column(values, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def _row_ce(pred: Tensor, y: np.ndarray) -> Tensor:
-    # -log of the probability of the correct class, pred * 1 + 0 or pred * -1 + 1
-    # for 0/1 labels: bit for bit the two-term y * pred + (1 - y) * (1 - pred),
-    # and exactly 0 when the model is confidently correct.
-    return ad.log(pred * Tensor(2.0 * y - 1.0) + Tensor(1.0 - y)) * -1.0
-
-
 def ce_loss(pred: Tensor, labels) -> Tensor:
     """Mean binary cross-entropy; ``pred`` holds probabilities in (0, 1)."""
     n = pred.values.shape[0]
     if n == 0:
         raise UsageError("cross entropy of an empty batch")
-    return ad.mean_all(_row_ce(pred, _as_column(labels, n, "labels")))
+    return ad.mean_all(ad.row_cross_entropy(pred, _as_column(labels, n, "labels")))
 
 
 def reconstruction_loss(pseudo_scalar: Tensor, sensitive) -> Tensor:
@@ -157,7 +150,7 @@ def group_gap_loss(pred: Tensor, labels, groups: np.ndarray) -> Tensor:
     if means is None:
         return Tensor(0.0)
     contrast = ad.matmul(_GROUP_DIFFERENCE, means)  # (1, B) row that takes CE0 - CE1
-    return ad.sum_all(ad.matmul(contrast, _row_ce(pred, y))).abs() * 2.0
+    return ad.sum_all(ad.matmul(contrast, ad.row_cross_entropy(pred, y))).abs() * 2.0
 
 
 def joint_loss(trace, labels, sensitive, weights: LossWeights):

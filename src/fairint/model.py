@@ -155,14 +155,11 @@ class _EmbeddingBase:
     def _run_mlp(self, prefix: str, x: Tensor, training: bool, rng) -> Tensor:
         # ReLU plus dropout on every layer except the last, which stays linear
         n_layers = self._mlp_layers[prefix]
+        rate = self.config.dropout if training else 0.0
         for i in range(n_layers):
-            x = ad.matmul(x, self.params[f"{prefix}.layer{i}.w"]) + self.params[f"{prefix}.layer{i}.b"]
-            if i < n_layers - 1:
-                x = ad.relu(x)
-                if training and self.config.dropout > 0.0:
-                    if rng is None:
-                        raise UsageError("training-mode forward with dropout needs a generator")
-                    x = ad.dropout(x, self.config.dropout, rng)
+            hidden = i < n_layers - 1
+            w, b = self.params[f"{prefix}.layer{i}.w"], self.params[f"{prefix}.layer{i}.b"]
+            x = ad.dense(x, w, b, relu=hidden, rate=rate if hidden else 0.0, rng=rng)
         return x
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:

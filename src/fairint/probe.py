@@ -69,11 +69,8 @@ def sensitive_probe(dataset: Dataset) -> ProbeResult:
     intercept = 0.0
     for _ in range(PROBE_EPOCHS):
         logits = design @ weights + intercept
-        prob = np.where(
-            logits >= 0,
-            1.0 / (1.0 + np.exp(-logits)),
-            np.exp(logits) / (1.0 + np.exp(logits)),
-        )
+        e = np.exp(-np.abs(logits))  # exp(-logits) where logits >= 0, exp(logits) elsewhere
+        prob = np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         residual = prob - target
         weights -= PROBE_LEARNING_RATE * (design.T @ residual) / n
         intercept -= PROBE_LEARNING_RATE * residual.mean()

@@ -78,8 +78,13 @@ def runs(synth20k):
 # -- 1: gradient correctness -----------------------------------------------------
 
 
-def test_c1_gradients_match_finite_differences():
-    rng = np.random.default_rng(11)
+# the exports of autodiff that are not differentiable operations
+NON_OP_EXPORTS = {"Tensor", "backward", "graph_nodes", "no_grad", "pack_parameters",
+                  "save_parameters", "load_parameters"}
+
+
+def c1_op_cases(rng):
+    """(name, build, arrays) per op case; a name's first word is the op or operator it checks."""
 
     def smooth(*shape):
         # magnitudes in [0.1, 1] with random signs: clear of relu/abs kinks
@@ -91,7 +96,8 @@ def test_c1_gradients_match_finite_differences():
     index = np.array([[0, 3, 6, 7], [2, 5, 6, 7], [2, 5, 8, 9], [1, 4, 8, 9]])
     scale = np.array([[1.0, 0.4], [1.0, -1.3], [1.0, 2.0], [1.0, 0.5]])  # one per block of 2
     drop_rng = lambda: np.random.default_rng(3)  # fresh identical mask every call
-    op_cases = [
+    labels = np.array([[0.0], [1.0], [1.0], [0.0], [1.0]])
+    return [
         ("add", lambda xs: ad.sum_all(xs[0] + xs[1]), [smooth(3, 4), smooth(3, 4)]),
         ("add_scalar", lambda xs: ad.sum_all(xs[0] + 2.5), [smooth(3, 4)]),
         ("add_bias_row", lambda xs: ad.sum_all(xs[0] + xs[1]), [smooth(3, 4), smooth(4)]),
@@ -105,9 +111,9 @@ def test_c1_gradients_match_finite_differences():
         ("relu", lambda xs: ad.sum_all(ad.relu(xs[0])), [smooth(3, 4)]),
         ("sigmoid", lambda xs: ad.sum_all(ad.sigmoid(xs[0])), [smooth(3, 4)]),
         ("log", lambda xs: ad.sum_all(ad.log(xs[0])), [rng.uniform(0.2, 2.0, (3, 4))]),
-        ("softmax", lambda xs: ad.sum_all(ad.softmax_lastdim(xs[0]) * xs[1]),
+        ("softmax_lastdim", lambda xs: ad.sum_all(ad.softmax_lastdim(xs[0]) * xs[1]),
          [smooth(3, 5), smooth(3, 5)]),
-        ("concat", lambda xs: ad.sum_all(ad.concat_lastdim([xs[0], xs[1]]) * 0.5),
+        ("concat_lastdim", lambda xs: ad.sum_all(ad.concat_lastdim([xs[0], xs[1]]) * 0.5),
          [smooth(3, 2), smooth(3, 3)]),
         ("feature_scores", lambda xs: ad.sum_all(ad.feature_scores(xs[0], xs[1], xs[2]) * xs[3]),
          [smooth(3, 6), smooth(2, 4), smooth(3, 4), smooth(3, 3)]),
@@ -117,9 +123,20 @@ def test_c1_gradients_match_finite_differences():
         ("sum_all", lambda xs: ad.sum_all(xs[0] * xs[0]), [smooth(3, 4)]),
         ("gather_scale", lambda xs: ad.sum_all(ad.gather_scale(xs[0], index, scale) * xs[1]),
          [tables, smooth(4, 4)]),
-        ("dropout", lambda xs: ad.sum_all(ad.dropout(xs[0], 0.4, drop_rng())),
-         [smooth(4, 5)]),
+        ("dense linear", lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2]) * xs[3]),
+         [smooth(4, 3), smooth(3, 5), smooth(5), smooth(4, 5)]),
+        ("dense relu", lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2], relu=True) * xs[3]),
+         [smooth(4, 3), smooth(3, 5), smooth(5), smooth(4, 5)]),
+        ("dense relu dropout=0.4",
+         lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2], relu=True, rate=0.4, rng=drop_rng()) * xs[3]),
+         [smooth(4, 3), smooth(3, 5), smooth(5), smooth(4, 5)]),
+        ("row_cross_entropy labels 0 and 1", lambda xs: ad.sum_all(ad.row_cross_entropy(xs[0], labels) * xs[1]),
+         [rng.uniform(0.05, 0.95, (5, 1)), smooth(5, 1)]),
     ]
+
+
+def test_c1_gradients_match_finite_differences():
+    op_cases = c1_op_cases(np.random.default_rng(11))
     for name, build, arrays in op_cases:
         check_gradients(build, arrays, tol=1e-4)
 
@@ -165,6 +182,14 @@ def test_c1_gradients_match_finite_differences():
             denom = max(abs(grad[i]), abs(numeric), 1e-6)
             worst = max(worst, abs(grad[i] - numeric) / denom)
     assert worst < 1e-3, f"max relative error {worst:.3e}"
+
+
+def test_c1_covers_every_autodiff_op():
+    # a new op, fused or not, cannot land without a finite-difference case above
+    assert NON_OP_EXPORTS <= set(ad.__all__)
+    covered = {name.split()[0] for name, _, _ in c1_op_cases(np.random.default_rng(0))}
+    missing = set(ad.__all__) - NON_OP_EXPORTS - covered
+    assert not missing, f"autodiff ops without a c1 case: {sorted(missing)}"
 
 
 # -- 2: loss oracles --------------------------------------------------------------

@@ -15,7 +15,7 @@ from fairint.autodiff import (
     Tensor,
     backward,
     concat_lastdim,
-    dropout,
+    dense,
     feature_pool,
     feature_scores,
     gather_scale,
@@ -27,6 +27,7 @@ from fairint.autodiff import (
     no_grad,
     pack_parameters,
     relu,
+    row_cross_entropy,
     save_parameters,
     sigmoid,
     softmax_lastdim,
@@ -314,13 +315,72 @@ def test_grad_embed_features_over_the_parameter_buffer(seed, case):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("use_relu", [False, True])
+def test_grad_dense(seed, use_relu):
+    rng = np.random.default_rng(seed)
+    c = Tensor(rng.standard_normal((4, 5)))
+    check_gradients(
+        lambda xs: sum_all(dense(xs[0], xs[1], xs[2], relu=use_relu) * c),
+        [rng.standard_normal((4, 3)), rng.standard_normal((3, 5)), rng.standard_normal(5)],
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_grad_dropout_fixed_mask(seed):
     rng = np.random.default_rng(seed)
+    c = Tensor(rng.standard_normal((4, 6)))
     # recreate the generator inside the build so every call sees the same mask
     check_gradients(
-        lambda xs: sum_all(dropout(xs[0], 0.4, np.random.default_rng(99))),
-        [rng.standard_normal((4, 6))],
+        lambda xs: sum_all(dense(xs[0], xs[1], xs[2], rate=0.4, rng=np.random.default_rng(99)) * c),
+        [rng.standard_normal((4, 3)), rng.standard_normal((3, 6)), rng.standard_normal(6)],
     )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_row_cross_entropy(seed):
+    rng = np.random.default_rng(seed)
+    labels = np.array([[0.0], [1.0], [0.0], [1.0], [1.0], [0.0]])
+    c = Tensor(rng.standard_normal((6, 1)))
+    check_gradients(lambda xs: sum_all(row_cross_entropy(xs[0], labels) * c), [rng.uniform(0.05, 0.95, (6, 1))])
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("use_relu", [False, True])
+def test_dense_equals_its_op_chain_bit_for_bit(rate, use_relu):
+    # matmul, bias, relu and a dropout mask as separate nodes: same values, same gradients
+    rng = np.random.default_rng(5)
+    arrays = [rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)]
+    g = Tensor(rng.standard_normal((6, 3)))
+    keep = (np.random.default_rng(7).random((6, 3)) >= rate) / (1.0 - rate)
+
+    def run(fused):
+        x, w, b = (Tensor(a.copy(), grad_tracked=True) for a in arrays)
+        if fused:
+            out = dense(x, w, b, relu=use_relu, rate=rate, rng=np.random.default_rng(7))
+        else:
+            out = matmul(x, w) + b
+            out = relu(out) if use_relu else out
+            out = out * Tensor(keep) if rate else out
+        backward(sum_all(out * g))
+        return [out.values, x.grad, w.grad, b.grad]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_row_cross_entropy_equals_its_op_chain_bit_for_bit():
+    rng = np.random.default_rng(6)
+    y = rng.integers(0, 2, size=(8, 1)).astype(np.float64)
+    p = rng.uniform(0.01, 0.99, (8, 1))
+    g = Tensor(rng.standard_normal((8, 1)))
+    fused, chained = Tensor(p.copy(), grad_tracked=True), Tensor(p.copy(), grad_tracked=True)
+    out_fused = row_cross_entropy(fused, y)
+    out_chained = log(chained * Tensor(2.0 * y - 1.0) + Tensor(1.0 - y)) * -1.0
+    backward(sum_all(out_fused * g))
+    backward(sum_all(out_chained * g))
+    assert out_fused.values.tobytes() == out_chained.values.tobytes()
+    assert fused.grad.tobytes() == chained.grad.tobytes()
+    np.testing.assert_allclose(out_fused.values, -(y * np.log(p) + (1 - y) * np.log(1 - p)), rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -452,6 +512,11 @@ def test_shape_mismatches_raise():
         a * Tensor(np.ones((2, 2)))
     with pytest.raises(ShapeError):
         matmul(a, Tensor(np.ones((2, 3))))
+    for w, b in ((np.ones((2, 3)), np.ones(3)), (np.ones((3, 2)), np.ones(3)), (np.ones((3, 2)), np.ones((1, 2)))):
+        with pytest.raises(ShapeError):
+            dense(a, Tensor(w), Tensor(b))
+    with pytest.raises(ShapeError):
+        row_cross_entropy(Tensor(np.full((2, 1), 0.5)), np.zeros(2))
     proj, query, weights = Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3)))
     blocks = Tensor(np.ones((2, 6)))  # three blocks of width 2
     for op, third in ((feature_scores, query), (feature_pool, weights)):
@@ -478,12 +543,23 @@ def test_log_of_nonpositive_raises_domain_error():
         log(Tensor([1.0, 0.0]))
     with pytest.raises(DomainError):
         log(Tensor([-1.0]))
+    with pytest.raises(DomainError):
+        row_cross_entropy(Tensor([[0.5], [0.0]]), np.array([[0.0], [1.0]]))  # p(y=1) = 0
+    with pytest.raises(DomainError):
+        row_cross_entropy(Tensor([[1.0]]), np.array([[0.0]]))  # p(y=0) = 0
 
 
 def test_overflow_to_inf_raises_numeric_error():
     big = Tensor([1e308])
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         big * 10.0
+
+
+def test_dense_checks_the_pre_activation_for_non_finite_values():
+    # x @ w is -inf, which a ReLU would turn into a finite 0
+    x, w, b = Tensor([[1e308]]), Tensor([[-10.0]]), Tensor([0.0])
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        dense(x, w, b, relu=True)
 
 
 def test_tensor_division_rejected():
@@ -511,27 +587,37 @@ def test_embedding_index_out_of_range():
             model.embed_features(bad)
 
 
-# -- dropout statistics -------------------------------------------------------
+# -- dropout inside dense -----------------------------------------------------
+
+
+def identity_layer(width):
+    return Tensor(np.eye(width)), Tensor(np.zeros(width))
 
 
 def test_dropout_rate_zero_is_identity():
-    x = Tensor(np.ones((3, 3)))
-    assert dropout(x, 0.0, np.random.default_rng(0)) is x
+    x = np.random.default_rng(1).standard_normal((3, 3))
+    rng = np.random.default_rng(0)
+    out = dense(Tensor(x), *identity_layer(3), rate=0.0, rng=rng)
+    np.testing.assert_array_equal(out.values, x)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing was drawn
+    # no draw, so no generator needed
+    np.testing.assert_array_equal(dense(Tensor(x), *identity_layer(3), rate=0.0).values, x)
 
 
 def test_dropout_rate_must_be_below_one():
     rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        dropout(Tensor([1.0]), 1.0, rng)
-    with pytest.raises(ConfigError):
-        dropout(Tensor([1.0]), -0.1, rng)
+    for rate in (1.0, 1.5, -0.1):
+        with pytest.raises(ConfigError):
+            dense(Tensor([[1.0]]), *identity_layer(1), rate=rate, rng=rng)
+    with pytest.raises(UsageError, match="generator"):
+        dense(Tensor([[1.0]]), *identity_layer(1), rate=0.5)
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.5, 0.7])
 def test_dropout_preserves_mean_activation(rate):
     rng = np.random.default_rng(42)
-    x = Tensor(np.ones(100_000))
-    out = dropout(x, rate, rng)
+    x = Tensor(np.ones((1000, 100)))
+    out = dense(x, *identity_layer(100), rate=rate, rng=rng)
     assert abs(out.values.mean() - 1.0) < 0.02
     kept = out.values[out.values != 0.0]
     np.testing.assert_allclose(kept, 1.0 / (1.0 - rate))

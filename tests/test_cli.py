@@ -355,6 +355,18 @@ def _with_arrays(**fills):
     return corrupt
 
 
+def _with_cell(column, text):
+    """Replace one column's cell in the first data row of a CSV."""
+
+    def corrupt(raw):
+        header, first, rest = raw.split(b"\n", 2)
+        cells = first.split(b",")
+        cells[header.split(b",").index(column.encode())] = text.encode()
+        return b"\n".join([header, b",".join(cells), rest])
+
+    return corrupt
+
+
 def _with_config(**sections):
     """Merge entries into an experiment config's sections; a non-object replaces the section."""
 
@@ -378,6 +390,7 @@ def _with_config(**sections):
         ("model", lambda raw: raw[:-10], 3),
         ("model", lambda raw: raw + b"\0", 3),
         ("csv", _insert_non_utf8, 3),
+        ("csv", _with_cell("proxy1", "1.7e308"), 3),
         ("schema", _insert_non_utf8, 3),
         ("config", _insert_non_utf8, 2),
         ("model", _with_metadata(schema=[1, 2]), 3),
@@ -412,7 +425,7 @@ def _with_config(**sections):
     ],
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
-        "csv_not_utf8", "schema_not_utf8", "config_not_utf8",
+        "csv_not_utf8", "csv_cell_overflows_when_standardized", "schema_not_utf8", "config_not_utf8",
         "meta_schema_not_objects", "meta_vocabularies_not_object", "meta_vocabulary_missing",
         "meta_model_not_object", "meta_model_size_not_int", "meta_stats_not_pairs", "meta_stats_zero_std",
         "meta_stats_int_too_large",
@@ -485,6 +498,18 @@ def test_column_whose_statistics_overflow_exits_3(tmp_path, capsys):
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "'a'" in lines[0]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_cell_that_overflows_when_standardized_exits_3_naming_its_column(trained, tmp_path, capsys, command):
+    # finite in the CSV, but not once the model's saved statistics scale it
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(_with_cell("proxy1", "1.7e308")(trained["csv"].read_bytes()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--model", str(trained["dir"] / "model.bin"), "--csv", str(bad)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "'proxy1'" in lines[0]
 
 
 @pytest.mark.parametrize("command", ["eval", "explain"])

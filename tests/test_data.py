@@ -282,6 +282,14 @@ def test_apply_standardization_matches_split_stats():
         apply_standardization(make_numeric_dataset([1.0] * 10), {})
 
 
+def test_apply_standardization_rejects_a_value_that_overflows_naming_its_column():
+    # every cell is finite, but 1.7e308 / 0.5 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="'x'"):
+            apply_standardization(make_numeric_dataset([0.0] * 9 + [1.7e308]), {"x": (0.0, 0.5)})
+
+
 # -- batching -------------------------------------------------------------------
 
 

@@ -246,14 +246,14 @@ def test_joint_skipped_terms_add_no_graph_nodes():
     assert len(graph_nodes(weighted)) > len(graph_nodes(plain))
 
 
-def test_joint_loss_adds_28_nodes_with_two_groups_and_11_with_one():
+def test_joint_loss_adds_22_nodes_with_two_groups_and_8_with_one():
     ds = split(synth_generate(n=400, bias_strength=2.0, proxy_corr=0.8, seed=7), (0.6, 0.2, 0.2), seed=7)
     batch = full_batch(ds, "train")
     m = FairIntModel(ds.input_columns, ModelConfig(), seed=0)
     groups = assign_groups(m.forward(batch.features).pseudo_scalar)
     assert len(ds.input_columns) == 5 and 0 < groups.sum() < groups.size
     one_group = {name: values[groups == 1] for name, values in batch.features.items()}
-    for features, rows, added in [(batch.features, slice(None), 28), (one_group, groups == 1, 11)]:
+    for features, rows, added in [(batch.features, slice(None), 22), (one_group, groups == 1, 8)]:
         trace = m.forward(features)
         forward = {id(n) for t in (trace.prediction, trace.pseudo_scalar, trace.fused) for n in graph_nodes(t)}
         total, _ = joint_loss(trace, batch.labels[rows], batch.true_sensitive[rows], LossWeights(2.0, 30.0))
