@@ -74,6 +74,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: exactly one of 'dataset' or 'synth' must be given")
     if "output_dir" not in doc:
         raise ConfigError(f"{path}: 'output_dir' is required")
+    _check_path(doc, "output_dir", path)
 
     if "dataset" in doc:
         source_kind, source = "dataset", doc["dataset"]
@@ -82,7 +83,7 @@ def load_experiment_config(path) -> ExperimentConfig:
                 f"{path}: 'dataset' must be an object with keys {sorted(_DATASET_KEYS)}"
             )
         for key in ("csv_path", "schema_path"):
-            if not Path(source[key]).exists():
+            if not Path(_check_path(source, key, path)).exists():
                 raise ConfigError(f"{path}: {key} does not exist: {source[key]}")
     else:
         source_kind, source = "synth", doc["synth"]
@@ -90,33 +91,34 @@ def load_experiment_config(path) -> ExperimentConfig:
             raise ConfigError(
                 f"{path}: 'synth' must be an object with keys {sorted(_SYNTH_KEYS)}"
             )
-        n, beta, rho = source["n"], source["beta"], source["rho"]
-        if type(n) is not int or not (is_finite_number(beta) and is_finite_number(rho)):  # type() excludes bools
-            raise ConfigError(f"{path}: 'synth' needs an int 'n' and finite numbers 'beta' and 'rho'")
 
     return ExperimentConfig(
         source_kind=source_kind,
         source=dict(source),
         model=ModelConfig.from_dict(doc.get("model", {})),
         train=TrainConfig.from_dict(doc.get("train", {})),
-        output_dir=str(doc["output_dir"]),
+        output_dir=doc["output_dir"],
     )
 
 
-def _materialize(config: ExperimentConfig, seed: int):
-    """Build and split the experiment's dataset; one seed drives it all."""
+def _check_path(doc: dict, key: str, path) -> str:
+    if not isinstance(doc[key], str) or not doc[key] or "\0" in doc[key]:  # a NUL makes path calls raise ValueError
+        raise ConfigError(f"{path}: {key!r} must be a non-empty string without NUL, got {doc[key]!r}")
+    return doc[key]
+
+
+def _materialize(config: ExperimentConfig, seed_flag: int | None):
+    """The run's training config, with ``--seed`` applied when given, and its
+    split dataset; that one seed drives the data, the split and training."""
+    train_config = config.train if seed_flag is None else replace(config.train, seed=seed_flag)
+    seed = train_config.seed
     if config.source_kind == "synth":
         src = config.source
-        dataset = synth_generate(
-            n=int(src["n"]),
-            bias_strength=float(src["beta"]),
-            proxy_corr=float(src["rho"]),
-            seed=seed,
-        )
+        dataset = synth_generate(n=src["n"], bias_strength=src["beta"], proxy_corr=src["rho"], seed=seed)
     else:
         schema = load_schema(config.source["schema_path"])
         dataset = load_csv(config.source["csv_path"], schema)
-    return split(dataset, SPLIT_RATIOS, seed)
+    return train_config, split(dataset, SPLIT_RATIOS, seed)
 
 
 def _dataset_for_model(meta: dict, schema, csv_path):
@@ -125,10 +127,6 @@ def _dataset_for_model(meta: dict, schema, csv_path):
     if meta["standardize_stats"]:
         dataset = apply_standardization(dataset, meta["standardize_stats"])
     return dataset
-
-
-def _metric_groups(flag: str) -> str:
-    return "reconstructed" if flag == "pseudo" else "true"
 
 
 def _dump(doc: dict) -> str:
@@ -147,9 +145,7 @@ def _emit(doc: dict, out_path) -> None:
 
 def cmd_train(args) -> int:
     config = load_experiment_config(args.config)
-    seed = config.train.seed if args.seed is None else args.seed
-    train_config = replace(config.train, seed=seed)
-    dataset = _materialize(config, seed)
+    train_config, dataset = _materialize(config, args.seed)
 
     model, history = train(dataset, config.model, train_config)
 
@@ -164,7 +160,7 @@ def cmd_train(args) -> int:
         "enable_ifc": train_config.enable_ifc,
         "enable_fc": train_config.enable_fc,
         "enable_bid": train_config.enable_bid,
-        "seed": seed,
+        "seed": train_config.seed,
         "best_epoch": history.best_epoch,
         "stopping_reason": history.stopping_reason,
     }
@@ -173,9 +169,7 @@ def cmd_train(args) -> int:
         "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines), encoding="utf-8"
     )
 
-    report = evaluate_model(
-        model, dataset, "test", threshold=args.threshold, groups_from=_metric_groups(args.groups_from)
-    )
+    report = evaluate_model(model, dataset, "test", threshold=args.threshold, groups_from=args.groups_from)
     _emit(report.to_dict(), out / "report.json")
     return 0
 
@@ -185,9 +179,7 @@ def cmd_eval(args) -> int:
     if args.schema is not None:
         schema = load_schema(args.schema)
     dataset = _dataset_for_model(meta, schema, args.csv)
-    report = evaluate_model(
-        model, dataset, "all", threshold=args.threshold, groups_from=_metric_groups(args.groups_from)
-    )
+    report = evaluate_model(model, dataset, "all", threshold=args.threshold, groups_from=args.groups_from)
     _emit(report.to_dict(), args.out)
     return 0
 
@@ -211,10 +203,9 @@ def _parse_grid(text: str):
 def cmd_sweep(args) -> int:
     config = load_experiment_config(args.config)
     grid = _parse_grid(args.grid)
-    seed = config.train.seed if args.seed is None else args.seed
-    dataset = _materialize(config, seed)
+    train_config, dataset = _materialize(config, args.seed)
 
-    points = sweep(dataset, config.model, replace(config.train, seed=seed), grid)
+    points = sweep(dataset, config.model, train_config, grid)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,7 +281,7 @@ def _metric_flags(parser) -> None:
     parser.add_argument("--threshold", type=_threshold, default=0.5, help="decision threshold")
     parser.add_argument(
         "--groups-from",
-        choices=("true", "pseudo"),
+        choices=("true", "reconstructed"),
         default="true",
         help="measure fairness gaps against the true sensitive column or the reconstructed one",
     )

@@ -56,6 +56,15 @@ def is_finite_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
+def check_options(doc, fields, what: str) -> None:
+    """ConfigError unless ``doc`` is an object whose keys are all in ``fields``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} options must be an object, got {doc!r}")
+    extra = set(doc) - set(fields)
+    if extra:
+        raise ConfigError(f"unknown {what} options: {sorted(extra)}")
+
+
 @dataclass(frozen=True)
 class FeatureColumn:
     """One column: its name, value kind, and role in the learning problem.
@@ -209,13 +218,14 @@ def parse_schema(doc, source) -> list[FeatureColumn]:
     return _validate_schema(columns)
 
 
+def schema_entry(column: FeatureColumn) -> dict:
+    """The JSON object :func:`parse_schema` reads back into ``column``."""
+    return {"name": column.name, "kind": column.kind, "cardinality": column.cardinality, "role": column.role}
+
+
 def save_schema(schema: list[FeatureColumn], path) -> None:
-    doc = [
-        {"name": c.name, "kind": c.kind, "cardinality": c.cardinality, "role": c.role}
-        for c in schema
-    ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump([schema_entry(c) for c in schema], fh, indent=2)
         fh.write("\n")
 
 
@@ -471,6 +481,10 @@ SYNTH_SCHEMA = [
 ]
 
 
+# the largest draw is the (n, 5) float64 normals; numpy's byte counts must fit in intp
+_MAX_SYNTH_ROWS = np.iinfo(np.intp).max // (5 * 8)
+
+
 def synth_generate(n: int, bias_strength: float, proxy_corr: float, seed: int) -> Dataset:
     """Generate a biased synthetic dataset from a fixed generative process.
 
@@ -487,14 +501,21 @@ def synth_generate(n: int, bias_strength: float, proxy_corr: float, seed: int) -
     order (s, then the 5 normals, then the label uniforms) is part of the
     contract: the same (n, beta, rho, seed) always yields a bit-identical
     dataset. Acceptance thresholds cite these constants, so changing any
-    of them is a breaking change.
+    of them is a breaking change. A bad argument raises ConfigError, and an
+    ``n`` whose draws numpy cannot represent raises MemoryError.
     """
+    if type(n) is not int:  # type() excludes bools
+        raise ConfigError(f"synthetic generator needs an int n, got {n!r}")
     if n < 100:
         raise ConfigError(f"synthetic generator needs n >= 100, got {n}")
     if not is_finite_number(bias_strength) or bias_strength < 0:
         raise ConfigError(f"bias_strength must be a finite number >= 0, got {bias_strength}")
-    if not 0.0 <= proxy_corr <= 1.0:
-        raise ConfigError(f"proxy_corr must be in [0, 1], got {proxy_corr}")
+    if not is_finite_number(proxy_corr) or not 0.0 <= proxy_corr <= 1.0:
+        raise ConfigError(f"proxy_corr must be in [0, 1], got {proxy_corr!r}")
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+    if n > _MAX_SYNTH_ROWS:  # numpy would raise ValueError, not MemoryError, for such a shape
+        raise MemoryError(f"{n} synthetic rows exceed the largest array numpy can represent")
 
     rng = np.random.default_rng(seed)
     s = (rng.random(n) < 0.5).astype(np.int64)

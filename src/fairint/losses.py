@@ -29,6 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, UsageError
+from .metrics import threshold_labels
 
 __all__ = [
     "LossWeights",
@@ -97,11 +98,12 @@ def reconstruction_loss(pseudo_scalar: Tensor, sensitive) -> Tensor:
 def assign_groups(pseudo_scalar) -> np.ndarray:
     """Threshold reconstructed probabilities into group ids.
 
-    A probability of exactly 0.5 (the expected value of a balanced binary
-    attribute) goes to group 1; everything below goes to group 0.
+    The rule is :func:`metrics.threshold_labels` at 0.5, the one SAR
+    accuracy scores, so the two cannot drift apart. A probability of
+    exactly 0.5 (the expected value of a balanced binary attribute) goes
+    to group 1; everything below goes to group 0.
     """
-    values = pseudo_scalar.values if isinstance(pseudo_scalar, Tensor) else np.asarray(pseudo_scalar)
-    return (values.reshape(-1) >= 0.5).astype(np.int64)
+    return threshold_labels(pseudo_scalar.values if isinstance(pseudo_scalar, Tensor) else pseudo_scalar)
 
 
 _GROUP_DIFFERENCE = Tensor(np.array([[1.0, -1.0]]))

@@ -7,7 +7,7 @@ reconstructed groups instead, and the report records which source was
 used.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -123,15 +123,7 @@ class FairnessReport:
     groups_from: str
 
     def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "ddp": self.ddp,
-            "deo": self.deo,
-            "group_rates": self.group_rates,
-            "sar_accuracy": self.sar_accuracy,
-            "threshold": self.threshold,
-            "groups_from": self.groups_from,
-        }
+        return asdict(self)
 
 
 def evaluate(

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, is_finite_number, parse_schema
+from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, check_options, is_finite_number, parse_schema, schema_entry
 from .errors import ConfigError, DataError, UsageError
 
 __all__ = [
@@ -83,11 +83,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"model options must be an object, got {doc!r}")
-        extra = set(doc) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"unknown model options: {sorted(extra)}")
+        check_options(doc, cls.__dataclass_fields__, "model")
         kwargs = dict(doc)
         for name in ("sar_hidden", "head_hidden", "baseline_hidden"):
             if name in kwargs:
@@ -323,10 +319,7 @@ def save_model(model, dataset, path, extra_metadata: dict | None = None) -> None
     meta = {
         "kind": "fairint" if isinstance(model, FairIntModel) else "vanilla",
         "model": model.config.to_dict(),
-        "schema": [
-            {"name": c.name, "kind": c.kind, "cardinality": c.cardinality, "role": c.role}
-            for c in dataset.schema
-        ],
+        "schema": [schema_entry(c) for c in dataset.schema],
         "vocabularies": dataset.vocabularies,
         "standardize_stats": (
             None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metrics as fm
 from .autodiff import backward, no_grad
-from .data import Dataset, batches, full_batch, is_finite_number
+from .data import Dataset, batches, check_options, full_batch, is_finite_number
 from .errors import (
     ConfigError,
     DomainError,
@@ -95,11 +95,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"training options must be an object, got {doc!r}")
-        extra = set(doc) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"unknown training options: {sorted(extra)}")
+        check_options(doc, cls.__dataclass_fields__, "training")
         return cls(**doc)
 
 

@@ -247,10 +247,10 @@ def test_eval_runs_on_fresh_csv(trained, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
-def test_eval_pseudo_groups(trained, capsys):
+def test_eval_reconstructed_groups(trained, capsys):
     model = str(trained["dir"] / "model.bin")
     assert main(
-        ["eval", "--model", model, "--csv", str(trained["csv"]), "--groups-from", "pseudo"]
+        ["eval", "--model", model, "--csv", str(trained["csv"]), "--groups-from", "reconstructed"]
     ) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["groups_from"] == "reconstructed"
@@ -382,6 +382,23 @@ def _with_config(**sections):
     return corrupt
 
 
+def _with_source(**paths):
+    """Swap an experiment config's synth source for a dataset source.
+
+    Paths not given are the real files that the ``trained`` fixture keeps
+    beside its run directory.
+    """
+
+    def corrupt(raw):
+        doc = json.loads(raw)
+        files = Path(doc["output_dir"]).parent
+        real = {"csv_path": str(files / "data.csv"), "schema_path": str(files / "data.schema.json")}
+        doc.update(synth=None, dataset={**real, **paths})
+        return json.dumps(doc).encode("utf-8")
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "kind, corrupt, code",
     [
@@ -417,6 +434,15 @@ def _with_config(**sections):
         ("schema", lambda raw: raw.replace(b'"cardinality": 2', b'"cardinality": 2' + b"0" * 5000), 3),
         # PiB-scale: numpy refuses the allocation before touching memory
         ("config", _with_config(synth={"n": 10**15}), 3),
+        # sizes numpy cannot represent at all: a dimension, or a byte count, beyond intp
+        ("config", _with_config(synth={"n": 10**20}), 3),
+        ("config", _with_config(synth={"n": 2**63 - 1}), 3),
+        ("config", _with_source(csv_path=5), 2),
+        ("config", _with_source(schema_path=None), 2),
+        ("config", _with_source(csv_path=""), 2),
+        ("config", _with_config(output_dir=None), 2),
+        ("config", _with_config(output_dir=""), 2),
+        ("config", _with_config(output_dir="run\0"), 2),
         ("model", _with_arrays(**{"bid.h0.key": float("nan")}), 3),
         ("model", _with_arrays(**{"head.layer0.b": float("inf")}), 3),
         # finite weights whose products overflow: the op's own check, with no numpy warning
@@ -433,10 +459,13 @@ def _with_config(**sections):
         "train_seed_not_int", "train_patience_bool", "train_lambda_bool", "train_enable_not_bool",
         "model_size_bool", "train_rate_nan", "train_lambda_infinite", "train_l2_nan",
         "config_int_too_long", "schema_int_too_long", "synth_n_too_large_to_allocate",
+        "synth_n_beyond_intp", "synth_n_bytes_beyond_intp", "csv_path_not_string", "schema_path_null",
+        "csv_path_empty", "output_dir_null", "output_dir_empty", "output_dir_nul",
         "weights_nan", "weights_inf", "weights_overflow_in_matmul", "train_rate_overflows",
     ],
 )
-def test_malformed_input_exits_with_one_error_line(trained, tmp_path, capsys, kind, corrupt, code):
+def test_malformed_input_exits_with_one_error_line(trained, tmp_path, monkeypatch, capsys, kind, corrupt, code):
+    monkeypatch.chdir(tmp_path)  # a relative output directory lands here, not in the working tree
     files = {
         "model": trained["dir"] / "model.bin",
         "csv": trained["csv"],
@@ -457,6 +486,20 @@ def test_malformed_input_exits_with_one_error_line(trained, tmp_path, capsys, ki
         assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep", "train"])
+def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, command):
+    config, _ = write_config(tmp_path)
+    argv = {
+        "synth": ["synth", "--n", "200", "--beta", "2", "--rho", "0.8", "--out", str(tmp_path / "data.csv")],
+        "sweep": ["sweep", "--config", str(config), "--grid", "0,0"],
+        "train": ["train", "--config", str(config)],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "seed" in lines[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -390,6 +390,22 @@ def test_synth_validation():
         synth_generate(100, 1.0, 1.5, seed=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"n": True}, {"n": 200.0}, {"bias_strength": "2"}, {"proxy_corr": float("nan")}, {"proxy_corr": None},
+     {"seed": -1}, {"seed": 1.0}, {"seed": True}],
+)
+def test_synth_rejects_wrong_types_and_negative_seeds(bad):
+    with pytest.raises(ConfigError):
+        synth_generate(**{"n": 200, "bias_strength": 1.0, "proxy_corr": 0.5, "seed": 0, **bad})
+
+
+@pytest.mark.parametrize("n", [10**20, 2**63 - 1])
+def test_synth_rejects_sizes_numpy_cannot_represent_before_drawing(n):
+    with pytest.raises(MemoryError, match="numpy"):
+        synth_generate(n, 1.0, 0.5, seed=0)
+
+
 def test_synth_schema_shape():
     ds = synth_generate(100, 1.0, 0.5, seed=0)
     assert [c.name for c in ds.schema] == ["proxy1", "proxy2", "noise1", "noise2", "noise3", "s", "y"]

@@ -169,10 +169,17 @@ def test_mutated_schema(files, data):
 @given(data=st.data())
 def test_mutated_config(files, data):
     doc = data.draw(reshaped(CONFIG))
-    if isinstance(doc.get("synth"), dict) and data.draw(st.booleans()):
-        # PiB-scale sizes only: numpy refuses them before allocating, where a
-        # size that fits in virtual memory could be granted and exhaust it
-        doc["synth"]["n"] = data.draw(st.sampled_from([10**15, 10**18]))
+    if data.draw(st.integers(0, 3)) == 0:
+        # a dataset source whose paths are odd values or the fixture's real files
+        paths = st.one_of(ODD_VALUES, st.sampled_from([str(files["csv"]), str(files["schema"])]))
+        doc.pop("synth", None)
+        doc["dataset"] = {key: data.draw(paths) for key in ("csv_path", "schema_path")}
+    elif isinstance(doc.get("synth"), dict) and data.draw(st.booleans()):
+        # only sizes that fail before allocating (numpy refuses PiB-scale requests
+        # at once and cannot represent the larger ones); a size that fits in
+        # virtual memory could be granted and exhaust it
+        doc["synth"]["n"] = data.draw(st.sampled_from([10**15, 10**18, 10**20, 2**63 - 1]))
     doc["output_dir"] = str(files["dir"] / "fuzzed_run")  # a path, not input to fuzz
+    seed = ["--seed", str(data.draw(st.sampled_from([-1, 0, 3])))] if data.draw(st.booleans()) else []
     threshold = [f"--threshold={data.draw(THRESHOLDS)}"] if data.draw(st.booleans()) else []
-    run(["train", "--config", _write(files, "fuzzed.json", json.dumps(doc).encode()), *threshold])
+    run(["train", "--config", _write(files, "fuzzed.json", json.dumps(doc).encode()), *seed, *threshold])
