@@ -194,9 +194,12 @@ def _parse_grid(text: str):
         if len(pieces) != 2:
             raise UsageError(f"bad grid point {part!r}: expected lambda_ifc,lambda_fc")
         try:
-            pairs.append((float(pieces[0]), float(pieces[1])))
+            pair = (float(pieces[0]), float(pieces[1]))
         except ValueError:
             raise UsageError(f"bad grid point {part!r}: expected two numbers") from None
+        if not all(is_finite_number(w) and w >= 0 for w in pair):
+            raise UsageError(f"bad grid point {part!r}: weights must be finite numbers >= 0")
+        pairs.append(pair)
     return pairs
 
 

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -29,6 +30,9 @@ ROLE_NON_SENSITIVE = "non_sensitive"
 ROLE_LABEL = "label"
 
 SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
+
+# rows that load_csv parses at a time; bounds the text it holds in memory
+CSV_CHUNK_ROWS = 4096
 
 __all__ = [
     "FeatureColumn",
@@ -252,6 +256,75 @@ def _parse_numeric(text: str) -> float:
     return value
 
 
+def _cell_error(path, line: int, col: FeatureColumn, text: str) -> DataError:
+    """The error for a bad cell, located at its line and column."""
+    try:
+        if col.role == ROLE_LABEL:
+            _parse_label(text)
+        elif col.kind == KIND_NUMERICAL:
+            _parse_numeric(text)
+        else:  # a categorical cell is bad only when the sensitive column does not know it
+            raise DataError(f"sensitive value {text!r} is not one of the two known groups")
+    except DataError as exc:
+        return DataError(f"{path}: line {line}, column {col.name!r}: {exc}")
+
+
+def _first_bad_cell(parse, texts) -> int:
+    for i, text in enumerate(texts):
+        try:
+            parse(text)
+        except DataError:
+            return i
+
+
+def _encode_column(col: FeatureColumn, texts: tuple, col_ids: dict, vocab: list, building: bool):
+    """One column of a chunk as an array, and the index of its first bad cell or None.
+
+    Labels and numericals convert with Python's ``float``, so every text it
+    accepts parses as before; a vectorized check then finds bad values, and
+    only a column that fails it is scanned cell by cell.
+    """
+    count = len(texts)
+    if col.role == ROLE_LABEL or col.kind == KIND_NUMERICAL:
+        parse = _parse_label if col.role == ROLE_LABEL else _parse_numeric
+        try:
+            values = np.fromiter(map(float, texts), np.float64, count)
+        except ValueError:
+            return None, _first_bad_cell(parse, texts)
+        ok = (values == 0.0) | (values == 1.0) if col.role == ROLE_LABEL else np.isfinite(values)
+    else:
+        if building:
+            # new categories take the next ids in order of first appearance until the column is full
+            for text in dict.fromkeys(texts):
+                if len(vocab) == col.cardinality:
+                    break
+                if text not in col_ids:
+                    col_ids[text] = len(vocab)
+                    vocab.append(text)
+        values = np.fromiter(map(col_ids.get, texts, repeat(col.unknown_id)), np.int64, count)
+        if col.role != ROLE_SENSITIVE:
+            return values, None
+        ok = values != col.unknown_id
+    return values, None if ok.all() else int(np.argmin(ok))
+
+
+def _read_rows(reader, limit: int):
+    """Up to ``limit`` rows, and the decoding or csv error that ended the read early, if any."""
+    rows = []
+    try:
+        for row in islice(reader, limit):
+            rows.append(row)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return rows, exc
+    return rows, None
+
+
+def _read_error(path, line: int, exc: Exception) -> DataError:
+    if isinstance(exc, UnicodeDecodeError):
+        return DataError(f"{path}: file is not UTF-8 text: {exc}")
+    return DataError(f"{path}: line {line}: {exc}")  # csv.Error, such as a field over the size limit
+
+
 def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str]] | None = None) -> Dataset:
     """Load and encode a CSV whose header matches the schema column order.
 
@@ -261,6 +334,12 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
     from a trained model) the mapping is frozen and unseen values go
     straight to the unknown slot. Sensitive values must always be among
     the known categories.
+
+    Rows are parsed :data:`CSV_CHUNK_ROWS` at a time, a column at a time.
+    A bad file raises DataError for its first fault in file order, the
+    same one a row-by-row parse would stop at: a bad cell, a row with the
+    wrong number of fields, text that is not UTF-8, or a field over the
+    csv module's size limit.
     """
     schema = _validate_schema(list(schema))
     building = vocabularies is None
@@ -276,56 +355,56 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
     )
     # text -> id per column; built in reverse so the first of any repeated entry wins
     ids = {name: {text: i for i, text in reversed(list(enumerate(vocab)))} for name, vocab in vocabs.items()}
-    raw_columns: dict[str, list] = {c.name: [] for c in schema}
+    chunks: dict[str, list[np.ndarray]] = {c.name: [] for c in schema}
     expected_header = [c.name for c in schema]
+    width = len(schema)
 
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: file is empty") from None
-            if header != expected_header:
-                raise DataError(f"{path}: header {header} does not match schema columns {expected_header}")
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != len(schema):
-                    raise DataError(f"{path}: line {row_no}: expected {len(schema)} fields, got {len(row)}")
-                for col, text in zip(schema, row):
-                    try:
-                        if col.role == ROLE_LABEL:
-                            raw_columns[col.name].append(_parse_label(text))
-                        elif col.kind == KIND_NUMERICAL:
-                            raw_columns[col.name].append(_parse_numeric(text))
-                        else:
-                            col_ids = ids[col.name]
-                            cid = col_ids.get(text)
-                            if cid is None:
-                                vocab = vocabs[col.name]
-                                if building and len(vocab) < col.cardinality:
-                                    cid = col_ids[text] = len(vocab)
-                                    vocab.append(text)
-                                else:
-                                    cid = col.unknown_id
-                            if col.role == ROLE_SENSITIVE and cid == col.unknown_id:
-                                raise DataError(f"sensitive value {text!r} is not one of the two known groups")
-                            raw_columns[col.name].append(cid)
-                    except DataError as exc:
-                        # the location is formatted only for the cell that failed
-                        raise DataError(f"{path}: line {row_no}, column {col.name!r}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: file is not UTF-8 text: {exc}") from None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first, failure = _read_rows(reader, 1)
+        if failure is not None:
+            raise _read_error(path, 1, failure)
+        if not first:
+            raise DataError(f"{path}: file is empty")
+        header = first[0]
+        if header != expected_header:
+            raise DataError(f"{path}: header {header} does not match schema columns {expected_header}")
+        line = 2  # of the chunk's first row
+        while True:
+            rows, failure = _read_rows(reader, CSV_CHUNK_ROWS)
+            # a row with the wrong field count is a fault before any of its cells
+            wrong_width = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
+            short = int(wrong_width[0]) if wrong_width.size else len(rows)
+            fault = None  # (row, column position) of the chunk's first bad cell
+            for pos, (col, texts) in enumerate(zip(schema, zip(*rows[:short]))):
+                values, bad = _encode_column(col, texts, ids.get(col.name), vocabs.get(col.name), building)
+                if bad is not None and (fault is None or bad < fault[0]):
+                    fault = (bad, pos)
+                chunks[col.name].append(values)
+            if fault is not None:
+                row, pos = fault
+                raise _cell_error(path, line + row, schema[pos], rows[row][pos])
+            if short < len(rows):
+                raise DataError(f"{path}: line {line + short}: expected {width} fields, got {len(rows[short])}")
+            line += len(rows)
+            if failure is not None:
+                raise _read_error(path, line, failure)
+            if len(rows) < CSV_CHUNK_ROWS:
+                break
 
-    n = len(raw_columns[schema[0].name])
+    n = line - 2
     if n == 0:
         raise DataError(f"{path}: no data rows")
-    columns = {}
-    for col in schema:
-        if col.kind == KIND_CATEGORICAL and col.role != ROLE_LABEL:
-            columns[col.name] = _freeze(np.array(raw_columns[col.name], dtype=np.int64))
-        else:
-            columns[col.name] = _freeze(np.array(raw_columns[col.name], dtype=np.float64))
+    columns = {name: _freeze(np.concatenate(parts)) for name, parts in chunks.items()}
     return Dataset(schema=schema, columns=columns, vocabularies=vocabs, n=n)
+
+
+def _decoded(dataset: Dataset, column: str, category_ids: np.ndarray) -> list[str]:
+    vocab = dataset.vocabularies[column]
+    unknown = (category_ids < 0) | (category_ids >= len(vocab))
+    if unknown.any():
+        dataset.decode(column, int(category_ids[np.argmax(unknown)]))  # raises UsageError
+    return [vocab[i] for i in category_ids.tolist()]
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -333,22 +412,21 @@ def save_csv(dataset: Dataset, path) -> None:
 
     Numericals are written with full precision (repr), so a load/save
     cycle of raw data is value-exact and repeated saves are byte-identical.
+    Each column is formatted before the file is opened.
     """
-    names = [c.name for c in dataset.schema]
+    columns = []
+    for col in dataset.schema:
+        values = dataset.columns[col.name]
+        if col.role == ROLE_LABEL:
+            columns.append([str(int(v)) for v in values.tolist()])
+        elif col.kind == KIND_CATEGORICAL:
+            columns.append(_decoded(dataset, col.name, values))
+        else:
+            columns.append(list(map(repr, values.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for i in range(dataset.n):
-            row = []
-            for col in dataset.schema:
-                value = dataset.columns[col.name][i]
-                if col.role == ROLE_LABEL:
-                    row.append(str(int(value)))
-                elif col.kind == KIND_CATEGORICAL:
-                    row.append(dataset.decode(col.name, int(value)))
-                else:
-                    row.append(repr(float(value)))
-            writer.writerow(row)
+        writer.writerow([c.name for c in dataset.schema])
+        writer.writerows(zip(*columns))
 
 
 # -- splitting and standardization --------------------------------------------

@@ -408,6 +408,8 @@ def _with_source(**paths):
         ("model", lambda raw: raw + b"\0", 3),
         ("csv", _insert_non_utf8, 3),
         ("csv", _with_cell("proxy1", "1.7e308"), 3),
+        # a quoted field past the csv module's size limit (131,072 characters)
+        ("csv", _with_cell("proxy1", '"' + "1" * 200_000 + '"'), 3),
         ("schema", _insert_non_utf8, 3),
         ("config", _insert_non_utf8, 2),
         ("model", _with_metadata(schema=[1, 2]), 3),
@@ -451,7 +453,8 @@ def _with_source(**paths):
     ],
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
-        "csv_not_utf8", "csv_cell_overflows_when_standardized", "schema_not_utf8", "config_not_utf8",
+        "csv_not_utf8", "csv_cell_overflows_when_standardized", "csv_field_over_size_limit",
+        "schema_not_utf8", "config_not_utf8",
         "meta_schema_not_objects", "meta_vocabularies_not_object", "meta_vocabulary_missing",
         "meta_model_not_object", "meta_model_size_not_int", "meta_stats_not_pairs", "meta_stats_zero_std",
         "meta_stats_int_too_large",
@@ -590,9 +593,21 @@ def test_one_point_sweep_round_trips_report_values(tmp_path):
     assert float(deo) == report["deo"]
 
 
+@pytest.mark.parametrize("grid", ["nan,0", "inf,0", "1e400,0", "-1,0"])
+def test_grid_weight_that_is_not_finite_or_is_negative_exits_2_before_any_work(tmp_path, capsys, grid):
+    path, _ = write_config(tmp_path)
+    assert main(["sweep", "--config", str(path), f"--grid={grid};0,0"]) == 2
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "grid" in lines[0]
+    assert out.out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_failed_sweep_point_leaves_blanks(tmp_path, capsys):
     path, _ = write_config(tmp_path)
-    assert main(["sweep", "--config", str(path), "--grid=-1,0;0,0"]) == 0
+    # a valid weight so large that the first fair step's loss overflows
+    assert main(["sweep", "--config", str(path), "--grid=0,1e308;0,0"]) == 0
     lines = (tmp_path / "run" / "tradeoff.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].split(",")[2:] == ["", "", ""]

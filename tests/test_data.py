@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fairint.data import (
+    CSV_CHUNK_ROWS,
     Batch,
     Dataset,
     FeatureColumn,
@@ -190,6 +191,94 @@ def test_loaded_arrays_are_read_only(tmp_path):
     ds = load_csv(path, make_schema())
     with pytest.raises(ValueError):
         ds.columns["age"][0] = 99.0
+
+
+# -- chunk boundaries and the order of faults ---------------------------------------
+# load_csv parses CSV_CHUNK_ROWS rows at a time; a bad file must still report
+# the first fault in file order, as a row-by-row parse would.
+
+
+def good_rows(count):
+    return [f"{i},{'fm'[i % 2]},clerk,{i % 2}" for i in range(count)]
+
+
+def with_row(rows, index, text):
+    rows = list(rows)
+    rows[index] = text
+    return rows
+
+
+def test_category_first_seen_in_second_chunk_gets_the_next_id(tmp_path):
+    path = tmp_path / "d.csv"
+    rows = good_rows(CSV_CHUNK_ROWS) + ["7,f,cook,0", "8,m,nurse,1"]
+    write_csv(path, rows)
+    ds = load_csv(path, make_schema())
+    assert ds.n == CSV_CHUNK_ROWS + 2
+    assert ds.vocabularies["job"] == ["clerk", "cook", "nurse"]
+    np.testing.assert_array_equal(ds.columns["job"][CSV_CHUNK_ROWS - 1 :], [0, 1, 2])
+    np.testing.assert_array_equal(ds.columns["age"][-3:], [CSV_CHUNK_ROWS - 1, 7.0, 8.0])
+
+
+@pytest.mark.parametrize("index", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS])
+def test_bad_cell_on_either_side_of_a_chunk_boundary_reports_its_line(tmp_path, index):
+    path = tmp_path / "d.csv"
+    write_csv(path, with_row(good_rows(CSV_CHUNK_ROWS + 5), index, "x,f,clerk,0"))
+    line = index + 2  # after the header, counting from 1
+    with pytest.raises(DataError, match=rf"line {line}, column 'age': 'x' is not a number$"):
+        load_csv(path, make_schema())
+
+
+def test_earlier_row_wins_over_earlier_column(tmp_path):
+    path = tmp_path / "d.csv"
+    rows = with_row(with_row(good_rows(20), 4, "1,f,clerk,2"), 5, "x,f,clerk,0")
+    write_csv(path, rows)
+    with pytest.raises(DataError, match=r"line 6, column 'y': label '2' is not 0 or 1$"):
+        load_csv(path, make_schema())
+
+
+@pytest.mark.parametrize(
+    "first, second, expected",
+    [
+        ("x,f,clerk,0", "1,f,clerk", r"line 4, column 'age': 'x' is not a number$"),
+        ("1,f,clerk", "x,f,clerk,0", r"line 4: expected 4 fields, got 3$"),
+        ("1,f,clerk,0,extra", "1,q,clerk,0", r"line 4: expected 4 fields, got 5$"),
+    ],
+)
+def test_the_earlier_of_a_bad_cell_and_a_row_of_the_wrong_width_is_reported(tmp_path, first, second, expected):
+    path = tmp_path / "d.csv"
+    write_csv(path, with_row(with_row(good_rows(10), 2, first), 3, second))
+    with pytest.raises(DataError, match=expected):
+        load_csv(path, make_schema())
+
+
+def test_bad_cell_wins_over_invalid_utf8_rows_later(tmp_path):
+    # the decoder reads ahead in blocks, so the byte fails a read thousands of rows after line 3
+    lines = ["age,sex,job,y", *with_row(good_rows(5000), 1, "abc,f,clerk,0")]
+    lines[3000] = "3000,f,cl\udcffrk,0"
+    path = tmp_path / "d.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(DataError, match=r"line 3, column 'age': 'abc' is not a number$"):
+        load_csv(path, make_schema())
+
+
+def test_invalid_utf8_after_good_rows_is_reported(tmp_path):
+    lines = ["age,sex,job,y", *good_rows(5000)]
+    lines[3000] = "3000,f,cl\udcffrk,0"
+    path = tmp_path / "d.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(DataError, match="is not UTF-8"):
+        load_csv(path, make_schema())
+
+
+def test_field_over_the_csv_size_limit_is_a_data_error_naming_its_line(tmp_path):
+    path = tmp_path / "d.csv"
+    huge = '"' + "c" * 200_000 + '"'
+    write_csv(path, with_row(good_rows(10), 6, f"1,f,{huge},0"))
+    with pytest.raises(DataError, match=r"line 8: field larger than field limit"):
+        load_csv(path, make_schema())
+    write_csv(path, with_row(with_row(good_rows(10), 6, f"1,f,{huge},0"), 5, "1,f,clerk,5"))
+    with pytest.raises(DataError, match=r"line 7, column 'y': label '5' is not 0 or 1$"):
+        load_csv(path, make_schema())
 
 
 # -- splitting and standardization ---------------------------------------------

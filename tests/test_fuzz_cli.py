@@ -10,6 +10,7 @@ that a run which does train stays cheap.
 """
 
 import contextlib
+import csv
 import io
 import json
 import struct
@@ -149,10 +150,19 @@ def test_mutated_model_file(files, data):
 def test_mutated_csv(files, data):
     raw = files["csv"].read_bytes()
     body = raw.index(b"\n") + 1  # after the header
-    csv = _write(files, "fuzzed.csv", data.draw(mutated(raw, b"0123456789.-e,\n\r\" xnaNI\xff", body, len(raw))))
-    run(["probe", "--csv", csv, "--schema", str(files["schema"])])
+    fuzzed = data.draw(mutated(raw, b"0123456789.-e,\n\r\" xnaNI\xff", body, len(raw)))
+    # now and then, a field grown past the csv module's size limit: always a data error
+    over_limit = body < len(fuzzed) and data.draw(st.integers(0, 7)) == 0
+    if over_limit:
+        i = data.draw(st.integers(body, len(fuzzed) - 1))
+        fuzzed = fuzzed[:i] + b"9" * (csv.field_size_limit() + 1) + fuzzed[i:]
+    path = _write(files, "fuzzed.csv", fuzzed)
+    probed = run(["probe", "--csv", path, "--schema", str(files["schema"])])
     threshold = [f"--threshold={data.draw(THRESHOLDS)}"] if data.draw(st.booleans()) else []
-    run(["eval", "--model", str(files["model"]), "--csv", csv, *threshold])
+    evaluated = run(["eval", "--model", str(files["model"]), "--csv", path, *threshold])
+    if over_limit:
+        assert probed == 3
+        assert evaluated == (3 if threshold in ([], ["--threshold=0.5"]) else 2)  # a bad threshold exits first
 
 
 @FUZZ
