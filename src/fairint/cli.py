@@ -31,7 +31,7 @@ from .data import (
 from .errors import ConfigError, DataError, FairIntError, UsageError
 from .model import FairIntModel, ModelConfig, attention_summary, load_model, save_model
 from .probe import sensitive_probe
-from .training import TrainConfig, evaluate_model, sweep, train
+from .training import NO_RECONSTRUCTOR, TrainConfig, evaluate_model, sweep, train
 
 SPLIT_RATIOS = (0.7, 0.15, 0.15)
 
@@ -145,13 +145,15 @@ def _emit(doc: dict, out_path) -> None:
 
 def cmd_train(args) -> int:
     config = load_experiment_config(args.config)
+    if args.groups_from == "reconstructed" and not config.train.enable_bid:
+        raise UsageError(NO_RECONSTRUCTOR)  # the vanilla model's report would fail only after training
     train_config, dataset = _materialize(config, args.seed)
 
     model, history = train(dataset, config.model, train_config)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_model(model, dataset, out / "model.bin", extra_metadata={"train": train_config.to_dict()})
+    save_model(model, dataset, out / "model.bin", train_config)
 
     # first history line is run metadata, the rest are per-epoch records
     head = {

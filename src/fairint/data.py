@@ -319,6 +319,18 @@ def _read_rows(reader, limit: int):
     return rows, None
 
 
+def _start_line(rows: list, index: int, first: int) -> int:
+    """The physical line where record ``rows[index]`` starts, when ``rows[0]`` starts on line ``first``.
+
+    Each record ends one line, and each line break inside its quoted fields
+    one more; as for ``csv.reader.line_num``, ``\\r\\n``, ``\\n`` and a lone
+    ``\\r`` each end a line.
+    """
+    texts = [text for row in rows[:index] for text in row]
+    breaks = sum(text.count("\n") + text.count("\r") - text.count("\r\n") for text in texts)
+    return first + index + breaks
+
+
 def _read_error(path, line: int, exc: Exception) -> DataError:
     if isinstance(exc, UnicodeDecodeError):
         return DataError(f"{path}: file is not UTF-8 text: {exc}")
@@ -369,8 +381,9 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
         header = first[0]
         if header != expected_header:
             raise DataError(f"{path}: header {header} does not match schema columns {expected_header}")
-        line = 2  # of the chunk's first row
+        n = 0
         while True:
+            first = reader.line_num + 1  # the physical line where the chunk's first record starts
             rows, failure = _read_rows(reader, CSV_CHUNK_ROWS)
             # a row with the wrong field count is a fault before any of its cells
             wrong_width = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
@@ -383,16 +396,16 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
                 chunks[col.name].append(values)
             if fault is not None:
                 row, pos = fault
-                raise _cell_error(path, line + row, schema[pos], rows[row][pos])
+                raise _cell_error(path, _start_line(rows, row, first), schema[pos], rows[row][pos])
             if short < len(rows):
-                raise DataError(f"{path}: line {line + short}: expected {width} fields, got {len(rows[short])}")
-            line += len(rows)
+                line = _start_line(rows, short, first)
+                raise DataError(f"{path}: line {line}: expected {width} fields, got {len(rows[short])}")
             if failure is not None:
-                raise _read_error(path, line, failure)
+                raise _read_error(path, _start_line(rows, len(rows), first), failure)
+            n += len(rows)
             if len(rows) < CSV_CHUNK_ROWS:
                 break
 
-    n = line - 2
     if n == 0:
         raise DataError(f"{path}: no data rows")
     columns = {name: _freeze(np.concatenate(parts)) for name, parts in chunks.items()}

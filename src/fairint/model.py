@@ -59,7 +59,6 @@ class ModelConfig:
     sar_hidden: tuple = (16, 16, 8)
     head_hidden: tuple = ()
     baseline_hidden: tuple = (64, 32)
-    dropout: float = 0.0
 
     def __post_init__(self):
         for name in ("embed_dim", "attention_heads", "value_dim"):
@@ -70,9 +69,6 @@ class ModelConfig:
             widths = getattr(self, name)
             if any(type(w) is not int or w < 1 for w in widths):
                 raise ConfigError(f"{name} widths must be positive ints, got {widths}")
-        dropout = self.dropout
-        if isinstance(dropout, bool) or not isinstance(dropout, (int, float)) or not 0.0 <= dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
     @property
     def head_width(self) -> int:
@@ -112,9 +108,13 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class _EmbeddingBase:
-    """Embedding tables, the embedding of a batch and MLP plumbing; subclasses add layers in ``_add_layers``."""
+    """Embedding tables, the embedding of a batch and MLP plumbing; subclasses add layers in ``_add_layers``.
 
-    def __init__(self, input_columns, config: ModelConfig, seed: int):
+    ``dropout`` is the rate a training forward applies to every hidden MLP
+    layer; it is a training setting, so it is not part of ``config``.
+    """
+
+    def __init__(self, input_columns, config: ModelConfig, seed: int, dropout: float = 0.0):
         if not input_columns:
             raise ConfigError("model needs at least one non-sensitive input feature")
         for col in input_columns:
@@ -123,6 +123,7 @@ class _EmbeddingBase:
         self.input_columns = list(input_columns)
         self.feature_names = [c.name for c in self.input_columns]
         self.config = config
+        self.dropout = dropout
         self._rng = np.random.default_rng(seed)
         self._mlp_layers: dict[str, int] = {}
         self._initial: dict[str, np.ndarray] = {}
@@ -151,7 +152,7 @@ class _EmbeddingBase:
     def _run_mlp(self, prefix: str, x: Tensor, training: bool, rng) -> Tensor:
         # ReLU plus dropout on every layer except the last, which stays linear
         n_layers = self._mlp_layers[prefix]
-        rate = self.config.dropout if training else 0.0
+        rate = self.dropout if training else 0.0
         for i in range(n_layers):
             hidden = i < n_layers - 1
             w, b = self.params[f"{prefix}.layer{i}.w"], self.params[f"{prefix}.layer{i}.b"]
@@ -305,16 +306,17 @@ def attention_summary(model: FairIntModel, features: dict) -> list:
 
 # -- persistence ---------------------------------------------------------------
 
-_RESERVED_META = ("kind", "model", "schema", "vocabularies", "standardize_stats")
+_REQUIRED_META = ("kind", "model", "schema", "vocabularies", "standardize_stats")
 
 
-def save_model(model, dataset, path, extra_metadata: dict | None = None) -> None:
+def save_model(model, dataset, path, train_config) -> None:
     """Write the parameters plus everything needed to score new data.
 
     The metadata block carries the architecture, the full column schema,
-    and the dataset's encoder state (category vocabularies and numeric
+    the dataset's encoder state (category vocabularies and numeric
     standardization statistics), so a saved model can evaluate a fresh
-    CSV without the original experiment configuration.
+    CSV without the original experiment configuration, and the run's
+    training settings (``train_config``, a ``TrainConfig``) as a record.
     """
     meta = {
         "kind": "fairint" if isinstance(model, FairIntModel) else "vanilla",
@@ -326,12 +328,8 @@ def save_model(model, dataset, path, extra_metadata: dict | None = None) -> None
             if dataset.standardize_stats is None
             else {k: list(v) for k, v in dataset.standardize_stats.items()}
         ),
+        "train": train_config.to_dict(),
     }
-    if extra_metadata:
-        clash = set(_RESERVED_META) & set(extra_metadata)
-        if clash:
-            raise UsageError(f"extra metadata would shadow reserved keys {sorted(clash)}")
-        meta.update(extra_metadata)
     ad.save_parameters(path, model.parameter_arrays(), meta)
 
 
@@ -343,15 +341,18 @@ def load_model(path):
     (encoder state included) for re-encoding new data.
     """
     arrays, meta = ad.load_parameters(path)
-    missing = set(_RESERVED_META) - set(meta)
+    missing = set(_REQUIRED_META) - set(meta)
     if missing:
         raise DataError(f"{path}: model file metadata is missing {sorted(missing)}")
     if meta["kind"] not in ("fairint", "vanilla"):
         raise DataError(f"{path}: unknown model kind {meta['kind']!r}")
     _check_encoder_state(meta, path)
     schema = parse_schema(meta["schema"], f"{path}: metadata")
+    architecture = meta["model"]
+    if isinstance(architecture, dict):  # files written before dropout became a training setting carry it here
+        architecture = {k: v for k, v in architecture.items() if k != "dropout"}
     try:
-        config = ModelConfig.from_dict(meta["model"])
+        config = ModelConfig.from_dict(architecture)
     except ConfigError as exc:
         raise DataError(f"{path}: model file metadata: {exc}") from None
     inputs = [c for c in schema if c.role == ROLE_NON_SENSITIVE]

@@ -39,8 +39,7 @@ class TrainConfig:
     ``enable_bid`` off trains the vanilla MLP baseline instead of the
     interaction model (no reconstructor, task loss only). ``enable_ifc``
     and ``enable_fc`` off zero the corresponding fairness terms exactly,
-    independent of the lambda values. ``dropout`` here is what training
-    uses; it overrides whatever the architecture config carries.
+    independent of the lambda values.
     """
 
     lambda_ifc: float = 0.0
@@ -160,6 +159,9 @@ class Adam:
         self.values -= self.learning_rate * (self._m / b1c) / (np.sqrt(self._v / b2c) + self.EPS)
 
 
+NO_RECONSTRUCTOR = "this model has no reconstructor; groups_from='reconstructed' needs one"
+
+
 def _nonempty_split(dataset: Dataset, split: str):
     batch = full_batch(dataset, split)
     if batch.size == 0:
@@ -189,7 +191,7 @@ def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
             pseudo = None
     if groups_from == "reconstructed":
         if pseudo is None:
-            raise UsageError("this model has no reconstructor; groups_from='reconstructed' needs one")
+            raise UsageError(NO_RECONSTRUCTOR)
         group_vector = assign_groups(pseudo)
     else:
         group_vector = true_s
@@ -209,7 +211,8 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     The dataset must already be split, and a validation split on which
     the metrics are undefined raises before the first step. Training
     walks seeded shuffled mini-batches; any non-finite value surfacing in
-    the loss stops the run with the epoch and batch in the error. Early
+    a step, or in the epoch-end validation, stops the run with a
+    TrainingError naming the epoch (and the batch, for a step). Early
     stopping triggers after ``patience`` epochs without a new best
     validation AUC, and the returned parameters always belong to the best
     epoch, never a later one.
@@ -220,11 +223,8 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     val = _nonempty_split(dataset, "val")
     fm.evaluate(np.zeros(val.size), val.labels, val.true_sensitive.astype(np.int64))
     cfg = train_config
-    arch = replace(model_config, dropout=cfg.dropout)
-    if cfg.enable_bid:
-        model = FairIntModel(dataset.input_columns, arch, seed=cfg.seed)
-    else:
-        model = VanillaModel(dataset.input_columns, arch, seed=cfg.seed)
+    cls = FairIntModel if cfg.enable_bid else VanillaModel
+    model = cls(dataset.input_columns, model_config, seed=cfg.seed, dropout=cfg.dropout)
     weights = cfg.effective_weights()
     optimizer = Adam(model.param_values, model.param_grads, cfg.learning_rate, l2=cfg.l2)
 
@@ -261,7 +261,10 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
             rows += batch.size
 
         epoch_losses = LossBreakdown(**{k: v / rows for k, v in sums.items()})
-        val_report = evaluate_model(model, dataset, "val")
+        try:
+            val_report = evaluate_model(model, dataset, "val")
+        except (NumericError, DomainError) as exc:
+            raise TrainingError(f"validation diverged at epoch {epoch}: {exc}") from exc
         records.append(EpochRecord(epoch=epoch, losses=epoch_losses, val_report=val_report))
 
         if val_report.auc > best_auc:

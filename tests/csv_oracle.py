@@ -3,10 +3,11 @@
 These are the straightforward loops that ``load_csv`` and ``save_csv``
 replace with chunked, columnar code. Each cell goes through the scalar
 parsers in file order, so the first fault found is the first in the
-file by construction. The only addition to the loops is that a
-``csv.Error`` (such as a field over the csv module's size limit) becomes
-a DataError naming the line of the row being read. Only tests import
-this module.
+file by construction. Every error names the physical line where the
+faulty record starts, read from ``csv.reader.line_num`` after the record
+before it. The only addition to the loops is that a ``csv.Error`` (such
+as a field over the csv module's size limit) becomes a DataError naming
+the line of the record being read. Only tests import this module.
 """
 
 import csv
@@ -44,7 +45,7 @@ def oracle_load_csv(path, schema, vocabularies=None) -> Dataset:
     raw_columns = {c.name: [] for c in schema}
     expected_header = [c.name for c in schema]
 
-    row_no = 1  # of the row being read
+    start = 1  # the physical line where the record being read starts
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -54,10 +55,10 @@ def oracle_load_csv(path, schema, vocabularies=None) -> Dataset:
                 raise DataError(f"{path}: file is empty") from None
             if header != expected_header:
                 raise DataError(f"{path}: header {header} does not match schema columns {expected_header}")
-            row_no = 2
+            start = reader.line_num + 1
             for row in reader:
                 if len(row) != len(schema):
-                    raise DataError(f"{path}: line {row_no}: expected {len(schema)} fields, got {len(row)}")
+                    raise DataError(f"{path}: line {start}: expected {len(schema)} fields, got {len(row)}")
                 for col, text in zip(schema, row):
                     try:
                         if col.role == ROLE_LABEL:
@@ -78,12 +79,12 @@ def oracle_load_csv(path, schema, vocabularies=None) -> Dataset:
                                 raise DataError(f"sensitive value {text!r} is not one of the two known groups")
                             raw_columns[col.name].append(cid)
                     except DataError as exc:
-                        raise DataError(f"{path}: line {row_no}, column {col.name!r}: {exc}") from None
-                row_no += 1
+                        raise DataError(f"{path}: line {start}, column {col.name!r}: {exc}") from None
+                start = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: file is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
-        raise DataError(f"{path}: line {row_no}: {exc}") from None
+        raise DataError(f"{path}: line {start}: {exc}") from None
 
     n = len(raw_columns[schema[0].name])
     if n == 0:

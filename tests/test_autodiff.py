@@ -476,7 +476,7 @@ def test_training_step_and_eval_leave_no_cyclic_garbage():
     # graphs hold no reference cycles, so dropping the root frees them
     # without the cyclic collector; eval builds no graph at all
     dataset = split(synth_generate(n=600, bias_strength=2.0, proxy_corr=0.8, seed=3), (0.6, 0.2, 0.2), seed=3)
-    model = FairIntModel(dataset.input_columns, ModelConfig(dropout=0.1), seed=0)
+    model = FairIntModel(dataset.input_columns, ModelConfig(), seed=0, dropout=0.1)
     batch = batches(dataset, "train", 128, seed=0, epoch=0)[0]
 
     def step():

@@ -1,7 +1,10 @@
 """The benchmark's traced run wraps fairint names; each must still exist."""
 
+import inspect
 import types
 from pathlib import Path
+
+from fairint.model import FairIntModel, VanillaModel
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -18,3 +21,10 @@ def test_every_instrumented_name_resolves():
     assert entries
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in entries if attr not in vars(owner)]
     assert not missing, f"perfbench/tracing.py wraps names fairint no longer defines: {missing}"
+
+
+def test_forward_takes_training_right_after_features():
+    # tracing's _forward_name reads kwargs["training"] or args[2] to tell a training
+    # forward from an eval forward; any other layout counts every call as eval
+    for cls in (FairIntModel, VanillaModel):
+        assert list(inspect.signature(cls.forward).parameters)[:3] == ["self", "features", "training"], cls

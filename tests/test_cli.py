@@ -14,6 +14,8 @@ import pytest
 import fairint
 from fairint.autodiff import load_parameters, save_parameters
 from fairint.cli import load_experiment_config, main
+from fairint.model import ModelConfig
+from fairint.training import TrainConfig
 
 REPORT_KEYS = {"auc", "ddp", "deo", "group_rates", "sar_accuracy", "threshold", "groups_from"}
 EPOCH_KEYS = {"epoch", "l0", "l_sar", "l_ifc", "l_fc", "total", "val_auc", "val_ddp", "val_deo"}
@@ -114,6 +116,13 @@ def test_missing_config_file_exits_2(tmp_path):
 def test_bad_train_options_exit_2(tmp_path):
     path, _ = write_config(tmp_path, train={"learning_rate": -1.0})
     assert main(["train", "--config", str(path)]) == 2
+
+
+def test_dropout_is_a_train_option_not_a_model_option(tmp_path, capsys):
+    path, _ = write_config(tmp_path, model={"dropout": 0.5})
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unknown model options: ['dropout']"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_importing_the_cli_does_not_import_scipy():
@@ -225,6 +234,34 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["train", "--config", str(path), "--seed", "5"]) == 0
     head = json.loads((tmp_path / "run" / "history.jsonl").read_text().splitlines()[0])
     assert head["seed"] == 5
+
+
+def test_reconstructed_groups_without_a_reconstructor_exit_2_before_training(tmp_path, capsys):
+    path, _ = write_config(tmp_path, train={"enable_bid": False})
+    assert main(["train", "--config", str(path), "--groups-from", "reconstructed"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: this model has no reconstructor; groups_from='reconstructed' needs one"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_model_file_records_the_architecture_and_the_run_training_config(trained):
+    _, meta = load_parameters(trained["dir"] / "model.bin")
+    assert "dropout" not in meta["model"]
+    assert ModelConfig.from_dict(meta["model"]) == ModelConfig.from_dict(trained["doc"]["model"])
+    assert meta["train"] == TrainConfig.from_dict(trained["doc"]["train"]).to_dict()
+
+
+def test_model_file_whose_architecture_records_dropout_still_scores_the_same(trained, tmp_path, capsys):
+    # files written while dropout was also an architecture field carry it in the "model" entry
+    arrays, meta = load_parameters(trained["dir"] / "model.bin")
+    meta["model"]["dropout"] = meta["train"]["dropout"]
+    old = tmp_path / "old.bin"
+    save_parameters(old, arrays, meta)
+    reports = []
+    for model in (trained["dir"] / "model.bin", old):
+        assert main(["eval", "--model", str(model), "--csv", str(trained["csv"])]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_threshold_flag_lands_in_report(tmp_path):

@@ -2,8 +2,10 @@
 
 Each example draws a small schema (mixed column kinds and roles), a
 building or frozen vocabulary, a file that often spans more than one
-chunk of ``CSV_CHUNK_ROWS`` rows, and a few faults at random cells, many
-of them next to a chunk boundary. The chunked loader must give exactly
+chunk of ``CSV_CHUNK_ROWS`` rows, a few quoted cells that span lines
+(``\\n``, ``\\r\\n`` or a lone ``\\r`` inside the quotes), and a few faults
+at random cells, many of them next to a chunk boundary. Rows end in
+``\\n`` or ``\\r\\n``. The chunked loader must give exactly
 what the reference loop in ``csv_oracle`` gives: the same arrays (bytes
 and dtype), row count and vocabularies, or the same DataError text. A
 file that loads must also be written back byte for byte as the
@@ -38,6 +40,8 @@ LABELS = ["0", "1", "1.0", " 0", "-0", "0e0"]
 # texts that are bad in a numerical, label or sensitive cell; some are fine elsewhere
 BAD_TEXTS = ["abc", "nan", "inf", "-inf", "1e400", "2", "-1", "0.5", "", "zz", "1,5", "0x1"]
 FAULTS = ["text", "text", "text", "short", "long", "not_utf8", "over_limit"]  # mostly bad cells
+# cells the writer quotes (each holds a "\n" or a ","), so each line break stays in its field
+MULTI_LINE = ["l\nm", "l\r\nm", "l\rm,", "\r\r\n\n"]
 NOT_UTF8 = "\udcff"  # written as the single byte 0xff
 OVER_LIMIT = "9" * (csv.field_size_limit() + 1)
 # most files end next to a chunk boundary, on either side of it
@@ -100,9 +104,9 @@ def fault_rows(draw, n):
     return draw(st.integers(0, n - 1))
 
 
-def render(header, rows) -> bytes:
+def render(header, rows, terminator="\n") -> bytes:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator=terminator)
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue().encode("utf-8", "surrogateescape")
@@ -126,6 +130,10 @@ def test_chunked_load_and_columnar_save_match_the_row_loops(tmp_path_factory, da
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     makers = [cell_texts(col, rng) for col in schema]
     rows = [[make() for make in makers] for _ in range(n)]
+    # valid in a non-sensitive categorical column, a bad cell anywhere else
+    for _ in range(data.draw(st.integers(0, 3))):
+        row, pos = data.draw(fault_rows(n)), data.draw(st.integers(0, len(schema) - 1))
+        rows[row][pos] = data.draw(st.sampled_from(MULTI_LINE))
 
     over_limit = False
     for _ in range(data.draw(st.integers(0, 4))):
@@ -146,7 +154,7 @@ def test_chunked_load_and_columnar_save_match_the_row_loops(tmp_path_factory, da
             rows[row][pos], over_limit = OVER_LIMIT, True
 
     path = tmp_path_factory.mktemp("differential") / "data.csv"
-    path.write_bytes(render([c.name for c in schema], rows))
+    path.write_bytes(render([c.name for c in schema], rows, data.draw(st.sampled_from(["\n", "\r\n"]))))
     expected = outcome(oracle_load_csv, path, schema, vocabs)
     assert outcome(load_csv, path, schema, vocabs) == expected
 

@@ -281,6 +281,26 @@ def test_field_over_the_csv_size_limit_is_a_data_error_naming_its_line(tmp_path)
         load_csv(path, make_schema())
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("padding", [0, CSV_CHUNK_ROWS], ids=["one_chunk", "next_chunk"])
+@pytest.mark.parametrize(
+    "fault, expected",
+    [
+        ("x,f,clerk,0", r"column 'age': 'x' is not a number$"),
+        ("1,f,clerk", r"expected 4 fields, got 3$"),
+        ('1,f,"' + "c" * 200_000 + '",0', r"field larger than field limit"),
+    ],
+    ids=["bad_cell", "wrong_width", "over_size_limit"],
+)
+def test_errors_name_the_physical_line_where_the_record_starts(tmp_path, newline, padding, fault, expected):
+    # quoted jobs on lines 3-5 and 7-8 push the fault's record, the sixth, to line 9
+    rows = ["0,m,clerk,1", f'1,f,"cl{newline}er{newline}k",0', "2,m,clerk,1", f'3,f,"a{newline}b",0']
+    path = tmp_path / "d.csv"
+    write_csv(path, rows + good_rows(padding) + [fault])
+    with pytest.raises(DataError, match=rf"line {9 + padding}(,|:) {expected}"):
+        load_csv(path, make_schema())
+
+
 # -- splitting and standardization ---------------------------------------------
 
 

@@ -18,10 +18,10 @@ def cols(*specs):
     return out
 
 
-def small_model(seed=0, **config_kwargs):
+def small_model(seed=0, dropout=0.0, **config_kwargs):
     config = ModelConfig(embed_dim=2, sar_hidden=(5, 4, 3), **config_kwargs)
     columns = cols(("job", "categorical", 3), ("age", "numerical", None), ("hours", "numerical", None))
-    return FairIntModel(columns, config, seed=seed)
+    return FairIntModel(columns, config, seed=seed, dropout=dropout)
 
 
 def block(embeddings, c, d=2):
@@ -56,8 +56,8 @@ def test_config_validation():
         ModelConfig(embed_dim=0)
     with pytest.raises(ConfigError):
         ModelConfig(attention_heads=0)
-    with pytest.raises(ConfigError):
-        ModelConfig(dropout=1.0)
+    with pytest.raises(ConfigError):  # the rate is checked where a training forward applies it
+        small_model(dropout=1.0).forward(small_batch(), training=True, rng=np.random.default_rng(0))
     with pytest.raises(ConfigError):
         ModelConfig(sar_hidden=(8, 0))
     with pytest.raises(ConfigError):
@@ -65,7 +65,7 @@ def test_config_validation():
 
 
 def test_config_dict_round_trip():
-    c = ModelConfig(embed_dim=3, attention_heads=2, value_dim=5, dropout=0.3)
+    c = ModelConfig(embed_dim=3, attention_heads=2, value_dim=5)
     assert ModelConfig.from_dict(c.to_dict()) == c
 
 
@@ -300,13 +300,13 @@ def test_default_architecture_builds_54_nodes_per_fair_step_and_14_per_vanilla_s
     # the joint loss with both penalties active, or the vanilla model's cross-entropy
     ds = split(synth_generate(n=400, bias_strength=2.0, proxy_corr=0.8, seed=7), (0.6, 0.2, 0.2), seed=7)
     batch = full_batch(ds, "train")
-    config = ModelConfig(dropout=0.1)
-    trace = FairIntModel(ds.input_columns, config, seed=0).forward(
+    config = ModelConfig()
+    trace = FairIntModel(ds.input_columns, config, seed=0, dropout=0.1).forward(
         batch.features, training=True, rng=np.random.default_rng(0))
     assert set(assign_groups(trace.pseudo_scalar)) == {0, 1}
     total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, LossWeights(2.0, 30.0))
     assert len(ad.graph_nodes(total)) == 54
-    pred = VanillaModel(ds.input_columns, config, seed=0).forward(
+    pred = VanillaModel(ds.input_columns, config, seed=0, dropout=0.1).forward(
         batch.features, training=True, rng=np.random.default_rng(0))
     assert len(ad.graph_nodes(ce_loss(pred, batch.labels))) == 14
 

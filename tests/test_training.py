@@ -193,7 +193,7 @@ def test_zero_epochs_returns_initialized_params(tiny):
     assert history.epochs == []
     assert history.best_epoch is None
     assert history.stopping_reason == "max_epochs"
-    fresh = FairIntModel(tiny.input_columns, replace(ModelConfig(), dropout=config.dropout), seed=0)
+    fresh = FairIntModel(tiny.input_columns, ModelConfig(), seed=0, dropout=config.dropout)
     got, want = model.parameter_arrays(), fresh.parameter_arrays()
     assert got.keys() == want.keys()
     for name in want:
@@ -351,6 +351,14 @@ def test_model_inputs_exclude_the_sensitive_column(tiny):
 def test_divergence_reports_epoch_and_batch(tiny):
     with pytest.raises(TrainingError, match=r"epoch \d+, batch \d+"):
         train(tiny, ModelConfig(), quick_config(learning_rate=1e12, max_epochs=10))
+
+
+def test_divergence_first_seen_in_validation_reports_the_epoch():
+    # one batch per epoch, so the overflowing update shows first in the epoch-end validation forward
+    ds = split(synth_generate(600, 2.0, 0.8, 1), (0.6, 0.2, 0.2), seed=1)
+    with pytest.raises(TrainingError, match=r"^validation diverged at epoch 0: operation 'dense'"), \
+            np.errstate(over="ignore"):
+        train(ds, ModelConfig(), TrainConfig(learning_rate=1e300, batch_size=1000, max_epochs=2))
 
 
 # -- sweep -----------------------------------------------------------------------
