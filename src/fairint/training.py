@@ -205,6 +205,8 @@ def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
     return report
 
 
+# every op checks its result for NaN and Inf, so numpy's overflow warnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig):
     """Run one full optimization and return (frozen model, history).
 

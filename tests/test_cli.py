@@ -673,3 +673,17 @@ def test_probe_single_class_sensitive_exits_3(tmp_path):
     (tmp_path / "data.csv").write_text("a,s,y\n" + rows + "\n")
     assert main(["probe", "--csv", str(tmp_path / "data.csv"),
                  "--schema", str(tmp_path / "schema.json")]) == 3
+
+
+def test_probe_without_input_columns_exits_3(tmp_path, capsys):
+    schema = [
+        {"name": "s", "kind": "categorical", "cardinality": 2, "role": "sensitive"},
+        {"name": "y", "kind": "categorical", "cardinality": 2, "role": "label"},
+    ]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    rows = "\n".join(f"{i % 2},{i // 2 % 2}" for i in range(10))
+    (tmp_path / "data.csv").write_text("s,y\n" + rows + "\n")
+    assert main(["probe", "--csv", str(tmp_path / "data.csv"),
+                 "--schema", str(tmp_path / "schema.json")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: the schema has no non-sensitive input column; nothing to probe"]

@@ -1,5 +1,7 @@
 """Sensitive-leak probe: fitter behavior and the generator-based oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fairint.data import (
     ROLE_LABEL,
     ROLE_NON_SENSITIVE,
     ROLE_SENSITIVE,
+    Dataset,
     FeatureColumn,
     load_csv,
     synth_generate,
@@ -89,3 +92,29 @@ def test_rows_format(tmp_path):
     rows = sensitive_probe(ds).as_rows()
     assert all(set(r) == {"feature", "coefficient"} for r in rows)
     assert all(isinstance(r["coefficient"], float) for r in rows)
+
+
+def test_many_levels_fit_without_a_dense_design():
+    # a one-hot design of 10,000 rows x 2,000 levels would take 160 MB
+    n, levels = 10_000, 2_000
+    rng = np.random.default_rng(0)
+    s = (rng.random(n) < 0.5).astype(np.int64)
+    ids = np.where(s == 1, rng.integers(0, levels // 2, n), rng.integers(0, levels, n))
+    ds = Dataset(
+        schema=[
+            FeatureColumn("job", KIND_CATEGORICAL, ROLE_NON_SENSITIVE, cardinality=levels),
+            FeatureColumn("s", KIND_CATEGORICAL, ROLE_SENSITIVE, cardinality=2),
+            FeatureColumn("y", KIND_NUMERICAL, ROLE_LABEL),
+        ],
+        columns={"job": ids, "s": s, "y": np.zeros(n)},
+        vocabularies={"job": [f"j{i}" for i in range(levels)], "s": ["0", "1"]},
+        n=n,
+    )
+    tracemalloc.start()
+    try:
+        result = sensitive_probe(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.names) == levels
+    assert peak < 16 * 2**20
