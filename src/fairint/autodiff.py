@@ -22,18 +22,26 @@ Every write to either buffer happens in place, for the life of the
 model. :func:`backward` adds into a grad already set, so a training step
 zeroes the grad buffer first.
 
-Two fused operations keep common chains to one graph node each.
-:func:`dense` is one MLP layer: ``x @ w + b``, an optional ReLU and
-optional inverted dropout. :func:`row_cross_entropy` is the per-row
-binary cross-entropy of probabilities against 0/1 labels. Each one's
-backward runs the arithmetic of the chain it replaces, in the same order,
-so gradients come out bit for bit as they would from the separate ops.
+Fused operations keep common chains to one graph node each.
+:func:`dense` is one layer: ``x @ w``, plus a bias row or a tracked
+addend, then an optional ReLU or sigmoid and optional inverted dropout;
+it covers every MLP layer, the reconstructor's scalar readout, the
+residual fusion and the sigmoid heads. :func:`row_cross_entropy` is the
+per-row binary cross-entropy of probabilities against 0/1 labels. Each
+loss term of the joint objective is one node too: :func:`mean_squared_error`,
+:func:`symmetric_kl` (between the softmaxes of two group means),
+:func:`abs_gap` (the absolute gap between two group means) and
+:func:`weighted_sum` (the weighted total). Each one's backward runs the
+arithmetic of the chain it replaces, in the same order, so values and
+gradients come out bit for bit as they would from the separate ops.
 
 Any operation that produces NaN or Inf from finite inputs raises
 :class:`~fairint.errors.NumericError` immediately; nothing non-finite is
-ever propagated silently. A fused op checks its intermediate results too:
-:func:`dense` checks the pre-activation ``x @ w + b`` as well as its
-output, since ReLU would turn a ``-inf`` pre-activation into 0.
+ever propagated silently. A fused op checks its intermediate results too
+where a later step could hide a non-finite value: :func:`dense` checks
+the pre-activation as well as its output, since ReLU turns a ``-inf``
+pre-activation into 0 and a sigmoid turns ``inf`` into 1, and
+:func:`symmetric_kl` checks the group means before its softmax.
 """
 
 import contextlib
@@ -61,6 +69,10 @@ __all__ = [
     "gather_scale",
     "dense",
     "row_cross_entropy",
+    "mean_squared_error",
+    "symmetric_kl",
+    "abs_gap",
+    "weighted_sum",
     "backward",
     "graph_nodes",
     "no_grad",
@@ -175,9 +187,14 @@ def no_grad():
         _grad_enabled = previous
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    # a sum is finite only if every value is; a finite array whose sum overflows takes the full test
+    return math.isfinite(v.sum()) or bool(np.isfinite(v).all())
+
+
 def _result(values, parents: tuple, op: str, grad_fn) -> Tensor:
     v = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise NumericError(f"operation {op!r} produced non-finite values")
     if _grad_enabled and any(p.grad_tracked for p in parents):
         out = Tensor(v, grad_tracked=True, _parents=parents, _op=op)
@@ -226,14 +243,18 @@ def relu(x: Tensor) -> Tensor:
     return _result(np.maximum(x.values, 0.0), (x,), "relu", lambda g: (g * (x.values > 0.0),))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
-    v = x.values
+def _sigmoid(v: np.ndarray) -> np.ndarray:
     y = np.empty_like(v)
     pos = v >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     y[~pos] = ev / (1.0 + ev)
+    return y
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Numerically stable logistic function."""
+    y = _sigmoid(x.values)
     return _result(y, (x,), "sigmoid", lambda g: (g * y * (1.0 - y),))
 
 
@@ -244,19 +265,21 @@ def log(x: Tensor) -> Tensor:
     return _result(np.log(x.values), (x,), "log", lambda g: (g / x.values,))
 
 
+def _softmax(v: np.ndarray) -> np.ndarray:
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction."""
     if x.values.ndim < 1 or x.values.shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.values.shape}")
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def grad_fn(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
-
-    return _result(y, (x,), "softmax", grad_fn)
+    y = _softmax(x.values)
+    return _result(y, (x,), "softmax", lambda g: (_softmax_grad(y, g),))
 
 
 def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
@@ -350,23 +373,36 @@ def gather_scale(source: Tensor, index, scale) -> Tensor:
     return _result(out, (source,), "gather_scale", grad_fn)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0, rng=None) -> Tensor:
-    """One MLP layer: (m, k) ``x`` @ (k, n) ``w`` + (n,) ``b``, then max(0, .) if ``relu``,
-    then inverted dropout at ``rate``: zero with probability ``rate``, scale survivors
-    by 1/(1-rate). Dropout draws ``rng.random`` once, in the output's shape; at rate 0
-    it draws nothing and needs no generator."""
+_ACTIVATIONS = (None, "relu", "sigmoid")
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor | None = None, activation: str | None = None,
+          rate: float = 0.0, rng=None) -> Tensor:
+    """One layer: (m, k) ``x`` @ (k, n) ``w``, plus ``b`` if given, either a (n,) bias row
+    or an (m, n) addend; then ``activation`` (None, "relu" or "sigmoid"); then inverted
+    dropout at ``rate``: zero with probability ``rate``, scale survivors by 1/(1-rate).
+    Dropout draws ``rng.random`` once, in the output's shape; at rate 0 it draws nothing
+    and needs no generator."""
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    xv, wv, bv = x.values, w.values, b.values
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
-        raise ShapeError(f"dense cannot combine shapes {xv.shape}, {wv.shape} and {bv.shape}")
-    out = xv @ wv + bv
-    if not np.isfinite(out).all():
+    if activation not in _ACTIVATIONS:
+        raise UsageError(f"activation must be one of {_ACTIVATIONS}, got {activation!r}")
+    xv, wv = x.values, w.values
+    bv = None if b is None else b.values
+    if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]
+            or bv is not None and bv.shape not in (wv.shape[1:], (xv.shape[0], wv.shape[1]))):
+        raise ShapeError(f"dense cannot combine shapes {xv.shape}, {wv.shape} and {None if bv is None else bv.shape}")
+    out = xv @ wv
+    if bv is not None:
+        out += bv
+    if activation is not None and not _all_finite(out):
         raise NumericError("operation 'dense' produced non-finite values before its activation")
-    active = keep = None
-    if relu:
+    active = y = keep = None
+    if activation == "relu":
         active = out > 0.0
         out = np.maximum(out, 0.0)
+    elif activation == "sigmoid":
+        out = y = _sigmoid(out)
     if rate > 0.0:
         if rng is None:
             raise UsageError(f"dropout at rate {rate} needs a generator")
@@ -378,9 +414,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False, rate: float = 0.0
             g = g * keep
         if active is not None:
             g = g * active
-        return g @ wv.T, xv.T @ g, g.sum(axis=0)
+        elif y is not None:
+            g = g * y * (1.0 - y)
+        if bv is None:
+            return g @ wv.T, xv.T @ g
+        return g @ wv.T, xv.T @ g, g.sum(axis=0) if bv.ndim == 1 else g
 
-    return _result(out, (x, w, b), "dense", grad_fn)
+    return _result(out, (x, w) if b is None else (x, w, b), "dense", grad_fn)
 
 
 def row_cross_entropy(pred: Tensor, labels) -> Tensor:
@@ -397,6 +437,83 @@ def row_cross_entropy(pred: Tensor, labels) -> Tensor:
     if np.any(picked <= 0.0):
         raise DomainError("log of a non-positive value")
     return _result(np.log(picked) * -1.0, (pred,), "row_cross_entropy", lambda g: (((g * -1.0) / picked) * sign,))
+
+
+def mean_squared_error(x: Tensor, target) -> Tensor:
+    """Mean of (x - target)^2 over all elements, against a constant ``target`` of x's shape."""
+    t = np.asarray(target, dtype=np.float64)
+    if t.shape != x.values.shape:
+        raise ShapeError(f"target of shape {t.shape} does not match {x.values.shape}")
+    n = x.values.size
+    if n == 0:
+        raise UsageError("mean of an empty tensor")
+    diff = x.values + t * -1.0
+
+    def grad_fn(g):
+        per_factor = np.full_like(diff, float(g) / n) * diff  # diff * diff reaches diff once per factor
+        return (per_factor + per_factor,)
+
+    return _result((diff * diff).mean(), (x,), "mean_squared_error", grad_fn)
+
+
+_PAIR_DIFFERENCE = np.array([[1.0, -1.0]])  # (1, 2): row 0 minus row 1, as a product
+
+
+def _two_row_mix(x: Tensor, mix, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """``mix`` as a (2, B) float array and the values of (B, k) ``x``; ShapeError otherwise."""
+    m, xv = np.asarray(mix, dtype=np.float64), x.values
+    if m.ndim != 2 or xv.ndim != 2 or m.shape != (2, xv.shape[0]):
+        raise ShapeError(f"{op} cannot mix shape {xv.shape} with weights of shape {m.shape}")
+    return m, xv
+
+
+def symmetric_kl(x: Tensor, mix) -> Tensor:
+    """KL(p0 || p1) + KL(p1 || p0) = sum (p0 - p1)(log p0 - log p1), where p0 and p1 are
+    the softmaxes of the two rows of constant (2, B) ``mix`` @ (B, k) ``x``. DomainError
+    if a probability underflows to 0."""
+    m, xv = _two_row_mix(x, mix, "symmetric_kl")
+    logits = m @ xv
+    if not _all_finite(logits):
+        raise NumericError("operation 'symmetric_kl' produced non-finite values before its softmax")
+    p = _softmax(logits)
+    if np.any(p <= 0.0):
+        raise DomainError("log of a non-positive value")
+    p_diff, log_ratio = _PAIR_DIFFERENCE @ p, _PAIR_DIFFERENCE @ np.log(p)
+    terms = p_diff * log_ratio
+
+    def grad_fn(g):
+        g_terms = np.full_like(terms, float(g))
+        g_p = (_PAIR_DIFFERENCE.T @ (g_terms * p_diff)) / p
+        g_p += _PAIR_DIFFERENCE.T @ (g_terms * log_ratio)
+        return (m.T @ _softmax_grad(p, g_p),)
+
+    return _result(terms.sum(), (x,), "symmetric_kl", grad_fn)
+
+
+def abs_gap(x: Tensor, mix, scale: float) -> Tensor:
+    """``scale`` * |sum of (mix[0] - mix[1]) @ x| for (B, k) ``x`` and constant (2, B) ``mix``:
+    the absolute gap between two weighted means of x's rows."""
+    m, xv = _two_row_mix(x, mix, "abs_gap")
+    contrast = _PAIR_DIFFERENCE @ m
+    gap = contrast @ xv
+    total = np.asarray(gap.sum())
+
+    def grad_fn(g):
+        return (contrast.T @ np.full_like(gap, float(g * scale * np.sign(total))),)
+
+    return _result(np.abs(total) * scale, (x,), "abs_gap", grad_fn)
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """Sum of weights[i] * terms[i] over same-shaped tensors, added left to right."""
+    if not terms or len(terms) != len(weights):
+        raise UsageError(f"weighted_sum needs one weight per term, got {len(terms)} terms and {len(weights)} weights")
+    if any(t.values.shape != terms[0].values.shape for t in terms):
+        raise ShapeError(f"cannot add shapes {[t.values.shape for t in terms]}")
+    total = terms[0].values * weights[0]
+    for t, c in zip(terms[1:], weights[1:]):
+        total = total + t.values * c
+    return _result(total, terms, "weighted_sum", lambda g: [g * c for c in weights])
 
 
 def graph_nodes(root: Tensor) -> list:

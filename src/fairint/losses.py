@@ -14,15 +14,21 @@ Group membership everywhere comes from the reconstructed probability, not
 the true sensitive column, so the fairness pressure works even where the
 sensitive attribute is unavailable at inference time. The sensitive
 attribute is binary, so there are exactly two pseudo-groups, 0 and 1. Both
-penalties read one constant (2, B) group-mean matrix M, whose row g averages
-the rows of group g; a batch with one group adds 0 to both penalties.
+penalties read one constant (2, B) group-mean matrix M (:func:`group_means`),
+whose row g averages the rows of group g; :func:`joint_loss` builds it once
+per batch, and a batch with one group adds 0 to both penalties.
+
+Each term is one fused graph node, or two for l0 and l_fc, which each
+start from their own per-row cross-entropy node; the weighted total is
+one more. Their values and gradients are bit for bit those of the
+separate operations they replace.
 
 A weight of exactly 0 skips its term entirely: the term is not evaluated
 and contributes no graph nodes, which keeps training dynamics bitwise
 identical to a run where the term does not exist.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +43,7 @@ __all__ = [
     "ce_loss",
     "reconstruction_loss",
     "assign_groups",
+    "group_means",
     "group_divergence_loss",
     "group_gap_loss",
     "joint_loss",
@@ -68,7 +75,7 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"l0": self.l0, "l_sar": self.l_sar, "l_ifc": self.l_ifc, "l_fc": self.l_fc, "total": self.total}
 
 
 def _as_column(values, n: int, what: str) -> np.ndarray:
@@ -91,8 +98,7 @@ def reconstruction_loss(pseudo_scalar: Tensor, sensitive) -> Tensor:
     n = pseudo_scalar.values.shape[0]
     if n == 0:
         raise UsageError("reconstruction loss of an empty batch")
-    diff = pseudo_scalar - Tensor(_as_column(sensitive, n, "sensitive values"))
-    return ad.mean_all(diff * diff)
+    return ad.mean_squared_error(pseudo_scalar, _as_column(sensitive, n, "sensitive values"))
 
 
 def assign_groups(pseudo_scalar) -> np.ndarray:
@@ -106,10 +112,7 @@ def assign_groups(pseudo_scalar) -> np.ndarray:
     return threshold_labels(pseudo_scalar.values if isinstance(pseudo_scalar, Tensor) else pseudo_scalar)
 
 
-_GROUP_DIFFERENCE = Tensor(np.array([[1.0, -1.0]]))
-
-
-def _group_means(groups) -> Tensor | None:
+def group_means(groups) -> np.ndarray | None:
     """Constant (2, B) matrix whose rows average pseudo-groups 0 and 1; None if one is empty."""
     groups = np.asarray(groups).reshape(-1)
     members = np.stack([groups == 0, groups == 1])
@@ -118,41 +121,38 @@ def _group_means(groups) -> Tensor | None:
     counts = members.sum(axis=1, keepdims=True)
     if not counts.all():
         return None
-    return Tensor(members / counts)
+    return members / counts
 
 
-def group_divergence_loss(fused: Tensor, groups: np.ndarray) -> Tensor:
+def group_divergence_loss(fused: Tensor, means: np.ndarray | None) -> Tensor:
     """Symmetric KL divergence KL(p0 || p1) + KL(p1 || p0) between the pseudo-groups.
 
-    Each group's fused embeddings are averaged and pushed through a
-    softmax, giving one categorical distribution over embedding
-    coordinates per group; the two KL terms add up to
-    sum (p0 - p1)(log p0 - log p1). A batch whose rows all fall into one
-    group contributes 0. Always non-negative, and 0 exactly when the two
-    distributions coincide.
+    ``means`` is :func:`group_means` of the batch's pseudo-groups. Each
+    group's fused embeddings are averaged and pushed through a softmax,
+    giving one categorical distribution over embedding coordinates per
+    group; the two KL terms add up to sum (p0 - p1)(log p0 - log p1). A
+    batch whose rows all fall into one group (``means`` None) contributes
+    0. Always non-negative, and 0 exactly when the two distributions
+    coincide.
     """
-    means = _group_means(groups)
     if means is None:
         return Tensor(0.0)
-    p = ad.softmax_lastdim(ad.matmul(means, fused))  # (2, k): row g is p_g
-    p_diff, log_ratio = ad.matmul(_GROUP_DIFFERENCE, p), ad.matmul(_GROUP_DIFFERENCE, ad.log(p))
-    return ad.sum_all(p_diff * log_ratio)
+    return ad.symmetric_kl(fused, means)
 
 
-def group_gap_loss(pred: Tensor, labels, groups: np.ndarray) -> Tensor:
+def group_gap_loss(pred: Tensor, labels, means: np.ndarray | None) -> Tensor:
     """Twice the cross-entropy gap between the pseudo-groups, 2 * |CE0 - CE1|.
 
-    CE_g is the mean cross-entropy of the rows assigned to group g, so
-    the value does not scale with batch size. A batch whose rows all
-    fall into one group contributes 0. Invariant to swapping the two
+    ``means`` is :func:`group_means` of the batch's pseudo-groups. CE_g is
+    the mean cross-entropy of the rows assigned to group g, so the value
+    does not scale with batch size. A batch whose rows all fall into one
+    group (``means`` None) contributes 0. Invariant to swapping the two
     group ids.
     """
     y = _as_column(labels, pred.values.shape[0], "labels")
-    means = _group_means(groups)
     if means is None:
         return Tensor(0.0)
-    contrast = ad.matmul(_GROUP_DIFFERENCE, means)  # (1, B) row that takes CE0 - CE1
-    return ad.sum_all(ad.matmul(contrast, ad.row_cross_entropy(pred, y))).abs() * 2.0
+    return ad.abs_gap(ad.row_cross_entropy(pred, y), means, 2.0)
 
 
 def joint_loss(trace, labels, sensitive, weights: LossWeights):
@@ -165,19 +165,22 @@ def joint_loss(trace, labels, sensitive, weights: LossWeights):
     l0 = ce_loss(trace.prediction, labels)
     l_sar = reconstruction_loss(trace.pseudo_scalar, sensitive)
     groups = assign_groups(trace.pseudo_scalar)
+    means = group_means(groups) if weights.lambda_ifc > 0.0 or weights.lambda_fc > 0.0 else None
 
-    total = l0
+    terms, factors = [l0], [1.0]
     l_ifc_value = 0.0
     if weights.lambda_ifc > 0.0:
-        l_ifc = group_divergence_loss(trace.fused, groups)
-        total = total + l_ifc * weights.lambda_ifc
+        l_ifc = group_divergence_loss(trace.fused, means)
+        terms.append(l_ifc)
+        factors.append(weights.lambda_ifc)
         l_ifc_value = l_ifc.item()
     l_fc_value = 0.0
     if weights.lambda_fc > 0.0:
-        l_fc = group_gap_loss(trace.prediction, labels, groups)
-        total = total + l_fc * weights.lambda_fc
+        l_fc = group_gap_loss(trace.prediction, labels, means)
+        terms.append(l_fc)
+        factors.append(weights.lambda_fc)
         l_fc_value = l_fc.item()
-    total = total + l_sar
+    total = ad.weighted_sum([*terms, l_sar], [*factors, 1.0])
 
     breakdown = LossBreakdown(
         l0=l0.item(),

@@ -149,14 +149,15 @@ class _EmbeddingBase:
             self._initial[f"{prefix}.layer{i}.w"] = _glorot(self._rng, widths[i], widths[i + 1])
             self._initial[f"{prefix}.layer{i}.b"] = np.zeros(widths[i + 1])
 
-    def _run_mlp(self, prefix: str, x: Tensor, training: bool, rng) -> Tensor:
-        # ReLU plus dropout on every layer except the last, which stays linear
+    def _run_mlp(self, prefix: str, x: Tensor, training: bool, rng, output: str | None = None) -> Tensor:
+        # ReLU plus dropout on every layer except the last, which applies ``output``
+        # (None for linear, or "sigmoid") and no dropout
         n_layers = self._mlp_layers[prefix]
         rate = self.dropout if training else 0.0
         for i in range(n_layers):
             hidden = i < n_layers - 1
             w, b = self.params[f"{prefix}.layer{i}.w"], self.params[f"{prefix}.layer{i}.b"]
-            x = ad.dense(x, w, b, relu=hidden, rate=rate if hidden else 0.0, rng=rng)
+            x = ad.dense(x, w, b, "relu" if hidden else output, rate=rate if hidden else 0.0, rng=rng)
         return x
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
@@ -226,7 +227,7 @@ class FairIntModel(_EmbeddingBase):
         sigmoid, so zero weights give exactly 0.5.
         """
         pseudo = self._run_mlp("sar", embeddings, training, rng)
-        scalar = ad.sigmoid(ad.matmul(pseudo, self.params["sar_scalar.w"]))
+        scalar = ad.dense(pseudo, self.params["sar_scalar.w"], activation="sigmoid")
         return pseudo, scalar
 
     def bid_attention(self, pseudo_embed: Tensor, embeddings: Tensor, head: int) -> Tensor:
@@ -252,11 +253,11 @@ class FairIntModel(_EmbeddingBase):
 
     def residual_fuse(self, interaction: Tensor, pseudo_embed: Tensor) -> Tensor:
         """ReLU of the interaction embedding plus a projection of the pseudo embedding."""
-        return ad.relu(interaction + ad.matmul(pseudo_embed, self.params["fuse.w_res"]))
+        return ad.dense(pseudo_embed, self.params["fuse.w_res"], interaction, activation="relu")
 
     def predict(self, fused: Tensor, training: bool = False, rng=None) -> Tensor:
         """Probability head over the fused embedding."""
-        return ad.sigmoid(self._run_mlp("head", fused, training, rng))
+        return self._run_mlp("head", fused, training, rng, output="sigmoid")
 
     def forward(self, features: dict, training: bool = False, rng=None) -> ForwardTrace:
         """Full pass; see the module docstring for the stage breakdown."""
@@ -287,7 +288,7 @@ class VanillaModel(_EmbeddingBase):
 
     def forward(self, features: dict, training: bool = False, rng=None) -> Tensor:
         """Probability of the positive class, shape (B, 1)."""
-        return ad.sigmoid(self._run_mlp("mlp", self.embed_features(features), training, rng))
+        return self._run_mlp("mlp", self.embed_features(features), training, rng, output="sigmoid")
 
 
 def attention_summary(model: FairIntModel, features: dict) -> list:

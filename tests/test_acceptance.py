@@ -18,7 +18,7 @@ import fairint.autodiff as ad
 from fairint.autodiff import Tensor, backward
 from fairint.cli import main
 from fairint.data import full_batch, load_csv, load_schema, split, synth_generate
-from fairint.losses import LossWeights, ce_loss, group_divergence_loss, group_gap_loss, joint_loss
+from fairint.losses import LossWeights, ce_loss, group_divergence_loss, group_gap_loss, group_means, joint_loss
 from fairint.metrics import auc_roc, delta_dp, delta_eo, threshold_labels
 from fairint.model import FairIntModel, ModelConfig
 from fairint.training import TrainConfig, evaluate_model, train
@@ -97,6 +97,7 @@ def c1_op_cases(rng):
     scale = np.array([[1.0, 0.4], [1.0, -1.3], [1.0, 2.0], [1.0, 0.5]])  # one per block of 2
     drop_rng = lambda: np.random.default_rng(3)  # fresh identical mask every call
     labels = np.array([[0.0], [1.0], [1.0], [0.0], [1.0]])
+    mix = np.stack([labels[:, 0] == 0, labels[:, 0] == 1]) / np.array([[2.0], [3.0]])  # two group means
     return [
         ("add", lambda xs: ad.sum_all(xs[0] + xs[1]), [smooth(3, 4), smooth(3, 4)]),
         ("add_scalar", lambda xs: ad.sum_all(xs[0] + 2.5), [smooth(3, 4)]),
@@ -125,13 +126,24 @@ def c1_op_cases(rng):
          [tables, smooth(4, 4)]),
         ("dense linear", lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2]) * xs[3]),
          [smooth(4, 3), smooth(3, 5), smooth(5), smooth(4, 5)]),
-        ("dense relu", lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2], relu=True) * xs[3]),
+        ("dense relu", lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2], "relu") * xs[3]),
          [smooth(4, 3), smooth(3, 5), smooth(5), smooth(4, 5)]),
         ("dense relu dropout=0.4",
-         lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2], relu=True, rate=0.4, rng=drop_rng()) * xs[3]),
+         lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2], "relu", rate=0.4, rng=drop_rng()) * xs[3]),
          [smooth(4, 3), smooth(3, 5), smooth(5), smooth(4, 5)]),
         ("row_cross_entropy labels 0 and 1", lambda xs: ad.sum_all(ad.row_cross_entropy(xs[0], labels) * xs[1]),
          [rng.uniform(0.05, 0.95, (5, 1)), smooth(5, 1)]),
+        ("dense sigmoid", lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2], "sigmoid") * xs[3]),
+         [smooth(4, 3), smooth(3, 5), smooth(5), smooth(4, 5)]),
+        ("dense sigmoid without bias", lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], None, "sigmoid") * xs[2]),
+         [smooth(4, 3), smooth(3, 1), smooth(4, 1)]),
+        ("dense relu with an addend", lambda xs: ad.sum_all(ad.dense(xs[0], xs[1], xs[2], "relu") * xs[3]),
+         [smooth(4, 3), smooth(3, 5), smooth(4, 5), smooth(4, 5)]),
+        ("mean_squared_error", lambda xs: ad.mean_squared_error(xs[0], labels), [rng.uniform(0.05, 0.95, (5, 1))]),
+        ("symmetric_kl", lambda xs: ad.symmetric_kl(xs[0], mix), [smooth(5, 3)]),
+        ("abs_gap", lambda xs: ad.abs_gap(xs[0], mix, 2.0), [rng.uniform(0.1, 2.0, (5, 1))]),
+        ("weighted_sum", lambda xs: ad.sum_all(ad.weighted_sum([xs[0], xs[1]], [1.0, -2.5]) * xs[2]),
+         [smooth(3, 4), smooth(3, 4), smooth(3, 4)]),
     ]
 
 
@@ -198,13 +210,13 @@ def test_c1_covers_every_autodiff_op():
 def test_c2_loss_value_oracles():
     # group means softmax to [1/2, 1/2] and [1/4, 3/4]; symmetric KL between them
     fused = Tensor(np.array([[0.0, 0.0], [0.0, np.log(3.0)]]))
-    divergence = group_divergence_loss(fused, np.array([0, 1])).item()
+    divergence = group_divergence_loss(fused, group_means(np.array([0, 1]))).item()
     assert abs(divergence - 0.27471) <= 1e-4
 
     # per-group cross entropies 0.7 and 0.4: the gap 2 * |0.7 - 0.4| is 0.6
     pred = Tensor(np.array([[np.exp(-0.7)], [np.exp(-0.4)]]))
     labels = np.array([1.0, 1.0])
-    gap = group_gap_loss(pred, labels, np.array([0, 1])).item()
+    gap = group_gap_loss(pred, labels, group_means(np.array([0, 1]))).item()
     assert abs(gap - 0.6) <= 1e-12
 
     # the maximally uncertain classifier scores ln 2 whatever the labels

@@ -11,8 +11,10 @@ import gc
 import numpy as np
 import pytest
 
+import graph_oracle
 from fairint.autodiff import (
     Tensor,
+    abs_gap,
     backward,
     concat_lastdim,
     dense,
@@ -24,6 +26,7 @@ from fairint.autodiff import (
     log,
     matmul,
     mean_all,
+    mean_squared_error,
     no_grad,
     pack_parameters,
     relu,
@@ -32,6 +35,8 @@ from fairint.autodiff import (
     sigmoid,
     softmax_lastdim,
     sum_all,
+    symmetric_kl,
+    weighted_sum,
 )
 from fairint.errors import (
     ConfigError,
@@ -42,7 +47,7 @@ from fairint.errors import (
     UsageError,
 )
 from fairint.data import FeatureColumn, batches, split, synth_generate
-from fairint.losses import LossWeights, joint_loss
+from fairint.losses import LossWeights, group_means, joint_loss
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
 from fairint.training import evaluate_model
 
@@ -320,7 +325,7 @@ def test_grad_dense(seed, use_relu):
     rng = np.random.default_rng(seed)
     c = Tensor(rng.standard_normal((4, 5)))
     check_gradients(
-        lambda xs: sum_all(dense(xs[0], xs[1], xs[2], relu=use_relu) * c),
+        lambda xs: sum_all(dense(xs[0], xs[1], xs[2], "relu" if use_relu else None) * c),
         [rng.standard_normal((4, 3)), rng.standard_normal((3, 5)), rng.standard_normal(5)],
     )
 
@@ -356,7 +361,7 @@ def test_dense_equals_its_op_chain_bit_for_bit(rate, use_relu):
     def run(fused):
         x, w, b = (Tensor(a.copy(), grad_tracked=True) for a in arrays)
         if fused:
-            out = dense(x, w, b, relu=use_relu, rate=rate, rng=np.random.default_rng(7))
+            out = dense(x, w, b, "relu" if use_relu else None, rate=rate, rng=np.random.default_rng(7))
         else:
             out = matmul(x, w) + b
             out = relu(out) if use_relu else out
@@ -381,6 +386,141 @@ def test_row_cross_entropy_equals_its_op_chain_bit_for_bit():
     assert out_fused.values.tobytes() == out_chained.values.tobytes()
     assert fused.grad.tobytes() == chained.grad.tobytes()
     np.testing.assert_allclose(out_fused.values, -(y * np.log(p) + (1 - y) * np.log(1 - p)), rtol=1e-12)
+
+
+# (bias, activation) beyond the row-bias linear and ReLU layers the tests above cover
+DENSE_FORMS = [("row", "sigmoid"), ("none", None), ("none", "relu"), ("none", "sigmoid"),
+               ("addend", None), ("addend", "relu"), ("addend", "sigmoid")]
+
+
+def dense_inputs(rng, bias, rows=4):
+    """x, w and, unless ``bias`` is "none", a bias row or an addend, for a (rows, 5) layer."""
+    arrays = [rng.standard_normal((rows, 3)), rng.standard_normal((3, 5))]
+    return arrays + ({"none": [], "row": [rng.standard_normal(5)], "addend": [rng.standard_normal((rows, 5))]}[bias])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("bias, activation", DENSE_FORMS)
+def test_grad_dense_with_any_bias_and_activation(seed, bias, activation):
+    rng = np.random.default_rng(seed)
+    arrays = dense_inputs(rng, bias)
+    c = Tensor(rng.standard_normal((4, 5)))
+    check_gradients(lambda xs: sum_all(dense(*xs[:2], xs[2] if len(xs) > 2 else None, activation) * c), arrays)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("bias, activation", DENSE_FORMS)
+def test_dense_with_any_bias_and_activation_equals_its_op_chain_bit_for_bit(rate, bias, activation):
+    rng = np.random.default_rng(5)
+    arrays = dense_inputs(rng, bias, rows=6)
+    g = Tensor(rng.standard_normal((6, 5)))
+    keep = (np.random.default_rng(7).random((6, 5)) >= rate) / (1.0 - rate)
+
+    def run(fused):
+        xs = [Tensor(a.copy(), grad_tracked=True) for a in arrays]
+        b = xs[2] if len(xs) > 2 else None
+        if fused:
+            out = dense(xs[0], xs[1], b, activation, rate=rate, rng=np.random.default_rng(7))
+        else:
+            out = graph_oracle.dense(xs[0], xs[1], b, activation, keep if rate else None)
+        backward(sum_all(out * g))
+        return [out.values] + [x.grad for x in xs]
+
+    for got, want in zip(run(True), run(False), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+def two_groups(rows, seed):
+    groups = np.random.default_rng(seed).integers(0, 2, rows)
+    groups[:2] = [0, 1]
+    return group_means(groups)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_mean_squared_error(seed):
+    rng = np.random.default_rng(seed)
+    target = rng.integers(0, 2, (6, 1)).astype(np.float64)
+    check_gradients(lambda xs: mean_squared_error(xs[0], target), [rng.uniform(0.05, 0.95, (6, 1))])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_symmetric_kl(seed):
+    rng = np.random.default_rng(seed)
+    check_gradients(lambda xs: symmetric_kl(xs[0], two_groups(7, seed)), [rng.standard_normal((7, 4))])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_abs_gap(seed):
+    # row cross-entropies are positive; the gap keeps its sign under the probe's steps
+    rng = np.random.default_rng(seed)
+    check_gradients(lambda xs: abs_gap(xs[0], two_groups(7, seed), 2.0), [rng.uniform(0.1, 3.0, (7, 1))])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_weighted_sum(seed):
+    rng = np.random.default_rng(seed)
+    c = Tensor(rng.standard_normal((3, 2)))
+    check_gradients(
+        lambda xs: sum_all(weighted_sum(xs, [1.0, 2.5, -0.75]) * c),
+        [rng.standard_normal((3, 2)) for _ in range(3)],
+    )
+
+
+def equal_bits(build_fused, build_chain, arrays, upstream=1.7):
+    """Values and gradients of the fused op and of its op chain, byte for byte."""
+    results = []
+    for build in (build_fused, build_chain):
+        xs = [Tensor(a.copy(), grad_tracked=True) for a in arrays]
+        out = build(xs)
+        backward(sum_all(out * upstream) if out.values.ndim else out * upstream)
+        results.append([out.values.tobytes()] + [x.grad.tobytes() for x in xs])
+    assert results[0] == results[1]
+
+
+def test_mean_squared_error_equals_its_op_chain_bit_for_bit():
+    rng = np.random.default_rng(6)
+    target = rng.integers(0, 2, (9, 1)).astype(np.float64)
+    equal_bits(lambda xs: mean_squared_error(xs[0], target),
+               lambda xs: graph_oracle.mean_squared_error(xs[0], target), [rng.uniform(0.01, 0.99, (9, 1))])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_symmetric_kl_equals_its_op_chain_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    mix = two_groups(11, seed)
+    equal_bits(lambda xs: symmetric_kl(xs[0], mix),
+               lambda xs: graph_oracle.symmetric_kl(xs[0], mix), [rng.standard_normal((11, 4))])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_abs_gap_equals_its_op_chain_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    mix = two_groups(11, seed)
+    for sign in (1.0, -1.0):  # both signs of the gap
+        x = rng.uniform(0.1, 3.0, (11, 1)) + sign * 10.0 * (mix[0] > 0)[:, None]  # group 0's mean moves by 10
+        equal_bits(lambda xs: abs_gap(xs[0], mix, 2.0), lambda xs: graph_oracle.abs_gap(xs[0], mix, 2.0), [x])
+
+
+def test_weighted_sum_equals_its_op_chain_bit_for_bit():
+    rng = np.random.default_rng(8)
+    weights = [1.0, 2.0, 30.0, 1.0]
+    for shape in ((), (3, 2)):
+        arrays = [rng.standard_normal(shape) for _ in weights]
+        equal_bits(lambda xs: weighted_sum(xs, weights), lambda xs: graph_oracle.weighted_sum(xs, weights), arrays)
+
+
+def test_abs_gap_of_equal_means_has_zero_gradient():
+    x = Tensor(np.array([[0.5], [0.5], [0.5]]), grad_tracked=True)
+    out = abs_gap(x, group_means(np.array([0, 1, 1])), 2.0)
+    backward(out)
+    assert out.item() == 0.0 and not x.grad.any()
+
+
+def test_weighted_sum_adds_a_constant_term_but_no_gradient_for_it():
+    x, constant = Tensor(2.0, grad_tracked=True), Tensor(0.0)
+    out = weighted_sum([x, constant], [1.0, 30.0])
+    backward(out)
+    assert out.item() == 2.0 and x.grad == 1.0 and constant.grad is None
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -517,6 +657,21 @@ def test_shape_mismatches_raise():
             dense(a, Tensor(w), Tensor(b))
     with pytest.raises(ShapeError):
         row_cross_entropy(Tensor(np.full((2, 1), 0.5)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        dense(a, Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))  # an addend of the wrong rows
+    with pytest.raises(UsageError, match="activation"):
+        dense(a, Tensor(np.ones((3, 2))), activation="tanh")
+    with pytest.raises(ShapeError):
+        mean_squared_error(Tensor(np.ones((2, 1))), np.ones(2))
+    for op in (symmetric_kl, lambda x, mix: abs_gap(x, mix, 2.0)):
+        with pytest.raises(ShapeError):
+            op(a, np.ones((2, 3)))  # one weight per row of a, not per column
+        with pytest.raises(ShapeError):
+            op(a, np.ones((3, 2)))
+    with pytest.raises(ShapeError):
+        weighted_sum([Tensor(1.0), Tensor([1.0])], [1.0, 1.0])
+    with pytest.raises(UsageError):
+        weighted_sum([Tensor(1.0)], [1.0, 2.0])
     proj, query, weights = Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3)))
     blocks = Tensor(np.ones((2, 6)))  # three blocks of width 2
     for op, third in ((feature_scores, query), (feature_pool, weights)):
@@ -559,7 +714,43 @@ def test_dense_checks_the_pre_activation_for_non_finite_values():
     # x @ w is -inf, which a ReLU would turn into a finite 0
     x, w, b = Tensor([[1e308]]), Tensor([[-10.0]]), Tensor([0.0])
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        dense(x, w, b, relu=True)
+        dense(x, w, b, "relu")
+    # x @ w is +inf and -inf, which a sigmoid would turn into a finite 1 and 0
+    for sign in (1.0, -1.0):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="before its activation"):
+            dense(x, Tensor([[10.0 * sign]]), None, "sigmoid")
+    # an addend of -inf too, and the addend itself overflowing the sum
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        dense(Tensor([[1.0]]), Tensor([[1.0]]), Tensor([[-np.inf]]), "relu")
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        dense(Tensor([[1e308]]), Tensor([[1.0]]), Tensor([[1e308]]), "relu")
+
+
+def test_a_finite_result_whose_sum_overflows_passes_the_finite_check():
+    # the check sums the values first; this sum overflows, so every value is tested
+    with np.errstate(over="ignore"):
+        out = Tensor([1e308, 1e308]) * 1.0
+        layer = dense(Tensor([[1e308, 1e308]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), activation="relu")
+    assert out.values.tolist() == [1e308, 1e308]
+    assert layer.values.tolist() == [[1e308, 1e308]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_result_raises_numeric_error_naming_the_op(bad):
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="operation 'add_scalar'"):
+        Tensor([1.0, bad]) + 1.0
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="operation 'dense'"):
+        dense(Tensor([[1.0, bad]]), Tensor([[1.0], [1.0]]))
+
+
+def test_symmetric_kl_checks_its_group_means_and_its_probabilities():
+    # a -inf group-mean logit would become a probability of 0 in the softmax
+    fused = Tensor(np.array([[1e308, 0.0], [-1e308, 0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="before its softmax"):
+        symmetric_kl(fused, np.array([[2.0, 0.0], [0.0, 2.0]]))
+    # a finite logit gap of 800 underflows to a probability of exactly 0
+    with pytest.raises(DomainError):
+        symmetric_kl(Tensor(np.array([[800.0, 0.0], [0.0, 0.0]])), group_means(np.array([0, 1])))
 
 
 def test_tensor_division_rejected():

@@ -295,7 +295,7 @@ def test_each_added_feature_adds_zero_nodes_to_a_fair_step(kind, card):
     assert step_nodes(base + cols(("extra", kind, card))) == step_nodes(base)
 
 
-def test_default_architecture_builds_54_nodes_per_fair_step_and_14_per_vanilla_step():
+def test_default_architecture_builds_35_nodes_per_fair_step_and_13_per_vanilla_step():
     # the graphs the benchmark counts per step: a training forward with dropout, then
     # the joint loss with both penalties active, or the vanilla model's cross-entropy
     ds = split(synth_generate(n=400, bias_strength=2.0, proxy_corr=0.8, seed=7), (0.6, 0.2, 0.2), seed=7)
@@ -305,10 +305,10 @@ def test_default_architecture_builds_54_nodes_per_fair_step_and_14_per_vanilla_s
         batch.features, training=True, rng=np.random.default_rng(0))
     assert set(assign_groups(trace.pseudo_scalar)) == {0, 1}
     total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, LossWeights(2.0, 30.0))
-    assert len(ad.graph_nodes(total)) == 54
+    assert len(ad.graph_nodes(total)) == 35
     pred = VanillaModel(ds.input_columns, config, seed=0, dropout=0.1).forward(
         batch.features, training=True, rng=np.random.default_rng(0))
-    assert len(ad.graph_nodes(ce_loss(pred, batch.labels))) == 14
+    assert len(ad.graph_nodes(ce_loss(pred, batch.labels))) == 13
 
 
 # -- determinism and dropout -----------------------------------------------------------------
