@@ -1,6 +1,6 @@
 """A tour of the tensor autodiff engine underneath everything else.
 
-Builds a few small expressions, checks a gradient against finite
+Builds one layer and its loss, checks a gradient against finite
 differences by hand, then fits a two-layer regression with nothing but
 the engine's ops and plain gradient descent.
 """
@@ -12,10 +12,17 @@ from fairint.autodiff import Tensor, backward
 
 # -- gradients of a small expression -------------------------------------------
 
-x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), grad_tracked=True)
+x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]))
 w = Tensor(np.array([[1.5], [-0.5]]), grad_tracked=True)
+target = np.array([[1.0], [2.0]])
 
-loss = ad.mean_all(ad.relu(x @ w) * ad.relu(x @ w))
+
+def loss_at(weights):
+    # one ReLU layer, relu(x @ w), scored by its mean squared error against the target
+    return ad.mean_squared_error(ad.dense(x, weights, activation="relu"), target)
+
+
+loss = loss_at(w)
 backward(loss)
 
 print("loss                ", loss.item())
@@ -27,15 +34,14 @@ for i in range(2):
     for sign in (+1, -1):
         w_shift = w.values.copy()
         w_shift[i, 0] += sign * h
-        shifted = ad.mean_all(ad.relu(x @ Tensor(w_shift)) * ad.relu(x @ Tensor(w_shift)))
-        fd[i] += sign * shifted.item() / (2 * h)
+        fd[i] += sign * loss_at(Tensor(w_shift)).item() / (2 * h)
 print("dloss/dw (numeric)  ", fd)
 
 # -- a tiny network trained by hand ---------------------------------------------
 
 rng = np.random.default_rng(0)
-inputs = rng.uniform(-2, 2, (64, 1))
-targets = np.sin(inputs) + 0.05 * rng.standard_normal((64, 1))
+inputs = Tensor(rng.uniform(-2, 2, (64, 1)))
+targets = np.sin(inputs.values) + 0.05 * rng.standard_normal((64, 1))
 
 w1 = Tensor(rng.standard_normal((1, 16)) * 0.5, grad_tracked=True)
 b1 = Tensor(np.zeros(16), grad_tracked=True)
@@ -45,10 +51,8 @@ params = [w1, b1, w2, b2]
 
 print("\nfitting y = sin(x) with gradient descent on mean squared error")
 for step in range(301):
-    hidden = ad.relu(Tensor(inputs) @ w1 + b1)
-    out = hidden @ w2 + b2
-    err = out - Tensor(targets)
-    mse = ad.mean_all(err * err)
+    hidden = ad.dense(inputs, w1, b1, "relu")
+    mse = ad.mean_squared_error(ad.dense(hidden, w2, b2), targets)
     for p in params:
         p.grad = None
     backward(mse)

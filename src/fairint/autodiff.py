@@ -1,10 +1,11 @@
 """Dense f64 tensors with reverse-mode automatic differentiation.
 
-Every model and loss in this package is built from the operations here.
-Tensors wrap a row-major numpy float64 buffer; operations on tracked
-tensors record their inputs and a gradient function, so calling
-:func:`backward` on a scalar result fills in ``grad`` buffers for every
-tracked tensor that contributed to it.
+Every model and loss in this package is built from the operations here,
+and every operation here is one that a model or a loss calls. Tensors
+wrap a row-major numpy float64 buffer; operations on tracked tensors
+record their inputs and a gradient function, so calling :func:`backward`
+on a scalar result fills in ``grad`` buffers for every tracked tensor
+that contributed to it.
 
 Each operation hands its result to ``_result`` with a ``grad_fn``:
 given d(root)/d(result), ``grad_fn`` returns one gradient per parent, in
@@ -22,18 +23,28 @@ Every write to either buffer happens in place, for the life of the
 model. :func:`backward` adds into a grad already set, so a training step
 zeroes the grad buffer first.
 
-Fused operations keep common chains to one graph node each.
-:func:`dense` is one layer: ``x @ w``, plus a bias row or a tracked
-addend, then an optional ReLU or sigmoid and optional inverted dropout;
-it covers every MLP layer, the reconstructor's scalar readout, the
-residual fusion and the sigmoid heads. :func:`row_cross_entropy` is the
-per-row binary cross-entropy of probabilities against 0/1 labels. Each
-loss term of the joint objective is one node too: :func:`mean_squared_error`,
-:func:`symmetric_kl` (between the softmaxes of two group means),
-:func:`abs_gap` (the absolute gap between two group means) and
-:func:`weighted_sum` (the weighted total). Each one's backward runs the
-arithmetic of the chain it replaces, in the same order, so values and
-gradients come out bit for bit as they would from the separate ops.
+The operations, each one graph node:
+
+- the embedding lookup, :func:`gather_scale`;
+- :func:`dense`, one layer: ``x @ w``, plus a bias row or a tracked
+  addend, then an optional ReLU or sigmoid and optional inverted
+  dropout; it covers every MLP layer, the attention query, the
+  reconstructor's scalar readout, the residual fusion and the sigmoid
+  heads;
+- the attention: :func:`feature_scores`, :func:`softmax_lastdim`,
+  :func:`feature_pool` and :func:`concat_lastdim` across heads;
+- the losses: :func:`mean_all`, :func:`row_cross_entropy` (per-row
+  binary cross-entropy of probabilities against 0/1 labels),
+  :func:`mean_squared_error`, :func:`symmetric_kl` (between the
+  softmaxes of two group means), :func:`abs_gap` (the absolute gap
+  between two group means) and :func:`weighted_sum` (the weighted
+  total).
+
+The layer and loss ops are fused: each one's backward runs the
+arithmetic of the chain of elementwise ops, matmuls and reductions it
+replaces, in the same order, so values and gradients come out bit for
+bit as they would from the separate ops. Those chains are kept only as
+the tests' reference.
 
 Any operation that produces NaN or Inf from finite inputs raises
 :class:`~fairint.errors.NumericError` immediately; nothing non-finite is
@@ -56,16 +67,11 @@ from .errors import ConfigError, DataError, DomainError, NumericError, ShapeErro
 
 __all__ = [
     "Tensor",
-    "matmul",
-    "relu",
-    "sigmoid",
-    "log",
     "softmax_lastdim",
     "concat_lastdim",
     "feature_scores",
     "feature_pool",
     "mean_all",
-    "sum_all",
     "gather_scale",
     "dense",
     "row_cross_entropy",
@@ -123,42 +129,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, op={self.op!r}, tracked={self.grad_tracked})"
 
-    # -- arithmetic sugar; scalars mean python floats ------------------------
-
-    def __add__(self, other):
-        return _add(self, other)
-
-    def __radd__(self, other):
-        return _add(self, other)
-
-    def __mul__(self, other):
-        return _mul(self, other)
-
-    def __rmul__(self, other):
-        return _mul(self, other)
-
-    def __neg__(self):
-        return _mul(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return _add(self, _mul(other, -1.0))
-        return _add(self, -float(other))
-
-    def __rsub__(self, other):
-        return _add(_mul(self, -1.0), float(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise UsageError("tensor/tensor division is not supported; divide by a scalar")
-        return _mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def abs(self):
-        return _result(np.abs(self.values), (self,), "abs", lambda g: (g * np.sign(self.values),))
-
 
 def pack_parameters(arrays: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     """Copy named arrays, in order, into one flat values buffer. Returns that buffer, a
@@ -203,46 +173,6 @@ def _result(values, parents: tuple, op: str, grad_fn) -> Tensor:
     return Tensor(v, grad_tracked=False, _op=op)
 
 
-def _add(a: Tensor, other):
-    if not isinstance(other, Tensor):
-        return _result(a.values + float(other), (a,), "add_scalar", lambda g: (g,))
-
-    b = other
-    if a.values.shape == b.values.shape:
-        return _result(a.values + b.values, (a, b), "add", lambda g: (g, g))
-
-    # matrix + bias row: (m, n) + (n,)
-    for mat, bias in ((a, b), (b, a)):
-        if mat.values.ndim == 2 and bias.values.ndim == 1 and mat.values.shape[1] == bias.values.shape[0]:
-            return _result(mat.values + bias.values, (mat, bias), "add_bias", lambda g: (g, g.sum(axis=0)))
-    raise ShapeError(f"cannot add shapes {a.values.shape} and {b.values.shape}")
-
-
-def _mul(a: Tensor, other):
-    if not isinstance(other, Tensor):
-        c = float(other)
-        return _result(a.values * c, (a,), "mul_scalar", lambda g: (g * c,))
-
-    b = other
-    if a.values.shape != b.values.shape:
-        raise ShapeError(f"cannot multiply shapes {a.values.shape} and {b.values.shape}")
-    return _result(a.values * b.values, (a, b), "mul", lambda g: (g * b.values, g * a.values))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors, (m,k) @ (k,n) -> (m,n)."""
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.values.shape} and {b.values.shape}")
-    if a.values.shape[1] != b.values.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.values.shape} vs {b.values.shape}")
-    return _result(a.values @ b.values, (a, b), "matmul", lambda g: (g @ b.values.T, a.values.T @ g))
-
-
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); the derivative at exactly 0 is taken as 0."""
-    return _result(np.maximum(x.values, 0.0), (x,), "relu", lambda g: (g * (x.values > 0.0),))
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     y = np.empty_like(v)
     pos = v >= 0
@@ -250,19 +180,6 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     ev = np.exp(v[~pos])
     y[~pos] = ev / (1.0 + ev)
     return y
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
-    y = _sigmoid(x.values)
-    return _result(y, (x,), "sigmoid", lambda g: (g * y * (1.0 - y),))
-
-
-def log(x: Tensor) -> Tensor:
-    """Natural log; raises DomainError on any non-positive element."""
-    if np.any(x.values <= 0.0):
-        raise DomainError("log of a non-positive value")
-    return _result(np.log(x.values), (x,), "log", lambda g: (g / x.values,))
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
@@ -344,11 +261,6 @@ def mean_all(x: Tensor) -> Tensor:
     if n == 0:
         raise UsageError("mean of an empty tensor")
     return _result(x.values.mean(), (x,), "mean", lambda g: (np.full_like(x.values, float(g) / n),))
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    return _result(x.values.sum(), (x,), "sum", lambda g: (np.full_like(x.values, float(g)),))
 
 
 def gather_scale(source: Tensor, index, scale) -> Tensor:

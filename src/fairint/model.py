@@ -22,6 +22,7 @@ Weight matrices are stored in (input, output) orientation so the forward
 pass is plain right-multiplication.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +103,21 @@ class ForwardTrace:
     prediction: Tensor        # (B, 1), in (0, 1)
 
 
+# numpy raises ValueError, not MemoryError, for a shape whose float64 byte count does not fit in intp
+_MAX_PARAMETER_SIZE = np.iinfo(np.intp).max // 8
+
+
+def _drawable(*shape: int) -> tuple:
+    """``shape``, or MemoryError if numpy cannot represent a float64 array of that shape."""
+    shape = tuple(map(int, shape))  # python ints: a product of numpy ints could wrap
+    if math.prod(shape) > _MAX_PARAMETER_SIZE:
+        raise MemoryError(f"a parameter of shape {shape} exceeds the largest array numpy can represent")
+    return shape
+
+
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=_drawable(fan_in, fan_out))
 
 
 class _EmbeddingBase:
@@ -131,7 +144,8 @@ class _EmbeddingBase:
         self._categorical = np.array([col.kind == KIND_CATEGORICAL for col in self.input_columns])
         self._vocab = np.array([c.table_size if cat else 1 for c, cat in zip(self.input_columns, self._categorical)])
         for col, cat, vocab in zip(self.input_columns, self._categorical, self._vocab):
-            self._initial[f"embed.{col.name}"] = self._rng.normal(0.0, 0.1, size=(d, vocab) if cat else (1, d))
+            shape = _drawable(d, vocab) if cat else (1, d)
+            self._initial[f"embed.{col.name}"] = self._rng.normal(0.0, 0.1, size=shape)
         self._add_layers()
         self.param_values, self.param_grads, self.params = ad.pack_parameters(self._initial)
         del self._initial
@@ -239,7 +253,7 @@ class FairIntModel(_EmbeddingBase):
         """
         if not 0 <= head < self.config.attention_heads:
             raise UsageError(f"head {head} out of range")
-        q = ad.matmul(pseudo_embed, self.params[f"bid.h{head}.query"])
+        q = ad.dense(pseudo_embed, self.params[f"bid.h{head}.query"])
         scores = ad.feature_scores(embeddings, self.params[f"bid.h{head}.key"], q)
         return ad.softmax_lastdim(scores)
 

@@ -1,9 +1,11 @@
 """Gradient and serialization tests for the autodiff layer.
 
 Every differentiable operation is checked against central finite
-differences (h = 1e-5, relative error < 1e-4) at several random points.
-Inputs for kinked ops (relu, abs) are kept away from 0 so the numeric
-derivative is well defined.
+differences (h = 1e-5, relative error < 1e-4) at several random points,
+each fused op also bit for bit against its chain of separate ops in
+``graph_oracle``. Inputs for the kinks of a ReLU layer and of the
+absolute gap are kept away from 0 so the numeric derivative is well
+defined.
 """
 
 import gc
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import graph_oracle
+from graph_oracle import add, log, mul, sum_all
 from fairint.autodiff import (
     Tensor,
     abs_gap,
@@ -23,18 +26,13 @@ from fairint.autodiff import (
     gather_scale,
     graph_nodes,
     load_parameters,
-    log,
-    matmul,
     mean_all,
     mean_squared_error,
     no_grad,
     pack_parameters,
-    relu,
     row_cross_entropy,
     save_parameters,
-    sigmoid,
     softmax_lastdim,
-    sum_all,
     symmetric_kl,
     weighted_sum,
 )
@@ -107,28 +105,15 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_sigmoid_is_stable_at_extremes():
-    out = sigmoid(Tensor([-500.0, 0.0, 500.0]))
-    assert np.all(np.isfinite(out.values))
-    assert out.values[0] >= 0.0 and out.values[2] <= 1.0
-    assert out.values[1] == 0.5
-
-
-def test_basic_arithmetic_values():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal((a + b).values, [[6, 8], [10, 12]])
-    np.testing.assert_array_equal((a - b).values, [[-4, -4], [-4, -4]])
-    np.testing.assert_array_equal((a * b).values, [[5, 12], [21, 32]])
-    np.testing.assert_array_equal((a @ b).values, [[19, 22], [43, 50]])
-    np.testing.assert_array_equal((2.0 * a + 1.0).values, [[3, 5], [7, 9]])
-    np.testing.assert_array_equal((a / 2.0).values, [[0.5, 1.0], [1.5, 2.0]])
-    np.testing.assert_array_equal((1.0 - a).values, [[0, -1], [-2, -3]])
-    np.testing.assert_array_equal((-a).values, [[-1, -2], [-3, -4]])
+    out = dense(Tensor([[-500.0], [0.0], [500.0]]), Tensor([[1.0]]), activation="sigmoid").values[:, 0]
+    assert np.all(np.isfinite(out))
+    assert out[0] >= 0.0 and out[2] <= 1.0
+    assert out[1] == 0.5
 
 
 def test_relu_derivative_is_zero_at_zero():
     x = Tensor([[-1.0, 0.0, 2.0]], grad_tracked=True)
-    backward(sum_all(relu(x)))
+    backward(sum_all(dense(x, Tensor(np.eye(3)), activation="relu")))
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
 
@@ -136,77 +121,11 @@ def test_relu_derivative_is_zero_at_zero():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_grad_add_and_scalar(seed):
-    rng = np.random.default_rng(seed)
-    c = Tensor(rng.standard_normal((3, 4)))
-    check_gradients(
-        lambda xs: sum_all((xs[0] + xs[1] + 0.7) * c),
-        [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))],
-    )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_grad_add_bias(seed):
-    rng = np.random.default_rng(seed)
-    c = Tensor(rng.standard_normal((3, 4)))
-    check_gradients(
-        lambda xs: sum_all((xs[0] + xs[1]) * c),
-        [rng.standard_normal((3, 4)), rng.standard_normal(4)],
-    )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_grad_mul_elementwise_and_column(seed):
-    rng = np.random.default_rng(seed)
-    check_gradients(
-        lambda xs: sum_all(xs[0] * xs[1]),
-        [rng.standard_normal((4, 3)), rng.standard_normal((4, 3))],
-    )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_grad_matmul(seed):
-    rng = np.random.default_rng(seed)
-    check_gradients(
-        lambda xs: mean_all(matmul(xs[0], xs[1])),
-        [rng.standard_normal((3, 5)), rng.standard_normal((5, 2))],
-    )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_grad_relu_away_from_kink(seed):
-    rng = np.random.default_rng(seed)
-    x = (rng.random((4, 4)) + 0.5) * rng.choice([-1.0, 1.0], size=(4, 4))
-    c = Tensor(rng.standard_normal((4, 4)))
-    check_gradients(lambda xs: sum_all(relu(xs[0]) * c), [x])
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_grad_abs_away_from_kink(seed):
-    rng = np.random.default_rng(seed)
-    x = (rng.random((3, 3)) + 0.5) * rng.choice([-1.0, 1.0], size=(3, 3))
-    check_gradients(lambda xs: sum_all(xs[0].abs()), [x])
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_grad_sigmoid(seed):
-    rng = np.random.default_rng(seed)
-    c = Tensor(rng.standard_normal((3, 4)))
-    check_gradients(lambda xs: sum_all(sigmoid(xs[0]) * c), [rng.standard_normal((3, 4)) * 2])
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_grad_log(seed):
-    rng = np.random.default_rng(seed)
-    check_gradients(lambda xs: sum_all(log(xs[0])), [rng.random((3, 4)) * 1.5 + 0.5])
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_grad_softmax(seed):
     rng = np.random.default_rng(seed)
     c = Tensor(rng.standard_normal((4, 5)))
     check_gradients(
-        lambda xs: sum_all(softmax_lastdim(xs[0]) * c), [rng.standard_normal((4, 5))]
+        lambda xs: sum_all(mul(softmax_lastdim(xs[0]), c)), [rng.standard_normal((4, 5))]
     )
 
 
@@ -215,7 +134,7 @@ def test_grad_concat_slice_sum(seed):
     rng = np.random.default_rng(seed)
     c = Tensor(rng.standard_normal((3, 5)))
     check_gradients(
-        lambda xs: sum_all(concat_lastdim([xs[0], xs[1]]) * c),
+        lambda xs: sum_all(mul(concat_lastdim([xs[0], xs[1]]), c)),
         [rng.standard_normal((3, 2)), rng.standard_normal((3, 3))],
     )
 
@@ -231,7 +150,7 @@ def test_grad_feature_scores(seed, shape):
     rng = np.random.default_rng(seed)
     c = Tensor(rng.standard_normal((rows, n_feat)))
     check_gradients(
-        lambda xs: sum_all(feature_scores(xs[0], xs[1], xs[2]) * c),
+        lambda xs: sum_all(mul(feature_scores(xs[0], xs[1], xs[2]), c)),
         [rng.standard_normal((rows, n_feat * d)), rng.standard_normal((d, k)), rng.standard_normal((rows, k))],
     )
 
@@ -243,7 +162,7 @@ def test_grad_feature_pool(seed, shape):
     rng = np.random.default_rng(seed)
     c = Tensor(rng.standard_normal((rows, k)))
     check_gradients(
-        lambda xs: sum_all(feature_pool(xs[0], xs[1], xs[2]) * c),
+        lambda xs: sum_all(mul(feature_pool(xs[0], xs[1], xs[2]), c)),
         [rng.standard_normal((rows, n_feat * d)), rng.standard_normal((d, k)), rng.random((rows, n_feat))],
     )
 
@@ -276,7 +195,7 @@ def test_grad_embedding_lookup_with_repeats(seed):
     index = np.array([[0, 2, 2, 4], [1, 0, 5, 5], [5, 5, 3, 3]])
     scale = rng.standard_normal((3, 2))  # one per block of 2
     c = Tensor(rng.standard_normal((3, 4)))
-    check_gradients(lambda xs: sum_all(gather_scale(xs[0], index, scale) * c), [rng.standard_normal((2, 3))])
+    check_gradients(lambda xs: sum_all(mul(gather_scale(xs[0], index, scale), c)), [rng.standard_normal((2, 3))])
 
 
 EMBED_CASES = {
@@ -299,7 +218,7 @@ def test_grad_embed_features_over_the_parameter_buffer(seed, case):
     c = Tensor(rng.standard_normal((12, 3 * len(columns))))
 
     def loss():
-        return sum_all(model.embed_features(features) * c)
+        return sum_all(mul(model.embed_features(features), c))
 
     backward(loss())
     analytic = model.param_grads.copy()
@@ -325,7 +244,7 @@ def test_grad_dense(seed, use_relu):
     rng = np.random.default_rng(seed)
     c = Tensor(rng.standard_normal((4, 5)))
     check_gradients(
-        lambda xs: sum_all(dense(xs[0], xs[1], xs[2], "relu" if use_relu else None) * c),
+        lambda xs: sum_all(mul(dense(xs[0], xs[1], xs[2], "relu" if use_relu else None), c)),
         [rng.standard_normal((4, 3)), rng.standard_normal((3, 5)), rng.standard_normal(5)],
     )
 
@@ -336,7 +255,7 @@ def test_grad_dropout_fixed_mask(seed):
     c = Tensor(rng.standard_normal((4, 6)))
     # recreate the generator inside the build so every call sees the same mask
     check_gradients(
-        lambda xs: sum_all(dense(xs[0], xs[1], xs[2], rate=0.4, rng=np.random.default_rng(99)) * c),
+        lambda xs: sum_all(mul(dense(xs[0], xs[1], xs[2], rate=0.4, rng=np.random.default_rng(99)), c)),
         [rng.standard_normal((4, 3)), rng.standard_normal((3, 6)), rng.standard_normal(6)],
     )
 
@@ -346,31 +265,7 @@ def test_grad_row_cross_entropy(seed):
     rng = np.random.default_rng(seed)
     labels = np.array([[0.0], [1.0], [0.0], [1.0], [1.0], [0.0]])
     c = Tensor(rng.standard_normal((6, 1)))
-    check_gradients(lambda xs: sum_all(row_cross_entropy(xs[0], labels) * c), [rng.uniform(0.05, 0.95, (6, 1))])
-
-
-@pytest.mark.parametrize("rate", [0.0, 0.3])
-@pytest.mark.parametrize("use_relu", [False, True])
-def test_dense_equals_its_op_chain_bit_for_bit(rate, use_relu):
-    # matmul, bias, relu and a dropout mask as separate nodes: same values, same gradients
-    rng = np.random.default_rng(5)
-    arrays = [rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)]
-    g = Tensor(rng.standard_normal((6, 3)))
-    keep = (np.random.default_rng(7).random((6, 3)) >= rate) / (1.0 - rate)
-
-    def run(fused):
-        x, w, b = (Tensor(a.copy(), grad_tracked=True) for a in arrays)
-        if fused:
-            out = dense(x, w, b, "relu" if use_relu else None, rate=rate, rng=np.random.default_rng(7))
-        else:
-            out = matmul(x, w) + b
-            out = relu(out) if use_relu else out
-            out = out * Tensor(keep) if rate else out
-        backward(sum_all(out * g))
-        return [out.values, x.grad, w.grad, b.grad]
-
-    for got, want in zip(run(True), run(False)):
-        assert got.tobytes() == want.tobytes()
+    check_gradients(lambda xs: sum_all(mul(row_cross_entropy(xs[0], labels), c)), [rng.uniform(0.05, 0.95, (6, 1))])
 
 
 def test_row_cross_entropy_equals_its_op_chain_bit_for_bit():
@@ -380,15 +275,15 @@ def test_row_cross_entropy_equals_its_op_chain_bit_for_bit():
     g = Tensor(rng.standard_normal((8, 1)))
     fused, chained = Tensor(p.copy(), grad_tracked=True), Tensor(p.copy(), grad_tracked=True)
     out_fused = row_cross_entropy(fused, y)
-    out_chained = log(chained * Tensor(2.0 * y - 1.0) + Tensor(1.0 - y)) * -1.0
-    backward(sum_all(out_fused * g))
-    backward(sum_all(out_chained * g))
+    out_chained = mul(log(add(mul(chained, Tensor(2.0 * y - 1.0)), Tensor(1.0 - y))), -1.0)
+    backward(sum_all(mul(out_fused, g)))
+    backward(sum_all(mul(out_chained, g)))
     assert out_fused.values.tobytes() == out_chained.values.tobytes()
     assert fused.grad.tobytes() == chained.grad.tobytes()
     np.testing.assert_allclose(out_fused.values, -(y * np.log(p) + (1 - y) * np.log(1 - p)), rtol=1e-12)
 
 
-# (bias, activation) beyond the row-bias linear and ReLU layers the tests above cover
+# (bias, activation) beyond the row-bias linear and ReLU layers test_grad_dense covers
 DENSE_FORMS = [("row", "sigmoid"), ("none", None), ("none", "relu"), ("none", "sigmoid"),
                ("addend", None), ("addend", "relu"), ("addend", "sigmoid")]
 
@@ -405,11 +300,11 @@ def test_grad_dense_with_any_bias_and_activation(seed, bias, activation):
     rng = np.random.default_rng(seed)
     arrays = dense_inputs(rng, bias)
     c = Tensor(rng.standard_normal((4, 5)))
-    check_gradients(lambda xs: sum_all(dense(*xs[:2], xs[2] if len(xs) > 2 else None, activation) * c), arrays)
+    check_gradients(lambda xs: sum_all(mul(dense(*xs[:2], xs[2] if len(xs) > 2 else None, activation), c)), arrays)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
-@pytest.mark.parametrize("bias, activation", DENSE_FORMS)
+@pytest.mark.parametrize("bias, activation", [("row", None), ("row", "relu")] + DENSE_FORMS)
 def test_dense_with_any_bias_and_activation_equals_its_op_chain_bit_for_bit(rate, bias, activation):
     rng = np.random.default_rng(5)
     arrays = dense_inputs(rng, bias, rows=6)
@@ -423,7 +318,7 @@ def test_dense_with_any_bias_and_activation_equals_its_op_chain_bit_for_bit(rate
             out = dense(xs[0], xs[1], b, activation, rate=rate, rng=np.random.default_rng(7))
         else:
             out = graph_oracle.dense(xs[0], xs[1], b, activation, keep if rate else None)
-        backward(sum_all(out * g))
+        backward(sum_all(mul(out, g)))
         return [out.values] + [x.grad for x in xs]
 
     for got, want in zip(run(True), run(False), strict=True):
@@ -461,7 +356,7 @@ def test_grad_weighted_sum(seed):
     rng = np.random.default_rng(seed)
     c = Tensor(rng.standard_normal((3, 2)))
     check_gradients(
-        lambda xs: sum_all(weighted_sum(xs, [1.0, 2.5, -0.75]) * c),
+        lambda xs: sum_all(mul(weighted_sum(xs, [1.0, 2.5, -0.75]), c)),
         [rng.standard_normal((3, 2)) for _ in range(3)],
     )
 
@@ -472,7 +367,7 @@ def equal_bits(build_fused, build_chain, arrays, upstream=1.7):
     for build in (build_fused, build_chain):
         xs = [Tensor(a.copy(), grad_tracked=True) for a in arrays]
         out = build(xs)
-        backward(sum_all(out * upstream) if out.values.ndim else out * upstream)
+        backward(sum_all(mul(out, upstream)) if out.values.ndim else mul(out, upstream))
         results.append([out.values.tobytes()] + [x.grad.tobytes() for x in xs])
     assert results[0] == results[1]
 
@@ -525,17 +420,17 @@ def test_weighted_sum_adds_a_constant_term_but_no_gradient_for_it():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_composite_network(seed):
-    # a miniature of the real model: embed-like product, relu stack, sigmoid, log loss
+    # a miniature of the real model: embed-like product, relu layer, sigmoid head, log loss
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((6, 3))
     w1 = rng.standard_normal((3, 8)) * 0.5
     b1 = rng.standard_normal(8) * 0.1
     w2 = rng.standard_normal((8, 1)) * 0.5
+    labels = rng.integers(0, 2, (6, 1)).astype(np.float64)
 
     def build(xs):
-        h = relu(matmul(xs[0], xs[1]) + xs[2])
-        p = sigmoid(matmul(h, xs[3]))
-        return mean_all(log(p * 0.98 + 0.01) * -1.0)
+        h = dense(xs[0], xs[1], xs[2], "relu")
+        return mean_all(row_cross_entropy(dense(h, xs[3], activation="sigmoid"), labels))
 
     check_gradients(build, [x, w1, b1, w2])
 
@@ -546,7 +441,7 @@ def test_grad_composite_network(seed):
 def _small_graph():
     w = Tensor(np.arange(6, dtype=float).reshape(2, 3) / 10 + 0.1, grad_tracked=True)
     x = Tensor([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.2]])
-    return w, sum_all(sigmoid(matmul(x, w)))
+    return w, mean_all(dense(x, w, activation="sigmoid"))
 
 
 def test_replaying_a_graph_gives_identical_node_count_and_grads():
@@ -562,9 +457,9 @@ def test_backward_zeroes_untouched_parameters():
     # a step zeroes the whole grad buffer, then adds only what its graph reaches
     values, grads, params = pack_parameters({"used": [[1.0, 2.0]], "unused": [[3.0], [4.0]]})
     used, unused = params["used"], params["unused"]
-    backward(sum_all(used * 5.0) + sum_all(unused * 1.0))  # an earlier step's gradients
+    backward(add(sum_all(mul(used, 5.0)), sum_all(mul(unused, 1.0))))  # an earlier step's gradients
     grads.fill(0.0)
-    backward(sum_all(used * 2.0))
+    backward(sum_all(mul(used, 2.0)))
     np.testing.assert_array_equal(used.grad, [[2.0, 2.0]])
     np.testing.assert_array_equal(unused.grad, [[0.0], [0.0]])
     assert np.shares_memory(used.grad, grads) and np.shares_memory(unused.grad, grads)
@@ -583,7 +478,7 @@ def test_pack_parameters_lays_out_views_in_order():
 
 def test_parameter_reused_twice_accumulates():
     p = Tensor([[1.0, 2.0]], grad_tracked=True)
-    root = sum_all(p * 3.0) + sum_all(p * p)
+    root = add(sum_all(mul(p, 3.0)), sum_all(mul(p, p)))
     backward(root)
     np.testing.assert_allclose(p.grad, [[3.0 + 2.0, 3.0 + 4.0]])
 
@@ -591,25 +486,25 @@ def test_parameter_reused_twice_accumulates():
 def test_backward_requires_scalar_root():
     x = Tensor([[1.0, 2.0]], grad_tracked=True)
     with pytest.raises(UsageError):
-        backward(x * 2.0)
+        backward(x)
 
 
 def test_untracked_graph_records_no_parents():
-    a = Tensor([[1.0]])
-    out = sigmoid(a * 3.0 + 1.0)
+    w, b = Tensor([[3.0]]), Tensor([1.0])
+    out = dense(Tensor([[1.0]]), w, b, "sigmoid")
     assert graph_nodes(out) == [out]
     assert out._parents == ()
 
     # inside no_grad, even an op on a parameter records nothing
     p = Tensor([[2.0]], grad_tracked=True)
     with no_grad():
-        inside = sigmoid(p * 3.0 + 1.0)
+        inside = dense(p, w, b, "sigmoid")
     assert not inside.grad_tracked
     assert inside._parents == ()
-    assert (p * 3.0).grad_tracked
+    assert dense(p, w).grad_tracked
     with pytest.raises(DomainError), no_grad():
-        log(p * 0.0)
-    assert (p * 3.0)._parents == (p,)
+        row_cross_entropy(dense(p, Tensor([[0.0]])), np.array([[1.0]]))
+    assert dense(p, w)._parents == (p, w)
 
 
 def test_training_step_and_eval_leave_no_cyclic_garbage():
@@ -646,12 +541,6 @@ def test_training_step_and_eval_leave_no_cyclic_garbage():
 
 def test_shape_mismatches_raise():
     a = Tensor(np.ones((2, 3)))
-    with pytest.raises(ShapeError):
-        a + Tensor(np.ones((3, 2)))
-    with pytest.raises(ShapeError):
-        a * Tensor(np.ones((2, 2)))
-    with pytest.raises(ShapeError):
-        matmul(a, Tensor(np.ones((2, 3))))
     for w, b in ((np.ones((2, 3)), np.ones(3)), (np.ones((3, 2)), np.ones(3)), (np.ones((3, 2)), np.ones((1, 2)))):
         with pytest.raises(ShapeError):
             dense(a, Tensor(w), Tensor(b))
@@ -695,19 +584,14 @@ def test_shape_mismatches_raise():
 
 def test_log_of_nonpositive_raises_domain_error():
     with pytest.raises(DomainError):
-        log(Tensor([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        log(Tensor([-1.0]))
-    with pytest.raises(DomainError):
         row_cross_entropy(Tensor([[0.5], [0.0]]), np.array([[0.0], [1.0]]))  # p(y=1) = 0
     with pytest.raises(DomainError):
         row_cross_entropy(Tensor([[1.0]]), np.array([[0.0]]))  # p(y=0) = 0
 
 
 def test_overflow_to_inf_raises_numeric_error():
-    big = Tensor([1e308])
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        big * 10.0
+        dense(Tensor([[1e308]]), Tensor([[10.0]]))
 
 
 def test_dense_checks_the_pre_activation_for_non_finite_values():
@@ -729,16 +613,14 @@ def test_dense_checks_the_pre_activation_for_non_finite_values():
 def test_a_finite_result_whose_sum_overflows_passes_the_finite_check():
     # the check sums the values first; this sum overflows, so every value is tested
     with np.errstate(over="ignore"):
-        out = Tensor([1e308, 1e308]) * 1.0
         layer = dense(Tensor([[1e308, 1e308]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), activation="relu")
-    assert out.values.tolist() == [1e308, 1e308]
     assert layer.values.tolist() == [[1e308, 1e308]]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_result_raises_numeric_error_naming_the_op(bad):
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="operation 'add_scalar'"):
-        Tensor([1.0, bad]) + 1.0
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="operation 'mean'"):
+        mean_all(Tensor([1.0, bad]))
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="operation 'dense'"):
         dense(Tensor([[1.0, bad]]), Tensor([[1.0], [1.0]]))
 
@@ -751,11 +633,6 @@ def test_symmetric_kl_checks_its_group_means_and_its_probabilities():
     # a finite logit gap of 800 underflows to a probability of exactly 0
     with pytest.raises(DomainError):
         symmetric_kl(Tensor(np.array([[800.0, 0.0], [0.0, 0.0]])), group_means(np.array([0, 1])))
-
-
-def test_tensor_division_rejected():
-    with pytest.raises(UsageError):
-        Tensor([1.0]) / Tensor([2.0])
 
 
 def test_embedding_index_out_of_range():

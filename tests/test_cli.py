@@ -436,6 +436,25 @@ def _with_source(**paths):
     return corrupt
 
 
+def _with_categorical(column, cardinality):
+    """Swap an experiment config's synth source for the ``trained`` fixture's files, read
+    with a schema that declares ``column`` categorical with ``cardinality``.
+
+    The schema lands in the working directory, which the test has moved to its tmp_path.
+    """
+
+    def corrupt(raw):
+        files = Path(json.loads(raw)["output_dir"]).parent
+        schema = json.loads((files / "data.schema.json").read_text())
+        for entry in schema:
+            if entry["name"] == column:
+                entry.update(kind="categorical", cardinality=cardinality)
+        Path("categorical.schema.json").write_text(json.dumps(schema))
+        return _with_source(schema_path="categorical.schema.json")(raw)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "kind, corrupt, code",
     [
@@ -476,6 +495,11 @@ def _with_source(**paths):
         # sizes numpy cannot represent at all: a dimension, or a byte count, beyond intp
         ("config", _with_config(synth={"n": 10**20}), 3),
         ("config", _with_config(synth={"n": 2**63 - 1}), 3),
+        # parameter shapes whose byte count is beyond intp
+        ("config", _with_config(model={"sar_hidden": [10**18]}), 3),
+        ("config", _with_config(model={"baseline_hidden": [10**18]}, train={"enable_bid": False}), 3),
+        ("config", _with_categorical("noise1", 10**18), 3),
+        ("model", _with_metadata(model={"embed_dim": 4, "sar_hidden": [10**18]}), 3),
         ("config", _with_source(csv_path=5), 2),
         ("config", _with_source(schema_path=None), 2),
         ("config", _with_source(csv_path=""), 2),
@@ -499,7 +523,8 @@ def _with_source(**paths):
         "train_seed_not_int", "train_patience_bool", "train_lambda_bool", "train_enable_not_bool",
         "model_size_bool", "train_rate_nan", "train_lambda_infinite", "train_l2_nan",
         "config_int_too_long", "schema_int_too_long", "synth_n_too_large_to_allocate",
-        "synth_n_beyond_intp", "synth_n_bytes_beyond_intp", "csv_path_not_string", "schema_path_null",
+        "synth_n_beyond_intp", "synth_n_bytes_beyond_intp", "sar_width_beyond_intp",
+        "vanilla_width_beyond_intp", "cardinality_beyond_intp", "meta_sar_width_beyond_intp", "csv_path_not_string", "schema_path_null",
         "csv_path_empty", "output_dir_null", "output_dir_empty", "output_dir_nul",
         "weights_nan", "weights_inf", "weights_overflow_in_matmul", "train_rate_overflows",
     ],

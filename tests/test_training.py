@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairint.autodiff import backward, mean_all, pack_parameters
+from fairint.autodiff import backward, mean_squared_error, pack_parameters
 from fairint.data import full_batch, split, synth_generate
 from fairint.errors import ConfigError, MetricError, TrainingError, UsageError
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
@@ -98,8 +98,7 @@ def test_adam_minimizes_a_quadratic():
     weight = params["w"]
     optimizer = Adam(values, grads, learning_rate=0.3)
     for _ in range(200):
-        shifted = weight + (-3.0)
-        loss = mean_all(shifted * shifted)
+        loss = mean_squared_error(weight, [[3.0]])
         grads.fill(0.0)
         backward(loss)
         optimizer.step()
