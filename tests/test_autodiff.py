@@ -3,9 +3,10 @@
 Every differentiable operation is checked against central finite
 differences (h = 1e-5, relative error < 1e-4) at several random points,
 each fused op also bit for bit against its chain of separate ops in
-``graph_oracle``. Inputs for the kinks of a ReLU layer and of the
-absolute gap are kept away from 0 so the numeric derivative is well
-defined.
+``graph_oracle``. Those chain ops are the reference, so they get the
+same finite-difference checks. Inputs for the kinks of relu, absolute
+and the absolute gap are kept away from 0 so the numeric derivative is
+well defined.
 """
 
 import gc
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import graph_oracle
-from graph_oracle import add, log, mul, sum_all
+from graph_oracle import absolute, add, log, matmul, mul, relu, sigmoid, sum_all
 from fairint.autodiff import (
     Tensor,
     abs_gap,
@@ -111,6 +112,23 @@ def test_sigmoid_is_stable_at_extremes():
     assert out[1] == 0.5
 
 
+def test_basic_arithmetic_values():
+    # the reference's chain ops; a - b is a + b * -1 and a / 2 is a * 0.5
+    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    b = Tensor([[5.0, 6.0], [7.0, 8.0]])
+    ones = Tensor(np.ones((2, 2)))
+    np.testing.assert_array_equal(add(a, b).values, [[6, 8], [10, 12]])
+    np.testing.assert_array_equal(add(a, mul(b, -1.0)).values, [[-4, -4], [-4, -4]])
+    np.testing.assert_array_equal(mul(a, b).values, [[5, 12], [21, 32]])
+    np.testing.assert_array_equal(matmul(a, b).values, [[19, 22], [43, 50]])
+    np.testing.assert_array_equal(add(mul(a, 2.0), ones).values, [[3, 5], [7, 9]])
+    np.testing.assert_array_equal(mul(a, 0.5).values, [[0.5, 1.0], [1.5, 2.0]])
+    np.testing.assert_array_equal(add(mul(a, -1.0), ones).values, [[0, -1], [-2, -3]])
+    np.testing.assert_array_equal(add(a, Tensor([10.0, 20.0])).values, [[11, 22], [13, 24]])
+    np.testing.assert_array_equal(absolute(mul(a, -1.0)).values, a.values)
+    assert sum_all(a).item() == 10.0
+
+
 def test_relu_derivative_is_zero_at_zero():
     x = Tensor([[-1.0, 0.0, 2.0]], grad_tracked=True)
     backward(sum_all(dense(x, Tensor(np.eye(3)), activation="relu")))
@@ -118,6 +136,63 @@ def test_relu_derivative_is_zero_at_zero():
 
 
 # -- finite-difference checks, one op at a time -------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_add_and_scalar(seed):
+    rng = np.random.default_rng(seed)
+    c = Tensor(rng.standard_normal((3, 4)))
+    arrays = [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]
+    check_gradients(lambda xs: sum_all(mul(mul(add(xs[0], xs[1]), 0.7), c)), arrays)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_add_bias(seed):
+    rng = np.random.default_rng(seed)
+    c = Tensor(rng.standard_normal((3, 4)))
+    arrays = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
+    check_gradients(lambda xs: sum_all(mul(add(xs[0], xs[1]), c)), arrays)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_mul_elementwise_and_column(seed):
+    rng = np.random.default_rng(seed)
+    check_gradients(lambda xs: sum_all(mul(xs[0], xs[1])), [rng.standard_normal((4, 3)), rng.standard_normal((4, 3))])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_matmul(seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal((3, 5)), rng.standard_normal((5, 2))]
+    check_gradients(lambda xs: mean_all(matmul(xs[0], xs[1])), arrays)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_relu_away_from_kink(seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.random((4, 4)) + 0.5) * rng.choice([-1.0, 1.0], size=(4, 4))
+    c = Tensor(rng.standard_normal((4, 4)))
+    check_gradients(lambda xs: sum_all(mul(relu(xs[0]), c)), [x])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_abs_away_from_kink(seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.random((3, 3)) + 0.5) * rng.choice([-1.0, 1.0], size=(3, 3))
+    check_gradients(lambda xs: sum_all(absolute(xs[0])), [x])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_sigmoid(seed):
+    rng = np.random.default_rng(seed)
+    c = Tensor(rng.standard_normal((3, 4)))
+    check_gradients(lambda xs: sum_all(mul(sigmoid(xs[0]), c)), [rng.standard_normal((3, 4)) * 2])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_log(seed):
+    rng = np.random.default_rng(seed)
+    check_gradients(lambda xs: sum_all(log(xs[0])), [rng.random((3, 4)) * 1.5 + 0.5])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -268,6 +343,13 @@ def test_grad_row_cross_entropy(seed):
     check_gradients(lambda xs: sum_all(mul(row_cross_entropy(xs[0], labels), c)), [rng.uniform(0.05, 0.95, (6, 1))])
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("use_relu", [False, True])
+def test_dense_equals_its_op_chain_bit_for_bit(rate, use_relu):
+    # the MLPs' row-bias linear and ReLU layers, as matmul, add_bias, relu and a dropout mask
+    test_dense_with_any_bias_and_activation_equals_its_op_chain_bit_for_bit(rate, "row", "relu" if use_relu else None)
+
+
 def test_row_cross_entropy_equals_its_op_chain_bit_for_bit():
     rng = np.random.default_rng(6)
     y = rng.integers(0, 2, size=(8, 1)).astype(np.float64)
@@ -283,7 +365,7 @@ def test_row_cross_entropy_equals_its_op_chain_bit_for_bit():
     np.testing.assert_allclose(out_fused.values, -(y * np.log(p) + (1 - y) * np.log(1 - p)), rtol=1e-12)
 
 
-# (bias, activation) beyond the row-bias linear and ReLU layers test_grad_dense covers
+# (bias, activation) beyond the row-bias linear and ReLU layers the tests above cover
 DENSE_FORMS = [("row", "sigmoid"), ("none", None), ("none", "relu"), ("none", "sigmoid"),
                ("addend", None), ("addend", "relu"), ("addend", "sigmoid")]
 
@@ -304,7 +386,7 @@ def test_grad_dense_with_any_bias_and_activation(seed, bias, activation):
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
-@pytest.mark.parametrize("bias, activation", [("row", None), ("row", "relu")] + DENSE_FORMS)
+@pytest.mark.parametrize("bias, activation", DENSE_FORMS)
 def test_dense_with_any_bias_and_activation_equals_its_op_chain_bit_for_bit(rate, bias, activation):
     rng = np.random.default_rng(5)
     arrays = dense_inputs(rng, bias, rows=6)
@@ -633,6 +715,15 @@ def test_symmetric_kl_checks_its_group_means_and_its_probabilities():
     # a finite logit gap of 800 underflows to a probability of exactly 0
     with pytest.raises(DomainError):
         symmetric_kl(Tensor(np.array([[800.0, 0.0], [0.0, 0.0]])), group_means(np.array([0, 1])))
+
+
+def test_tensor_division_rejected():
+    # a Tensor carries no arithmetic operators; a graph is built from the ops alone
+    for op in (lambda a, b: a / b, lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b, lambda a, b: a @ b):
+        with pytest.raises(TypeError):
+            op(Tensor([1.0]), Tensor([2.0]))
+    with pytest.raises(TypeError):
+        2.0 * Tensor([1.0])
 
 
 def test_embedding_index_out_of_range():
