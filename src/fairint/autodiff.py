@@ -514,9 +514,9 @@ def load_parameters(path) -> tuple[dict, dict]:
     """Read a file written by :func:`save_parameters`.
 
     Returns ``(arrays, metadata)`` with arrays keyed by name in file order.
-    Any length or extent that runs past the end of the file, trailing
-    bytes, metadata that is not a JSON object, or a parameter holding NaN
-    or Inf raise DataError.
+    Any length or extent that runs past the end of the file, a shape numpy
+    cannot represent, trailing bytes, metadata that is not a JSON object,
+    or a parameter holding NaN or Inf raise DataError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -557,7 +557,10 @@ def load_parameters(path) -> tuple[dict, dict]:
         ndim = u32(what)
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, what))
         data = take(8 * math.prod(shape), what)
-        arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        except ValueError:  # a size-0 shape whose extents numpy cannot represent
+            raise DataError(f"{path}: {what} has a shape numpy cannot represent: {shape}") from None
         if not np.isfinite(arrays[name]).all():
             raise DataError(f"{path}: parameter {name!r} holds non-finite values")
     if off != len(raw):

@@ -159,8 +159,8 @@ def cmd_train(args) -> int:
     head = {
         "lambda_ifc": train_config.lambda_ifc,
         "lambda_fc": train_config.lambda_fc,
-        "enable_ifc": train_config.enable_ifc,
-        "enable_fc": train_config.enable_fc,
+        "enable_ifc": train_config.lambda_ifc > 0.0,  # whether the term was in the objective
+        "enable_fc": train_config.lambda_fc > 0.0,
         "enable_bid": train_config.enable_bid,
         "seed": train_config.seed,
         "best_epoch": history.best_epoch,
@@ -260,8 +260,10 @@ def cmd_probe(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    dataset = synth_generate(n=args.n, bias_strength=args.beta, proxy_corr=args.rho, seed=args.seed)
     out_path = Path(args.out)
+    if not out_path.name:  # "", "." and "/" leave no file name to write to
+        raise UsageError(f"--out must name a CSV file, got {args.out!r}")
+    dataset = synth_generate(n=args.n, bias_strength=args.beta, proxy_corr=args.rho, seed=args.seed)
     schema_path = out_path.with_suffix(".schema.json")
     save_csv(dataset, out_path)
     save_schema(dataset.schema, schema_path)

@@ -23,9 +23,9 @@ start from their own per-row cross-entropy node; the weighted total is
 one more. Their values and gradients are bit for bit those of the
 separate operations they replace.
 
-A weight of exactly 0 skips its term entirely: the term is not evaluated
-and contributes no graph nodes, which keeps training dynamics bitwise
-identical to a run where the term does not exist.
+A weight of exactly 0, the only off switch, skips its term entirely: the
+term is not evaluated and contributes no graph nodes, which keeps training
+dynamics bitwise identical to a run where the term does not exist.
 """
 
 from dataclasses import dataclass
@@ -38,7 +38,6 @@ from .errors import ConfigError, ShapeError, UsageError
 from .metrics import threshold_labels
 
 __all__ = [
-    "LossWeights",
     "LossBreakdown",
     "ce_loss",
     "reconstruction_loss",
@@ -48,20 +47,6 @@ __all__ = [
     "group_gap_loss",
     "joint_loss",
 ]
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Non-negative weights for the two fairness terms."""
-
-    lambda_ifc: float = 0.0
-    lambda_fc: float = 0.0
-
-    def __post_init__(self):
-        if self.lambda_ifc < 0 or self.lambda_fc < 0:
-            raise ConfigError(
-                f"loss weights must be non-negative, got ({self.lambda_ifc}, {self.lambda_fc})"
-            )
 
 
 @dataclass(frozen=True)
@@ -155,30 +140,34 @@ def group_gap_loss(pred: Tensor, labels, means: np.ndarray | None) -> Tensor:
     return ad.abs_gap(ad.row_cross_entropy(pred, y), means, 2.0)
 
 
-def joint_loss(trace, labels, sensitive, weights: LossWeights):
+def joint_loss(trace, labels, sensitive, lambda_ifc: float = 0.0, lambda_fc: float = 0.0):
     """Weighted sum of all terms for one forward trace.
 
-    Returns ``(total, breakdown)``: the differentiable scalar to call
-    backward on, and a float breakdown for logging. Terms whose weight is
-    0 are skipped, never evaluated, and reported as 0.0.
+    ``lambda_ifc`` and ``lambda_fc`` weight the two fairness terms; a
+    negative or NaN weight raises ConfigError. Returns ``(total,
+    breakdown)``: the differentiable scalar to call backward on, and a
+    float breakdown for logging. A weight of 0 is the only way to turn a
+    term off: the term is skipped, never evaluated, and reported as 0.0.
     """
+    if not (lambda_ifc >= 0.0 and lambda_fc >= 0.0):
+        raise ConfigError(f"loss weights must be non-negative, got ({lambda_ifc}, {lambda_fc})")
     l0 = ce_loss(trace.prediction, labels)
     l_sar = reconstruction_loss(trace.pseudo_scalar, sensitive)
     groups = assign_groups(trace.pseudo_scalar)
-    means = group_means(groups) if weights.lambda_ifc > 0.0 or weights.lambda_fc > 0.0 else None
+    means = group_means(groups) if lambda_ifc > 0.0 or lambda_fc > 0.0 else None
 
     terms, factors = [l0], [1.0]
     l_ifc_value = 0.0
-    if weights.lambda_ifc > 0.0:
+    if lambda_ifc > 0.0:
         l_ifc = group_divergence_loss(trace.fused, means)
         terms.append(l_ifc)
-        factors.append(weights.lambda_ifc)
+        factors.append(lambda_ifc)
         l_ifc_value = l_ifc.item()
     l_fc_value = 0.0
-    if weights.lambda_fc > 0.0:
+    if lambda_fc > 0.0:
         l_fc = group_gap_loss(trace.prediction, labels, means)
         terms.append(l_fc)
-        factors.append(weights.lambda_fc)
+        factors.append(lambda_fc)
         l_fc_value = l_fc.item()
     total = ad.weighted_sum([*terms, l_sar], [*factors, 1.0])
 

@@ -26,7 +26,7 @@ from .errors import (
     TrainingError,
     UsageError,
 )
-from .losses import LossBreakdown, LossWeights, assign_groups, ce_loss, joint_loss
+from .losses import LossBreakdown, assign_groups, ce_loss, joint_loss
 from .model import FairIntModel, ModelConfig, VanillaModel
 
 __all__ = ["TrainConfig", "EpochRecord", "TrainHistory", "SweepPoint", "Adam", "train", "evaluate_model", "sweep"]
@@ -34,12 +34,14 @@ __all__ = ["TrainConfig", "EpochRecord", "TrainHistory", "SweepPoint", "Adam", "
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training run's hyperparameters and ablation switches.
+    """One training run's hyperparameters.
 
-    ``enable_bid`` off trains the vanilla MLP baseline instead of the
-    interaction model (no reconstructor, task loss only). ``enable_ifc``
-    and ``enable_fc`` off zero the corresponding fairness terms exactly,
-    independent of the lambda values.
+    ``lambda_ifc`` and ``lambda_fc`` weight the two fairness terms, and a
+    weight of 0 is the only way to leave a term out: the run is then bit
+    for bit one without that term. ``enable_bid`` off trains the vanilla
+    MLP baseline instead of the interaction model (no reconstructor, task
+    loss only), which takes no fairness weights: a nonzero one raises
+    ConfigError.
     """
 
     lambda_ifc: float = 0.0
@@ -51,8 +53,6 @@ class TrainConfig:
     dropout: float = 0.1
     l2: float = 1e-4
     seed: int = 0
-    enable_ifc: bool = True
-    enable_fc: bool = True
     enable_bid: bool = True
 
     def __post_init__(self):
@@ -64,10 +64,14 @@ class TrainConfig:
             value = getattr(self, name)
             if not is_finite_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name in ("enable_ifc", "enable_fc", "enable_bid"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        LossWeights(self.lambda_ifc, self.lambda_fc)  # validates non-negativity
+        if not isinstance(self.enable_bid, bool):
+            raise ConfigError(f"enable_bid must be true or false, got {self.enable_bid!r}")
+        for name in ("lambda_ifc", "lambda_fc", "l2"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not self.enable_bid and (self.lambda_ifc or self.lambda_fc):
+            raise ConfigError(f"enable_bid false trains the vanilla model, which takes no fairness weights,"
+                              f" got lambda_ifc={self.lambda_ifc}, lambda_fc={self.lambda_fc}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -78,16 +82,8 @@ class TrainConfig:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be non-negative, got {self.l2}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    def effective_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_ifc=self.lambda_ifc if self.enable_ifc else 0.0,
-            lambda_fc=self.lambda_fc if self.enable_fc else 0.0,
-        )
 
     def to_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -227,7 +223,6 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     cfg = train_config
     cls = FairIntModel if cfg.enable_bid else VanillaModel
     model = cls(dataset.input_columns, model_config, seed=cfg.seed, dropout=cfg.dropout)
-    weights = cfg.effective_weights()
     optimizer = Adam(model.param_values, model.param_grads, cfg.learning_rate, l2=cfg.l2)
 
     records: list[EpochRecord] = []
@@ -245,7 +240,8 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
             try:
                 if cfg.enable_bid:
                     trace = model.forward(batch.features, training=True, rng=dropout_rng)
-                    total, breakdown = joint_loss(trace, batch.labels, batch.true_sensitive, weights)
+                    total, breakdown = joint_loss(trace, batch.labels, batch.true_sensitive,
+                                                  cfg.lambda_ifc, cfg.lambda_fc)
                 else:
                     pred = model.forward(batch.features, training=True, rng=dropout_rng)
                     total = ce_loss(pred, batch.labels)

@@ -145,7 +145,7 @@ def group_gap_loss(pred, labels, means):
     return abs_gap(ad.row_cross_entropy(pred, y), means, 2.0)
 
 
-def joint_loss(trace, labels, sensitive, weights):
+def joint_loss(trace, labels, sensitive, lambda_ifc=0.0, lambda_fc=0.0):
     """``losses.joint_loss`` as a chain of adds and scalar products; same ``(total, breakdown)``."""
     l0 = ce_loss(trace.prediction, labels)
     l_sar = reconstruction_loss(trace.pseudo_scalar, sensitive)
@@ -153,14 +153,14 @@ def joint_loss(trace, labels, sensitive, weights):
 
     total = l0
     l_ifc_value = 0.0
-    if weights.lambda_ifc > 0.0:
+    if lambda_ifc > 0.0:
         l_ifc = group_divergence_loss(trace.fused, group_means(groups))
-        total = add(total, mul(l_ifc, weights.lambda_ifc))
+        total = add(total, mul(l_ifc, lambda_ifc))
         l_ifc_value = l_ifc.item()
     l_fc_value = 0.0
-    if weights.lambda_fc > 0.0:
+    if lambda_fc > 0.0:
         l_fc = group_gap_loss(trace.prediction, labels, group_means(groups))
-        total = add(total, mul(l_fc, weights.lambda_fc))
+        total = add(total, mul(l_fc, lambda_fc))
         l_fc_value = l_fc.item()
     total = add(total, l_sar)
     breakdown = LossBreakdown(l0=l0.item(), l_sar=l_sar.item(), l_ifc=l_ifc_value, l_fc=l_fc_value,

@@ -20,7 +20,7 @@ import fairint.autodiff as ad
 from fairint.autodiff import Tensor, backward
 from fairint.cli import main
 from fairint.data import full_batch, load_csv, load_schema, split, synth_generate
-from fairint.losses import LossWeights, ce_loss, group_divergence_loss, group_gap_loss, group_means, joint_loss
+from fairint.losses import ce_loss, group_divergence_loss, group_gap_loss, group_means, joint_loss
 from fairint.metrics import auc_roc, delta_dp, delta_eo, threshold_labels
 from fairint.model import FairIntModel, ModelConfig
 from fairint.training import TrainConfig, evaluate_model, train
@@ -157,11 +157,10 @@ def test_c1_gradients_match_finite_differences():
     feats = {c.name: ds.columns[c.name][:10] for c in ds.input_columns}
     labels = ds.columns["y"][:10]
     sensitive = ds.columns["s"][:10]
-    weights = LossWeights(TUNED_LAMBDA_IFC, TUNED_LAMBDA_FC)
 
     def total():
         trace = model.forward(feats, training=False)
-        return joint_loss(trace, labels, sensitive, weights)
+        return joint_loss(trace, labels, sensitive, TUNED_LAMBDA_IFC, TUNED_LAMBDA_FC)
 
     root, breakdown = total()
     assert breakdown.l_ifc > 0.0 and breakdown.l_fc > 0.0

@@ -46,7 +46,7 @@ from fairint.errors import (
     UsageError,
 )
 from fairint.data import FeatureColumn, batches, split, synth_generate
-from fairint.losses import LossWeights, group_means, joint_loss
+from fairint.losses import group_means, joint_loss
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
 from fairint.training import evaluate_model
 
@@ -598,7 +598,7 @@ def test_training_step_and_eval_leave_no_cyclic_garbage():
 
     def step():
         trace = model.forward(batch.features, training=True, rng=np.random.default_rng(0))
-        total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, LossWeights(2.0, 30.0))
+        total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, 2.0, 30.0)
         backward(total)
 
     # a first pass of each loads what numpy imports lazily (np.unique loads numpy.ma),

@@ -125,6 +125,14 @@ def test_dropout_is_a_train_option_not_a_model_option(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["enable_ifc", "enable_fc"])
+def test_a_weight_of_0_is_the_only_term_switch(tmp_path, capsys, key):
+    path, _ = write_config(tmp_path, train={key: False})
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: unknown training options: ['{key}']"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_importing_the_cli_does_not_import_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(fairint.__file__).resolve().parents[1]))
     code = "import sys, fairint.cli; print('scipy' in sys.modules)"
@@ -180,6 +188,15 @@ def test_synth_unwritable_path_is_io_error(tmp_path):
     assert main(["synth", "--n", "100", "--beta", "1.0", "--rho", "0.5", "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("out", ["/", ".", ""])
+def test_synth_out_without_a_file_name_exits_2_before_writing(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--n", "100", "--beta", "1.0", "--rho", "0.5", "--out", out]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--out" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- train ---------------------------------------------------------------------
 
 
@@ -212,21 +229,22 @@ def test_history_head_records_run_and_ablation_flags(trained):
     head, epochs = lines[0], lines[1:]
     assert set(head) == HEAD_KEYS
     assert head["seed"] == 1
-    assert head["enable_ifc"] and head["enable_fc"] and head["enable_bid"]
+    assert (head["enable_ifc"], head["enable_fc"]) == (head["lambda_ifc"] > 0.0, head["lambda_fc"] > 0.0)
+    assert head["enable_bid"] is True
     assert len(epochs) == 3
     assert all(set(line) == EPOCH_KEYS for line in epochs)
     assert [line["epoch"] for line in epochs] == [0, 1, 2]
 
 
-def test_ablation_flags_round_trip(tmp_path):
-    path, _ = write_config(
-        tmp_path, train={"enable_ifc": False, "enable_fc": False, "max_epochs": 1}
-    )
-    assert main(["train", "--config", str(path)]) == 0
-    head = json.loads((tmp_path / "run" / "history.jsonl").read_text().splitlines()[0])
-    assert head["enable_ifc"] is False
-    assert head["enable_fc"] is False
-    assert head["enable_bid"] is True
+def test_head_term_flags_follow_the_weights(tmp_path):
+    # each flag says whether its term was in the objective, which is whether its weight is above 0
+    for weights in ((2.0, 0.0), (0.0, 30.0), (2.0, 30.0)):
+        path, _ = write_config(tmp_path, train={"lambda_ifc": weights[0], "lambda_fc": weights[1], "max_epochs": 1})
+        assert main(["train", "--config", str(path)]) == 0
+        head = json.loads((tmp_path / "run" / "history.jsonl").read_text().splitlines()[0])
+        assert (head["lambda_ifc"], head["lambda_fc"]) == weights
+        assert (head["enable_ifc"], head["enable_fc"]) == (weights[0] > 0.0, weights[1] > 0.0)
+        assert head["enable_bid"] is True
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -251,10 +269,16 @@ def test_model_file_records_the_architecture_and_the_run_training_config(trained
     assert meta["train"] == TrainConfig.from_dict(trained["doc"]["train"]).to_dict()
 
 
-def test_model_file_whose_architecture_records_dropout_still_scores_the_same(trained, tmp_path, capsys):
-    # files written while dropout was also an architecture field carry it in the "model" entry
+@pytest.mark.parametrize(
+    "section, entries",
+    [
+        ("model", {"dropout": 0.1}),  # written while dropout was also an architecture field
+        ("train", {"enable_ifc": True, "enable_fc": True}),  # written while these were training options
+    ],
+)
+def test_model_file_written_by_an_older_version_still_scores_the_same(trained, tmp_path, capsys, section, entries):
     arrays, meta = load_parameters(trained["dir"] / "model.bin")
-    meta["model"]["dropout"] = meta["train"]["dropout"]
+    meta[section].update(entries)
     old = tmp_path / "old.bin"
     save_parameters(old, arrays, meta)
     reports = []
@@ -483,7 +507,8 @@ def _with_categorical(column, cardinality):
         ("config", _with_config(train={"seed": "1"}), 2),
         ("config", _with_config(train={"patience": True}), 2),
         ("config", _with_config(train={"lambda_fc": True}), 2),
-        ("config", _with_config(train={"enable_ifc": "no"}), 2),
+        ("config", _with_config(train={"enable_bid": "no"}), 2),
+        ("config", _with_config(train={"enable_bid": False, "lambda_fc": 30.0}), 2),
         ("config", _with_config(model={"embed_dim": True}), 2),
         ("config", _with_config(train={"learning_rate": float("nan")}), 2),
         ("config", _with_config(train={"lambda_fc": float("inf")}), 2),
@@ -521,6 +546,7 @@ def _with_categorical(column, cardinality):
         "meta_stats_int_too_large",
         "train_not_object", "train_rate_not_number", "train_batch_not_int", "train_epochs_not_int",
         "train_seed_not_int", "train_patience_bool", "train_lambda_bool", "train_enable_not_bool",
+        "vanilla_with_a_weight",
         "model_size_bool", "train_rate_nan", "train_lambda_infinite", "train_l2_nan",
         "config_int_too_long", "schema_int_too_long", "synth_n_too_large_to_allocate",
         "synth_n_beyond_intp", "synth_n_bytes_beyond_intp", "sar_width_beyond_intp",
@@ -620,6 +646,34 @@ def test_cell_that_overflows_when_standardized_exits_3_naming_its_column(trained
     assert len(lines) == 1 and lines[0].startswith("error: ") and "'proxy1'" in lines[0]
 
 
+def _with_empty_record(*shape):
+    """Append a parameter record of ``shape`` (size 0, so it holds no values) to a model file."""
+
+    def corrupt(raw):
+        (length,) = struct.unpack_from("<I", raw, 12)  # after the magic and the version: the metadata
+        at = 16 + length
+        (count,) = struct.unpack_from("<I", raw, at)
+        record = struct.pack(f"<I5sI{len(shape)}Q", 5, b"extra", len(shape), *shape)
+        return raw[:at] + struct.pack("<I", count + 1) + raw[at + 4 :] + record
+
+    return corrupt
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+@pytest.mark.parametrize("shape", [(0, 2**63), (0, 2**64 - 1), (2**40, 0, 2**40)])
+def test_model_record_of_size_0_with_a_shape_numpy_cannot_represent_exits_3(trained, tmp_path, capsys,
+                                                                            command, shape):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_with_empty_record(*shape)((trained["dir"] / "model.bin").read_bytes()))
+    argv = [command, "--model", str(bad), "--csv", str(trained["csv"]), "--out", str(tmp_path / "out.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "parameter record" in lines[0]
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "explain"])
 def test_scoring_commands_take_no_split_flag(trained, command):
     # a CSV loaded for scoring is never split, so only "all" could work
@@ -664,6 +718,30 @@ def test_grid_weight_that_is_not_finite_or_is_negative_exits_2_before_any_work(t
     assert len(lines) == 1 and lines[0].startswith("error: ") and "grid" in lines[0]
     assert out.out == ""
     assert not (tmp_path / "run").exists()
+
+
+def test_sweep_with_a_removed_term_switch_exits_2_before_any_work(tmp_path, capsys):
+    path, _ = write_config(tmp_path, train={"enable_ifc": False})
+    assert main(["sweep", "--config", str(path), "--grid", "0,0;2,30"]) == 2
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "enable_ifc" in lines[0]
+    assert out.out == ""
+    assert not (tmp_path / "run" / "tradeoff.csv").exists()
+
+
+def test_vanilla_sweep_reports_only_its_zero_weight_point(tmp_path, capsys):
+    # the vanilla model has no fairness terms, so a nonzero weight fails its point instead of
+    # labelling the (0, 0) metrics with weights that never ran
+    path, _ = write_config(tmp_path, train={"enable_bid": False, "max_epochs": 1})
+    assert main(["sweep", "--config", str(path), "--grid", "0,0;2,30"]) == 0
+    lines = (tmp_path / "run" / "tradeoff.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[1].split(",")[:2] == ["0.0", "0.0"] and "" not in lines[1].split(",")
+    assert lines[2].split(",") == ["2.0", "30.0", "", "", ""]
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0].startswith("lambda_ifc=0 lambda_fc=0 auc=")
+    assert out[1].startswith("lambda_ifc=2 lambda_fc=30 failed: ConfigError: ")
 
 
 def test_failed_sweep_point_leaves_blanks(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 import graph_oracle
 from fairint.autodiff import backward, no_grad
 from fairint.data import batches, split, synth_generate
-from fairint.losses import LossWeights, assign_groups, ce_loss, joint_loss
+from fairint.losses import assign_groups, ce_loss, joint_loss
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
 from fairint.training import Adam
 
@@ -46,15 +46,15 @@ def train_steps(model, dataset, step_loss):
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
 @pytest.mark.parametrize("weights", [(2.0, 30.0), (0.0, 0.0), (2.0, 0.0), (0.0, 30.0)])
 def test_fair_steps_match_the_op_chains(dataset, arch, weights):
-    config, loss_weights = ARCHITECTURES[arch], LossWeights(*weights)
+    config = ARCHITECTURES[arch]
 
     def fused(model, batch, rng):
         trace = model.forward(batch.features, training=True, rng=rng)
-        return joint_loss(trace, batch.labels, batch.true_sensitive, loss_weights)
+        return joint_loss(trace, batch.labels, batch.true_sensitive, *weights)
 
     def chained(model, batch, rng):
         trace = graph_oracle.fair_forward(model, batch.features, training=True, rng=rng)
-        return graph_oracle.joint_loss(trace, batch.labels, batch.true_sensitive, loss_weights)
+        return graph_oracle.joint_loss(trace, batch.labels, batch.true_sensitive, *weights)
 
     def model():
         return FairIntModel(dataset.input_columns, config, seed=1, dropout=0.1)
@@ -76,7 +76,7 @@ def test_a_one_group_step_matches_the_op_chains(dataset):
     chained = (lambda f: graph_oracle.fair_forward(model, f), graph_oracle.joint_loss)
     for forward, loss in ((model.forward, joint_loss), chained):
         trace = forward(features)
-        total, breakdown = loss(trace, batch.labels[rows], batch.true_sensitive[rows], LossWeights(2.0, 30.0))
+        total, breakdown = loss(trace, batch.labels[rows], batch.true_sensitive[rows], 2.0, 30.0)
         assert breakdown.l_ifc == 0.0 and breakdown.l_fc == 0.0
         model.param_grads.fill(0.0)
         backward(total)

@@ -10,7 +10,6 @@ from fairint.data import FeatureColumn, full_batch, split, synth_generate
 from fairint.errors import ConfigError, ShapeError, UsageError
 from fairint.losses import (
     LossBreakdown,
-    LossWeights,
     assign_groups,
     ce_loss,
     group_divergence_loss,
@@ -228,16 +227,17 @@ def split_readout(m, batch):
 
 
 def test_joint_weights_validation():
-    with pytest.raises(ConfigError):
-        LossWeights(lambda_ifc=-1.0)
-    with pytest.raises(ConfigError):
-        LossWeights(lambda_fc=-0.5)
+    m, batch, labels, sensitive = loss_model()
+    trace = m.forward(batch)
+    for weights in [(-1.0, 0.0), (0.0, -0.5), (float("nan"), 1.0), (1.0, float("nan"))]:
+        with pytest.raises(ConfigError):
+            joint_loss(trace, labels, sensitive, *weights)
 
 
 def test_joint_zero_weights_equals_task_plus_reconstruction():
     m, batch, labels, sensitive = loss_model()
     trace = m.forward(batch)
-    total, breakdown = joint_loss(trace, labels, sensitive, LossWeights(0.0, 0.0))
+    total, breakdown = joint_loss(trace, labels, sensitive, 0.0, 0.0)
     direct = ce_loss(trace.prediction, labels).item() + reconstruction_loss(trace.pseudo_scalar, sensitive).item()
     assert total.item() == direct
     assert breakdown.l_ifc == 0.0 and breakdown.l_fc == 0.0
@@ -246,8 +246,8 @@ def test_joint_zero_weights_equals_task_plus_reconstruction():
 def test_joint_skipped_terms_add_no_graph_nodes():
     m, batch, labels, sensitive = loss_model()
     split_readout(m, batch)
-    plain, _ = joint_loss(m.forward(batch), labels, sensitive, LossWeights(0.0, 0.0))
-    weighted, _ = joint_loss(m.forward(batch), labels, sensitive, LossWeights(1.0, 1.0))
+    plain, _ = joint_loss(m.forward(batch), labels, sensitive, 0.0, 0.0)
+    weighted, _ = joint_loss(m.forward(batch), labels, sensitive, 1.0, 1.0)
     assert len(graph_nodes(weighted)) > len(graph_nodes(plain))
 
 
@@ -261,7 +261,7 @@ def test_joint_loss_adds_7_nodes_with_two_groups_and_4_with_one():
     for features, rows, added in [(batch.features, slice(None), 7), (one_group, groups == 1, 4)]:
         trace = m.forward(features)
         forward = {id(n) for t in (trace.prediction, trace.pseudo_scalar, trace.fused) for n in graph_nodes(t)}
-        total, _ = joint_loss(trace, batch.labels[rows], batch.true_sensitive[rows], LossWeights(2.0, 30.0))
+        total, _ = joint_loss(trace, batch.labels[rows], batch.true_sensitive[rows], 2.0, 30.0)
         assert len(graph_nodes(total)) - len(forward) == added
 
 
@@ -269,7 +269,7 @@ def test_joint_breakdown_formula_is_exact():
     m, batch, labels, sensitive = loss_model()
     split_readout(m, batch)
     for li, lf in [(0.0, 0.0), (1.0, 0.0), (0.0, 5.0), (2.0, 10.0)]:
-        total, b = joint_loss(m.forward(batch), labels, sensitive, LossWeights(li, lf))
+        total, b = joint_loss(m.forward(batch), labels, sensitive, li, lf)
         assert b.total == total.item()
         assert b.total == b.l0 + li * b.l_ifc + lf * b.l_fc + b.l_sar
         assert b.l0 >= 0 and b.l_sar >= 0 and b.l_ifc >= 0 and b.l_fc >= 0
@@ -278,8 +278,8 @@ def test_joint_breakdown_formula_is_exact():
 def test_joint_doubling_a_weight_doubles_its_contribution():
     m, batch, labels, sensitive = loss_model()
     split_readout(m, batch)
-    _, b5 = joint_loss(m.forward(batch), labels, sensitive, LossWeights(0.0, 5.0))
-    _, b10 = joint_loss(m.forward(batch), labels, sensitive, LossWeights(0.0, 10.0))
+    _, b5 = joint_loss(m.forward(batch), labels, sensitive, 0.0, 5.0)
+    _, b10 = joint_loss(m.forward(batch), labels, sensitive, 0.0, 10.0)
     assert b5.l_fc == b10.l_fc
     assert 10.0 * b10.l_fc == 2.0 * (5.0 * b5.l_fc)
 
@@ -289,13 +289,13 @@ def test_joint_gradients_match_finite_differences():
     # in magnitude; see split_readout for why that makes the check stable
     m, batch, labels, sensitive = loss_model(seed=3)
     split_readout(m, batch)
-    weights = LossWeights(lambda_ifc=1.0, lambda_fc=1.0)
+    weights = (1.0, 1.0)
 
     trace = m.forward(batch)
     groups = assign_groups(trace.pseudo_scalar)
     assert 0 < groups.sum() < 10, "need both groups present for a meaningful check"
 
-    total, _ = joint_loss(trace, labels, sensitive, weights)
+    total, _ = joint_loss(trace, labels, sensitive, *weights)
     backward(total)
 
     h = 1e-5
@@ -306,9 +306,9 @@ def test_joint_gradients_match_finite_differences():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp = joint_loss(m.forward(batch), labels, sensitive, weights)[0].item()
+            fp = joint_loss(m.forward(batch), labels, sensitive, *weights)[0].item()
             flat[i] = orig - h
-            fm = joint_loss(m.forward(batch), labels, sensitive, weights)[0].item()
+            fm = joint_loss(m.forward(batch), labels, sensitive, *weights)[0].item()
             flat[i] = orig
             numeric[i] = (fp - fm) / (2 * h)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)

@@ -7,7 +7,7 @@ import fairint.autodiff as ad
 from fairint.autodiff import Tensor, backward, mean_all
 from fairint.data import FeatureColumn, full_batch, split, synth_generate
 from fairint.errors import ConfigError, DataError, UsageError
-from fairint.losses import LossWeights, assign_groups, ce_loss, joint_loss
+from fairint.losses import assign_groups, ce_loss, joint_loss
 from fairint.model import FairIntModel, ForwardTrace, ModelConfig, VanillaModel
 
 
@@ -288,7 +288,7 @@ def test_each_added_feature_adds_zero_nodes_to_a_fair_step(kind, card):
                     for c in columns}
         trace = m.forward(features, training=True)
         assert set(assign_groups(trace.pseudo_scalar)) == {0, 1}  # both penalties run
-        total, _ = joint_loss(trace, labels, sensitive, LossWeights(2.0, 30.0))
+        total, _ = joint_loss(trace, labels, sensitive, 2.0, 30.0)
         return len(ad.graph_nodes(total))
 
     base = small_model().input_columns
@@ -304,7 +304,7 @@ def test_default_architecture_builds_35_nodes_per_fair_step_and_13_per_vanilla_s
     trace = FairIntModel(ds.input_columns, config, seed=0, dropout=0.1).forward(
         batch.features, training=True, rng=np.random.default_rng(0))
     assert set(assign_groups(trace.pseudo_scalar)) == {0, 1}
-    total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, LossWeights(2.0, 30.0))
+    total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, 2.0, 30.0)
     assert len(ad.graph_nodes(total)) == 35
     pred = VanillaModel(ds.input_columns, config, seed=0, dropout=0.1).forward(
         batch.features, training=True, rng=np.random.default_rng(0))
