@@ -174,12 +174,9 @@ def _result(values, parents: tuple, op: str, grad_fn) -> Tensor:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    y = np.empty_like(v)
-    pos = v >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    y[~pos] = ev / (1.0 + ev)
-    return y
+    # 1 / (1 + e^-v) for v >= 0 and e^v / (1 + e^v) below, with no branch: exp never overflows
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:

@@ -412,12 +412,22 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
     return Dataset(schema=schema, columns=columns, vocabularies=vocabs, n=n)
 
 
-def _decoded(dataset: Dataset, column: str, category_ids: np.ndarray) -> list[str]:
-    vocab = dataset.vocabularies[column]
-    unknown = (category_ids < 0) | (category_ids >= len(vocab))
+def _check_decodable(dataset: Dataset, column: str) -> None:
+    """UsageError naming the column's first category id that has no source value."""
+    category_ids = dataset.columns[column]
+    unknown = (category_ids < 0) | (category_ids >= len(dataset.vocabularies[column]))
     if unknown.any():
         dataset.decode(column, int(category_ids[np.argmax(unknown)]))  # raises UsageError
-    return [vocab[i] for i in category_ids.tolist()]
+
+
+def _formatted(dataset: Dataset, col: FeatureColumn, rows: slice) -> list[str]:
+    values = dataset.columns[col.name][rows].tolist()
+    if col.role == ROLE_LABEL:
+        return [str(int(v)) for v in values]
+    if col.kind == KIND_CATEGORICAL:
+        vocab = dataset.vocabularies[col.name]
+        return [vocab[i] for i in values]
+    return list(map(repr, values))
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -425,21 +435,19 @@ def save_csv(dataset: Dataset, path) -> None:
 
     Numericals are written with full precision (repr), so a load/save
     cycle of raw data is value-exact and repeated saves are byte-identical.
-    Each column is formatted before the file is opened.
+    Every category id is checked before the file is opened; the rows are
+    then formatted and written ``CSV_CHUNK_ROWS`` at a time, so the text
+    held in memory does not grow with the row count.
     """
-    columns = []
     for col in dataset.schema:
-        values = dataset.columns[col.name]
-        if col.role == ROLE_LABEL:
-            columns.append([str(int(v)) for v in values.tolist()])
-        elif col.kind == KIND_CATEGORICAL:
-            columns.append(_decoded(dataset, col.name, values))
-        else:
-            columns.append(list(map(repr, values.tolist())))
+        if col.kind == KIND_CATEGORICAL and col.role != ROLE_LABEL:
+            _check_decodable(dataset, col.name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([c.name for c in dataset.schema])
-        writer.writerows(zip(*columns))
+        for start in range(0, dataset.n, CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            writer.writerows(zip(*(_formatted(dataset, col, rows) for col in dataset.schema)))
 
 
 # -- splitting and standardization --------------------------------------------

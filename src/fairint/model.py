@@ -37,6 +37,7 @@ __all__ = [
     "ForwardTrace",
     "FairIntModel",
     "VanillaModel",
+    "score_rows",
     "attention_summary",
     "save_model",
     "load_model",
@@ -305,15 +306,53 @@ class VanillaModel(_EmbeddingBase):
         return self._run_mlp("mlp", self.embed_features(features), training, rng, output="sigmoid")
 
 
-def attention_summary(model: FairIntModel, features: dict) -> list:
-    """Per head and feature, the mean, variance, min and max of the attention weight over a batch."""
+# rows that one eval-mode forward scores at a time; bounds the activations it holds in memory
+SCORE_BLOCK_ROWS = 4096
+
+
+def score_rows(model, features: dict) -> tuple:
+    """Eval-mode forward over blocks of rows: ``(prediction, pseudo_scalar, attention)``.
+
+    ``prediction`` is (n,); for a :class:`FairIntModel`, ``pseudo_scalar``
+    is (n,) and ``attention`` holds one (n, |C|) array per head, and for
+    a :class:`VanillaModel` they are None and []. Blocks start at
+    multiples of B = :data:`SCORE_BLOCK_ROWS`, and a remainder shorter
+    than B rows joins the last block, so a block holds B to 2B - 1 rows,
+    or all n of them when n < B. BLAS can round differently for a block
+    of a few rows or one that starts off an aligned row; these blocks
+    give each row the bits that one forward over all rows gives it.
+    """
+    n = len(next(iter(features.values()), ()))  # the row count; a missing column fails in the forward
+    bounds = [*range(0, max(n - n % SCORE_BLOCK_ROWS, 1), SCORE_BLOCK_ROWS), n]
+    fair = isinstance(model, FairIntModel)
+    prediction = np.empty(n)
+    pseudo = np.empty(n) if fair else None
+    heads = model.config.attention_heads if fair else 0
+    attention = [np.empty((n, len(model.feature_names))) for _ in range(heads)]
     with ad.no_grad():
-        attention = model.forward(features).attention
+        for start, stop in zip(bounds, bounds[1:]):
+            out = model.forward({name: column[start:stop] for name, column in features.items()})
+            if fair:
+                pseudo[start:stop] = out.pseudo_scalar.values[:, 0]
+                for rows, weights in zip(attention, out.attention):
+                    rows[start:stop] = weights.values
+                out = out.prediction
+            prediction[start:stop] = out.values[:, 0]
+    return prediction, pseudo, attention
+
+
+def attention_summary(model: FairIntModel, features: dict) -> list:
+    """Per head and feature, the mean, variance, min and max of the attention weight over all rows.
+
+    The rows are scored in blocks by :func:`score_rows`; each statistic
+    is taken over the weights of all rows at once.
+    """
+    _, _, attention = score_rows(model, features)
     return [
         {"head": h, "features": [
             {"feature": name, "mean": float(column.mean()), "variance": float(column.var()),
              "min": float(column.min()), "max": float(column.max())}
-            for name, column in zip(model.feature_names, weights.values.T)
+            for name, column in zip(model.feature_names, weights.T)
         ]}
         for h, weights in enumerate(attention)
     ]

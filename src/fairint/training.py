@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics as fm
-from .autodiff import backward, no_grad
+from .autodiff import backward
 from .data import Dataset, batches, check_options, full_batch, is_finite_number
 from .errors import (
     ConfigError,
@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
 )
 from .losses import LossBreakdown, assign_groups, ce_loss, joint_loss
-from .model import FairIntModel, ModelConfig, VanillaModel
+from .model import FairIntModel, ModelConfig, VanillaModel, score_rows
 
 __all__ = ["TrainConfig", "EpochRecord", "TrainHistory", "SweepPoint", "Adam", "train", "evaluate_model", "sweep"]
 
@@ -167,7 +167,7 @@ def _nonempty_split(dataset: Dataset, split: str):
 
 def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
                    groups_from: str = "true") -> fm.FairnessReport:
-    """Eval-mode forward over a whole split, then the full metric report.
+    """Score a whole split in blocks of rows (see :func:`score_rows`), then the full metric report.
 
     With ``groups_from="reconstructed"`` the fairness gaps are measured
     against thresholded reconstructor output instead of the true
@@ -176,15 +176,8 @@ def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
     column.
     """
     batch = _nonempty_split(dataset, split)
-    true_s = batch.true_sensitive.astype(np.int64)
-    with no_grad():
-        if isinstance(model, FairIntModel):
-            trace = model.forward(batch.features)
-            scores = trace.prediction.values.reshape(-1)
-            pseudo = trace.pseudo_scalar.values.reshape(-1)
-        else:
-            scores = model.forward(batch.features).values.reshape(-1)
-            pseudo = None
+    true_s = batch.true_sensitive.astype(np.int64, copy=False)
+    scores, pseudo, _ = score_rows(model, batch.features)
     if groups_from == "reconstructed":
         if pseudo is None:
             raise UsageError(NO_RECONSTRUCTOR)

@@ -51,6 +51,20 @@ def relu(x):
     return ad._result(np.maximum(x.values, 0.0), (x,), "relu", lambda g: (g * (x.values > 0.0),))
 
 
+def two_branch_sigmoid(v):
+    """The logistic function as the library first computed it, one branch per sign of v.
+
+    ``ad._sigmoid`` must equal it bit for bit; ``sigmoid`` below calls
+    ``ad._sigmoid``, so this is the reference that pins it.
+    """
+    y = np.empty_like(v)
+    pos = v >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    y[~pos] = ev / (1.0 + ev)
+    return y
+
+
 def sigmoid(x):
     y = ad._sigmoid(x.values)
     return ad._result(y, (x,), "sigmoid", lambda g: (g * y * (1.0 - y),))

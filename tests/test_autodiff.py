@@ -14,6 +14,7 @@ import gc
 import numpy as np
 import pytest
 
+import fairint.autodiff as ad
 import graph_oracle
 from graph_oracle import absolute, add, log, matmul, mul, relu, sigmoid, sum_all
 from fairint.autodiff import (
@@ -110,6 +111,18 @@ def test_sigmoid_is_stable_at_extremes():
     assert np.all(np.isfinite(out))
     assert out[0] >= 0.0 and out[2] <= 1.0
     assert out[1] == 0.5
+
+
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 709.8, -709.8, -745.2, -746.0, 1e308, -1e308]
+
+
+def test_sigmoid_equals_the_two_branch_form_bit_for_bit():
+    # graph_oracle.sigmoid calls the library's _sigmoid, so the chain tests cannot pin it
+    rng = np.random.default_rng(0)
+    v = np.concatenate([SIGMOID_EDGES, rng.standard_normal(200_000) * 40, rng.standard_normal(1000) * 1e-3])
+    with np.errstate(under="ignore"):
+        got, want = ad._sigmoid(v), graph_oracle.two_branch_sigmoid(v)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_basic_arithmetic_values():

@@ -1,6 +1,8 @@
 """Data pipeline tests: encoding, splitting, batching, synthesis."""
 
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -544,3 +546,29 @@ def test_save_csv_is_byte_stable(tmp_path):
     save_csv(ds, p1)
     save_csv(ds, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_csv_refuses_an_id_with_no_source_value_before_touching_the_file(tmp_path):
+    ds = synth_generate(2 * CSV_CHUNK_ROWS + 3, 0.5, 0.3, seed=2)
+    s = ds.columns["s"].copy()
+    s[CSV_CHUNK_ROWS + 7] = 2  # the unknown slot, in the second chunk
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"kept,as,it,was\n")
+    with pytest.raises(UsageError, match="column 's': id 2 has no recorded source value"):
+        save_csv(replace(ds, columns={**ds.columns, "s": s}), path)
+    assert path.read_bytes() == b"kept,as,it,was\n"
+
+
+def test_save_csv_memory_does_not_grow_with_the_row_count(tmp_path):
+    save_csv(synth_generate(200, 0.5, 0.3, seed=2), tmp_path / "warm.csv")  # first calls import and cache
+    peaks = []
+    for chunks in (1, 16):
+        ds = synth_generate(chunks * CSV_CHUNK_ROWS, 0.5, 0.3, seed=2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_csv(ds, tmp_path / "out.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import fairint.autodiff as ad
+import fairint.model
 from fairint.autodiff import Tensor, backward, mean_all
 from fairint.data import FeatureColumn, full_batch, split, synth_generate
 from fairint.errors import ConfigError, DataError, UsageError
 from fairint.losses import assign_groups, ce_loss, joint_loss
-from fairint.model import FairIntModel, ForwardTrace, ModelConfig, VanillaModel
+from fairint.model import FairIntModel, ForwardTrace, ModelConfig, VanillaModel, attention_summary, score_rows
 
 
 def cols(*specs):
@@ -356,6 +357,58 @@ def test_vanilla_deterministic_and_seed_sensitive():
     c = VanillaModel(columns, config, seed=2).forward(batch)
     assert a.values.tobytes() == b.values.tobytes()
     assert a.values.tobytes() != c.values.tobytes()
+
+
+# -- blocked scoring -------------------------------------------------------------------------------
+
+B = 64  # the block size these tests score in; a block then has 64 to 127 rows
+BLOCKED_ROW_COUNTS = [1, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 3 * B + 5]
+# the default widths, so each matrix product is as wide as the benchmark's
+SCORED_MODELS = {
+    "fair": lambda: FairIntModel(small_model().input_columns, ModelConfig(attention_heads=2), seed=3),
+    "vanilla": lambda: VanillaModel(small_model().input_columns, ModelConfig(), seed=3),
+}
+
+
+@pytest.fixture
+def blocks_of_64(monkeypatch):
+    monkeypatch.setattr(fairint.model, "SCORE_BLOCK_ROWS", B)
+
+
+@pytest.mark.parametrize("kind", SCORED_MODELS)
+@pytest.mark.parametrize("n", BLOCKED_ROW_COUNTS)
+def test_blocked_scores_equal_one_forward_over_all_rows_bit_for_bit(blocks_of_64, kind, n):
+    model = SCORED_MODELS[kind]()
+    batch = small_batch(n=n, seed=n)
+    prediction, pseudo, attention = score_rows(model, batch)
+    with ad.no_grad():
+        whole = model.forward(batch)
+    if kind == "fair":
+        assert pseudo.tobytes() == whole.pseudo_scalar.values.reshape(-1).tobytes()
+        assert len(attention) == 2
+        for got, want in zip(attention, whole.attention):
+            assert got.shape == want.values.shape and got.tobytes() == want.values.tobytes()
+        whole = whole.prediction
+    else:
+        assert pseudo is None and attention == []
+    assert prediction.shape == (n,) and prediction.tobytes() == whole.values.reshape(-1).tobytes()
+
+
+@pytest.mark.parametrize("n", BLOCKED_ROW_COUNTS)
+def test_blocked_attention_summary_equals_the_single_block_one(monkeypatch, n):
+    model = small_model(seed=5, attention_heads=2)
+    batch = small_batch(n=n, seed=n)
+    monkeypatch.setattr(fairint.model, "SCORE_BLOCK_ROWS", 10 * n)
+    whole = attention_summary(model, batch)
+    monkeypatch.setattr(fairint.model, "SCORE_BLOCK_ROWS", B)
+    assert attention_summary(model, batch) == whole
+
+
+def test_a_bad_id_in_a_later_block_raises_as_in_one_forward(blocks_of_64):
+    batch = small_batch(n=3 * B + 5)
+    batch["job"][2 * B + 1] = 99
+    with pytest.raises(DataError, match="out of range"):
+        score_rows(small_model(), batch)
 
 
 # -- whole-model gradient check ------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Training-loop contracts: determinism, selection, ablation, sweeps."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fairint.model
 from fairint.autodiff import backward, mean_squared_error, pack_parameters
 from fairint.data import full_batch, split, synth_generate
 from fairint.errors import ConfigError, MetricError, TrainingError, UsageError
@@ -313,6 +315,40 @@ def test_evaluate_empty_split_is_an_error(trained):
     ds.split_tags.setflags(write=False)
     with pytest.raises(UsageError, match="no rows"):
         evaluate_model(model, ds, "val")
+
+
+@pytest.mark.parametrize("which", ["all", "train", "test"])
+def test_blocked_evaluation_equals_the_single_block_report(monkeypatch, tiny, trained, which):
+    # 400 rows in all, 240 in train and 80 in test: blocks of 64 give 6, 3 and 1 forward
+    vanilla, _ = train(tiny, ModelConfig(), quick_config(enable_bid=False, max_epochs=2))
+    runs = [(trained[0], "true"), (trained[0], "reconstructed"), (vanilla, "true")]
+    monkeypatch.setattr(fairint.model, "SCORE_BLOCK_ROWS", 10 * tiny.n)
+    whole = [evaluate_model(model, tiny, which, groups_from=groups) for model, groups in runs]
+    monkeypatch.setattr(fairint.model, "SCORE_BLOCK_ROWS", 64)
+    assert [evaluate_model(model, tiny, which, groups_from=groups) for model, groups in runs] == whole
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of ``fn()`` beyond what was live before it; tracemalloc sees numpy."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_memory_does_not_grow_with_the_row_count():
+    # the vanilla model: its 64-wide hidden layer makes a block's activations outweigh the per-row arrays
+    warm = synth_generate(n=200, bias_strength=2.0, proxy_corr=0.8, seed=0)
+    model = VanillaModel(warm.input_columns, ModelConfig(), seed=0)
+    evaluate_model(model, warm, "all")  # first calls allocate numpy's lazy imports and caches
+    peaks = []
+    for blocks in (1, 16):
+        ds = synth_generate(n=blocks * fairint.model.SCORE_BLOCK_ROWS, bias_strength=2.0, proxy_corr=0.8, seed=1)
+        peaks.append(traced_peak(lambda: evaluate_model(model, ds, "all")))
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_reconstructed_groups_follow_the_reconstructor(separated):
