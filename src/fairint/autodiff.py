@@ -225,16 +225,24 @@ def _project_blocks(blocks: Tensor, proj: Tensor):
 
 def feature_scores(blocks: Tensor, proj: Tensor, query: Tensor) -> Tensor:
     """(B, C) scores of (B, C*d) ``blocks`` against (B, k) ``query``:
-    out[b, c] = (blocks[b, c] @ proj) . query[b], with ``proj`` (d, k)."""
+    out[b, c] = (blocks[b, c] @ proj) . query[b], with ``proj`` (d, k).
+
+    Each score adds its k products in order, from 0.0. For k < 8 that is
+    how numpy sums a last axis, so the scores equal ``(keys * q).sum(-1)``
+    bit for bit; for k >= 8 numpy sums pairwise, and the two differ by ULPs.
+    """
     keys, project_grads = _project_blocks(blocks, proj)
     q = query.values
     if q.shape != (keys.shape[0], keys.shape[2]):
         raise ShapeError(f"query shape {q.shape} does not match keys of shape {keys.shape}")
+    scores = np.zeros(keys.shape[:2])
+    for j in range(keys.shape[2]):  # k adds over (B, C), never a (B, C, k) product
+        scores += keys[:, :, j] * q[:, j, None]
 
     def grad_fn(g):
         return *project_grads(g[:, :, None] * q[:, None, :]), np.einsum("bc,bck->bk", g, keys)
 
-    return _result((keys * q[:, None, :]).sum(axis=-1), (blocks, proj, query), "feature_scores", grad_fn)
+    return _result(scores, (blocks, proj, query), "feature_scores", grad_fn)
 
 
 def feature_pool(blocks: Tensor, proj: Tensor, weights: Tensor) -> Tensor:
@@ -308,8 +316,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, activation: str | None 
         raise NumericError("operation 'dense' produced non-finite values before its activation")
     active = y = keep = None
     if activation == "relu":
-        active = out > 0.0
-        out = np.maximum(out, 0.0)
+        np.maximum(out, 0.0, out=out)  # in place: ``out`` is this op's own product
+        if _grad_enabled:  # the mask is for backward alone; max(z, 0) > 0 exactly where z > 0
+            active = out > 0.0
     elif activation == "sigmoid":
         out = y = _sigmoid(out)
     if rate > 0.0:

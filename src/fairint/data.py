@@ -312,8 +312,7 @@ def _read_rows(reader, limit: int):
     """Up to ``limit`` rows, and the decoding or csv error that ended the read early, if any."""
     rows = []
     try:
-        for row in islice(reader, limit):
-            rows.append(row)
+        rows.extend(islice(reader, limit))  # keeps the rows read before an error
     except (UnicodeDecodeError, csv.Error) as exc:
         return rows, exc
     return rows, None
@@ -540,13 +539,16 @@ def _split_indices(dataset: Dataset, which: str) -> np.ndarray:
     return np.flatnonzero(dataset.split_tags == SPLIT_CODES[which])
 
 
-def _make_batch(dataset: Dataset, rows: np.ndarray) -> Batch:
+def _make_batch(dataset: Dataset, indices: np.ndarray, rows=None) -> Batch:
+    """The rows at ``indices``, copied out of the columns; ``rows=slice(None)`` takes
+    every row as views of the columns instead."""
+    rows = indices if rows is None else rows
     features = {c.name: dataset.columns[c.name][rows] for c in dataset.input_columns}
     return Batch(
         features=features,
         labels=dataset.columns[dataset.label_column.name][rows],
         true_sensitive=dataset.columns[dataset.sensitive_column.name][rows],
-        indices=rows,
+        indices=indices,
     )
 
 
@@ -563,8 +565,9 @@ def batches(dataset: Dataset, which: str, batch_size: int, seed: int, epoch: int
 
 
 def full_batch(dataset: Dataset, which: str) -> Batch:
-    """The whole split as one batch, in original row order."""
-    return _make_batch(dataset, _split_indices(dataset, which))
+    """The whole split as one batch, in original row order. Split ``all`` views the
+    dataset's own columns, which the loaders freeze; any other split copies its rows."""
+    return _make_batch(dataset, _split_indices(dataset, which), slice(None) if which == "all" else None)
 
 
 # -- synthetic biased data ----------------------------------------------------

@@ -307,7 +307,7 @@ class VanillaModel(_EmbeddingBase):
 
 
 # rows that one eval-mode forward scores at a time; bounds the activations it holds in memory
-SCORE_BLOCK_ROWS = 4096
+SCORE_BLOCK_ROWS = 2048
 
 
 def score_rows(model, features: dict) -> tuple:
@@ -316,7 +316,7 @@ def score_rows(model, features: dict) -> tuple:
     ``prediction`` is (n,); for a :class:`FairIntModel`, ``pseudo_scalar``
     is (n,) and ``attention`` holds one (n, |C|) array per head, and for
     a :class:`VanillaModel` they are None and []. Blocks start at
-    multiples of B = :data:`SCORE_BLOCK_ROWS`, and a remainder shorter
+    multiples of B = :data:`SCORE_BLOCK_ROWS` (2048), and a remainder shorter
     than B rows joins the last block, so a block holds B to 2B - 1 rows,
     or all n of them when n < B. BLAS can round differently for a block
     of a few rows or one that starts off an aligned row; these blocks

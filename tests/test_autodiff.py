@@ -10,6 +10,7 @@ well defined.
 """
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,7 +256,9 @@ def test_grad_feature_pool(seed, shape):
     )
 
 
-@pytest.mark.parametrize("n_feat, d, k", [(1, 4, 4), (5, 4, 4), (14, 4, 4), (3, 2, 5)])
+# head widths up to 7: feature_scores adds a score's k products in order, as numpy sums a last
+# axis shorter than 8; from 8 on numpy sums pairwise and the two differ by ULPs
+@pytest.mark.parametrize("n_feat, d, k", [(1, 4, 4), (5, 4, 4), (14, 4, 4), (3, 2, 5), (14, 4, 7)])
 def test_feature_ops_equal_a_per_feature_loop(n_feat, d, k):
     # at least two rows: numpy multiplies a single row through its
     # matrix-vector path, which rounds differently from the matrix product
@@ -376,6 +379,24 @@ def test_row_cross_entropy_equals_its_op_chain_bit_for_bit():
     assert out_fused.values.tobytes() == out_chained.values.tobytes()
     assert fused.grad.tobytes() == chained.grad.tobytes()
     np.testing.assert_allclose(out_fused.values, -(y * np.log(p) + (1 - y) * np.log(1 - p)), rtol=1e-12)
+
+
+def test_a_no_grad_relu_dense_holds_only_its_output():
+    # eval forwards run under no_grad: the ReLU works in place and builds no backward mask
+    rng = np.random.default_rng(8)
+    x, w, b = (Tensor(rng.standard_normal(shape), grad_tracked=True) for shape in [(4096, 16), (16, 64), (64,)])
+    recorded = dense(x, w, b, "relu")
+    with no_grad():
+        dense(x, w, b, "relu")  # first call allocates numpy's lazy caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = dense(x, w, b, "relu")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert out.values.tobytes() == recorded.values.tobytes()
+    assert peak < 1.5 * out.values.nbytes, peak / out.values.nbytes
 
 
 # (bias, activation) beyond the row-bias linear and ReLU layers the tests above cover

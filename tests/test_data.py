@@ -444,6 +444,22 @@ def test_full_batch_covers_split_in_row_order():
     assert np.all(np.diff(train.indices) > 0)
 
 
+def test_full_batch_of_all_views_the_dataset_and_other_splits_copy():
+    ds = split(synth_generate(200, bias_strength=1.0, proxy_corr=0.5, seed=0), (0.5, 0.25, 0.25), seed=6)
+    whole = full_batch(ds, "all")
+    np.testing.assert_array_equal(whole.indices, np.arange(200))
+    arrays = [*whole.features.values(), whole.labels, whole.true_sensitive]
+    columns = [*(ds.columns[name] for name in whole.features), ds.columns["y"], ds.columns["s"]]
+    for got, column in zip(arrays, columns, strict=True):
+        assert np.shares_memory(got, column)
+        assert not got.flags.writeable
+    for which in ("train", "val", "test"):
+        part = full_batch(ds, which)
+        assert not any(np.shares_memory(got, ds.columns[name]) for name, got in part.features.items())
+        assert not np.shares_memory(part.labels, ds.columns["y"])
+        assert not np.shares_memory(part.true_sensitive, ds.columns["s"])
+
+
 def test_batches_validation():
     ds = make_numeric_dataset(list(range(10)))
     with pytest.raises(ConfigError, match="batch size"):

@@ -1,0 +1,23 @@
+"""README quotes the fixed row counts that bound memory; they must match the code."""
+
+import re
+from pathlib import Path
+
+from fairint.data import CSV_CHUNK_ROWS
+from fairint.model import SCORE_BLOCK_ROWS
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def quoted(pattern: str) -> list[int]:
+    return [int(n) for n in re.findall(pattern, " ".join(README.split()))]
+
+
+def test_readme_states_the_score_block_size():
+    sizes = quoted(r"in blocks of (\d+)") + quoted(r"at a multiple of (\d+) rows")
+    assert sizes and set(sizes) == {SCORE_BLOCK_ROWS}, sizes
+
+
+def test_readme_states_the_csv_chunk_size():
+    sizes = quoted(r"written (\d+) rows at a time")
+    assert sizes and set(sizes) == {CSV_CHUNK_ROWS}, sizes
