@@ -76,22 +76,24 @@ def delta_eo(pred_labels, y, s) -> float:
 def auc_roc(scores, y) -> float:
     """Probability a random positive outscores a random negative; ties count half.
 
-    Computed from rank sums, so it is exact and invariant under any
-    strictly increasing transform of the scores.
+    Each positive counts the negatives below it plus half of those it
+    ties, found by binary search in the sorted negative scores (sorted
+    positives keep the searches moving forward). The counts are
+    integers, so the result is exact and invariant under any strictly
+    increasing transform of the scores, and besides the two classes'
+    scores it holds one count per positive.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(y).reshape(-1)
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise MetricError(f"AUC needs both classes, got {n_pos} positives and {n_neg} negatives")
-    # average 1-based rank: a tie group at sorted positions [start, end) gets (start + end + 1) / 2
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    end = np.cumsum(counts)
-    start = end - counts
-    ranks = ((start + end + 1) / 2.0)[group]
-    rank_sum_pos = ranks[y == 1].sum()
-    return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    negatives = scores[y == 0]
+    positives = scores[y == 1]
+    if positives.size == 0 or negatives.size == 0:
+        raise MetricError(f"AUC needs both classes, got {positives.size} positives and {negatives.size} negatives")
+    negatives.sort()
+    positives.sort()
+    below = int(np.searchsorted(negatives, positives, side="left").sum())
+    below_or_tied = int(np.searchsorted(negatives, positives, side="right").sum())
+    return float((below + below_or_tied) / 2.0 / (positives.size * negatives.size))
 
 
 def sar_accuracy(pseudo_scores, s) -> float:

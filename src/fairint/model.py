@@ -310,44 +310,64 @@ class VanillaModel(_EmbeddingBase):
 SCORE_BLOCK_ROWS = 2048
 
 
-def score_rows(model, features: dict) -> tuple:
-    """Eval-mode forward over blocks of rows: ``(prediction, pseudo_scalar, attention)``.
+def _score_blocks(model, features: dict, read) -> None:
+    """Eval-mode forward over blocks of rows, calling ``read(rows, output)``
+    with each block's slice of rows and its forward output.
 
-    ``prediction`` is (n,); for a :class:`FairIntModel`, ``pseudo_scalar``
-    is (n,) and ``attention`` holds one (n, |C|) array per head, and for
-    a :class:`VanillaModel` they are None and []. Blocks start at
-    multiples of B = :data:`SCORE_BLOCK_ROWS` (2048), and a remainder shorter
-    than B rows joins the last block, so a block holds B to 2B - 1 rows,
-    or all n of them when n < B. BLAS can round differently for a block
-    of a few rows or one that starts off an aligned row; these blocks
-    give each row the bits that one forward over all rows gives it.
+    Blocks start at multiples of B = :data:`SCORE_BLOCK_ROWS` (2048), and
+    a remainder shorter than B rows joins the last block, so a block holds
+    B to 2B - 1 rows, or all n of them when n < B. BLAS can round
+    differently for a block of a few rows or one that starts off an
+    aligned row; these blocks give each row the bits that one forward over
+    all rows gives it. No block's output outlives its ``read``.
     """
-    n = len(next(iter(features.values()), ()))  # the row count; a missing column fails in the forward
+    n = _row_count(features)
     bounds = [*range(0, max(n - n % SCORE_BLOCK_ROWS, 1), SCORE_BLOCK_ROWS), n]
-    fair = isinstance(model, FairIntModel)
-    prediction = np.empty(n)
-    pseudo = np.empty(n) if fair else None
-    heads = model.config.attention_heads if fair else 0
-    attention = [np.empty((n, len(model.feature_names))) for _ in range(heads)]
     with ad.no_grad():
         for start, stop in zip(bounds, bounds[1:]):
-            out = model.forward({name: column[start:stop] for name, column in features.items()})
-            if fair:
-                pseudo[start:stop] = out.pseudo_scalar.values[:, 0]
-                for rows, weights in zip(attention, out.attention):
-                    rows[start:stop] = weights.values
-                out = out.prediction
-            prediction[start:stop] = out.values[:, 0]
-    return prediction, pseudo, attention
+            read(slice(start, stop), model.forward({name: column[start:stop] for name, column in features.items()}))
+
+
+def _row_count(features: dict) -> int:
+    return len(next(iter(features.values()), ()))  # a missing column fails in the forward
+
+
+def score_rows(model, features: dict) -> tuple:
+    """Score the rows in blocks (see :func:`_score_blocks`): ``(prediction, pseudo_scalar)``.
+
+    ``prediction`` is (n,); ``pseudo_scalar`` is (n,) for a
+    :class:`FairIntModel` and None for a :class:`VanillaModel`.
+    """
+    fair = isinstance(model, FairIntModel)
+    prediction = np.empty(_row_count(features))
+    pseudo = np.empty_like(prediction) if fair else None
+
+    def read(rows, out):
+        if fair:
+            pseudo[rows] = out.pseudo_scalar.values[:, 0]
+            out = out.prediction
+        prediction[rows] = out.values[:, 0]
+
+    _score_blocks(model, features, read)
+    return prediction, pseudo
 
 
 def attention_summary(model: FairIntModel, features: dict) -> list:
     """Per head and feature, the mean, variance, min and max of the attention weight over all rows.
 
-    The rows are scored in blocks by :func:`score_rows`; each statistic
-    is taken over the weights of all rows at once.
+    The rows are scored in blocks (see :func:`_score_blocks`); each
+    statistic is taken over the weights of all rows at once.
     """
-    _, _, attention = score_rows(model, features)
+    if not isinstance(model, FairIntModel):
+        return []  # the vanilla model has no attention
+    shape = (_row_count(features), len(model.feature_names))
+    attention = [np.empty(shape) for _ in range(model.config.attention_heads)]
+
+    def read(rows, out):
+        for filled, weights in zip(attention, out.attention):
+            filled[rows] = weights.values
+
+    _score_blocks(model, features, read)
     return [
         {"head": h, "features": [
             {"feature": name, "mean": float(column.mean()), "variance": float(column.var()),

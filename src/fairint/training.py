@@ -177,7 +177,7 @@ def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
     """
     batch = _nonempty_split(dataset, split)
     true_s = batch.true_sensitive.astype(np.int64, copy=False)
-    scores, pseudo, _ = score_rows(model, batch.features)
+    scores, pseudo = score_rows(model, batch.features)
     if groups_from == "reconstructed":
         if pseudo is None:
             raise UsageError(NO_RECONSTRUCTOR)

@@ -9,7 +9,9 @@ from fairint.autodiff import Tensor, backward, mean_all
 from fairint.data import FeatureColumn, full_batch, split, synth_generate
 from fairint.errors import ConfigError, DataError, UsageError
 from fairint.losses import assign_groups, ce_loss, joint_loss
-from fairint.model import FairIntModel, ForwardTrace, ModelConfig, VanillaModel, attention_summary, score_rows
+from fairint.model import (
+    FairIntModel, ForwardTrace, ModelConfig, VanillaModel, _score_blocks, attention_summary, score_rows,
+)
 
 
 def cols(*specs):
@@ -380,17 +382,19 @@ def blocks_of_64(monkeypatch):
 def test_blocked_scores_equal_one_forward_over_all_rows_bit_for_bit(blocks_of_64, kind, n):
     model = SCORED_MODELS[kind]()
     batch = small_batch(n=n, seed=n)
-    prediction, pseudo, attention = score_rows(model, batch)
+    prediction, pseudo = score_rows(model, batch)
     with ad.no_grad():
         whole = model.forward(batch)
     if kind == "fair":
         assert pseudo.tobytes() == whole.pseudo_scalar.values.reshape(-1).tobytes()
-        assert len(attention) == 2
-        for got, want in zip(attention, whole.attention):
-            assert got.shape == want.values.shape and got.tobytes() == want.values.tobytes()
+        blocks = []
+        _score_blocks(model, batch, lambda rows, out: blocks.append([w.values for w in out.attention]))
+        assert len(whole.attention) == 2
+        for h, want in enumerate(whole.attention):
+            assert np.concatenate([heads[h] for heads in blocks]).tobytes() == want.values.tobytes()
         whole = whole.prediction
     else:
-        assert pseudo is None and attention == []
+        assert pseudo is None
     assert prediction.shape == (n,) and prediction.tobytes() == whole.values.reshape(-1).tobytes()
 
 
@@ -402,6 +406,10 @@ def test_blocked_attention_summary_equals_the_single_block_one(monkeypatch, n):
     whole = attention_summary(model, batch)
     monkeypatch.setattr(fairint.model, "SCORE_BLOCK_ROWS", B)
     assert attention_summary(model, batch) == whole
+
+
+def test_a_vanilla_model_has_no_attention_to_summarize():
+    assert attention_summary(SCORED_MODELS["vanilla"](), small_batch(n=5)) == []
 
 
 def test_a_bad_id_in_a_later_block_raises_as_in_one_forward(blocks_of_64):

@@ -94,27 +94,67 @@ def test_rows_format(tmp_path):
     assert all(isinstance(r["coefficient"], float) for r in rows)
 
 
-def test_many_levels_fit_without_a_dense_design():
-    # a one-hot design of 10,000 rows x 2,000 levels would take 160 MB
-    n, levels = 10_000, 2_000
+def wide_levels_dataset(columns, n=10_000, levels=2_000):
+    """``columns`` categoricals of ``levels`` levels each; group 1 rows use only the lower half."""
     rng = np.random.default_rng(0)
     s = (rng.random(n) < 0.5).astype(np.int64)
-    ids = np.where(s == 1, rng.integers(0, levels // 2, n), rng.integers(0, levels, n))
-    ds = Dataset(
-        schema=[
-            FeatureColumn("job", KIND_CATEGORICAL, ROLE_NON_SENSITIVE, cardinality=levels),
+    names = [f"job{j}" for j in range(columns)]
+    return Dataset(
+        schema=[FeatureColumn(name, KIND_CATEGORICAL, ROLE_NON_SENSITIVE, cardinality=levels) for name in names]
+        + [
             FeatureColumn("s", KIND_CATEGORICAL, ROLE_SENSITIVE, cardinality=2),
             FeatureColumn("y", KIND_NUMERICAL, ROLE_LABEL),
         ],
-        columns={"job": ids, "s": s, "y": np.zeros(n)},
-        vocabularies={"job": [f"j{i}" for i in range(levels)], "s": ["0", "1"]},
+        columns={
+            **{name: np.where(s == 1, rng.integers(0, levels // 2, n), rng.integers(0, levels, n)) for name in names},
+            "s": s, "y": np.zeros(n),
+        },
+        vocabularies={**{name: [f"j{i}" for i in range(levels)] for name in names}, "s": ["0", "1"]},
         n=n,
     )
+
+
+def traced_probe(ds):
     tracemalloc.start()
     try:
         result = sensitive_probe(ds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(result.names) == levels
+    return result, peak
+
+
+def test_many_levels_fit_without_a_dense_design():
+    # a one-hot design of 10,000 rows x 2,000 levels would take 160 MB
+    result, peak = traced_probe(wide_levels_dataset(1))
+    assert len(result.names) == 2_000
     assert peak < 16 * 2**20
+
+
+def test_three_wide_columns_fit_without_a_dense_design():
+    # each column spans more codes than one group may, so each is a group of its own
+    result, peak = traced_probe(wide_levels_dataset(3))
+    assert len(result.names) == 3 * 2_000
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("column", ["color", "size"])
+def test_negative_category_id_is_a_data_error_naming_the_column(column):
+    # a negative id in a later column would otherwise land on a level of the column before it
+    n = 40
+    s = np.arange(n) % 2
+    columns = {"color": np.arange(n) % 3, "size": np.arange(n) % 2, "s": s, "y": np.zeros(n)}
+    columns[column] = np.where(s == 1, -1, columns[column])
+    ds = Dataset(
+        schema=[
+            FeatureColumn("color", KIND_CATEGORICAL, ROLE_NON_SENSITIVE, cardinality=3),
+            FeatureColumn("size", KIND_CATEGORICAL, ROLE_NON_SENSITIVE, cardinality=2),
+            FeatureColumn("s", KIND_CATEGORICAL, ROLE_SENSITIVE, cardinality=2),
+            FeatureColumn("y", KIND_NUMERICAL, ROLE_LABEL),
+        ],
+        columns=columns,
+        vocabularies={"color": ["r", "g", "b"], "size": ["S", "L"], "s": ["0", "1"]},
+        n=n,
+    )
+    with pytest.raises(DataError, match=f"negative category id for feature '{column}'"):
+        sensitive_probe(ds)

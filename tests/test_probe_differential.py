@@ -21,7 +21,8 @@ from fairint.data import (
     load_csv,
     synth_generate,
 )
-from fairint.probe import sensitive_probe
+from fairint import probe
+from fairint.probe import PROBE_MAX_CODES, _code_groups, _encode, sensitive_probe
 from probe_oracle import oracle_sensitive_probe
 
 ROWS = 600
@@ -125,11 +126,10 @@ def test_constant_numerical_column(tmp_path):
     assert got["flat"] == 0.0
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_random_tables(seed):
-    """Random schemas built directly as Datasets: 1-5 input columns of either
-    kind, vocabularies shorter than the cardinality, unused levels and
-    unknown ids."""
+def random_table(seed):
+    """A random schema built directly as a Dataset: 1-5 input columns of
+    either kind, vocabularies shorter than the cardinality, unused levels
+    and unknown ids."""
     rng = np.random.default_rng([seed, 12])
     n = int(rng.integers(20, 300))
     s = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
@@ -151,4 +151,67 @@ def test_random_tables(seed):
     schema += [FeatureColumn("s", KIND_CATEGORICAL, ROLE_SENSITIVE, cardinality=2),
                FeatureColumn("y", KIND_NUMERICAL, ROLE_LABEL)]
     columns["y"] = np.zeros(n)
-    assert_matches_oracle(Dataset(schema=schema, columns=columns, vocabularies=vocabularies, n=n))
+    return Dataset(schema=schema, columns=columns, vocabularies=vocabularies, n=n)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_tables(seed):
+    assert_matches_oracle(random_table(seed))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_tables_in_small_code_groups(monkeypatch, seed):
+    # a bound of 12 codes splits the categoricals into groups of one to three columns
+    monkeypatch.setattr(probe, "PROBE_MAX_CODES", 12)
+    assert_matches_oracle(random_table(seed))
+
+
+# -- joint codes ------------------------------------------------------------------------------------
+
+
+def categorical_table(cardinalities, n=ROWS, seed=0, vocabularies=None):
+    """Leaking categorical columns c0, c1, ... of the given cardinalities, built directly as a Dataset."""
+    rng = np.random.default_rng(seed)
+    schema, columns = [], {"s": SENSITIVE[:n].astype(np.int64)}
+    for j, cardinality in enumerate(cardinalities):
+        schema.append(FeatureColumn(f"c{j}", KIND_CATEGORICAL, ROLE_NON_SENSITIVE, cardinality=cardinality))
+        ids = rng.integers(0, cardinality, n)
+        columns[f"c{j}"] = np.where(SENSITIVE[:n] & (rng.random(n) < 0.4), j % cardinality, ids)
+    schema += [FeatureColumn("s", KIND_CATEGORICAL, ROLE_SENSITIVE, cardinality=2),
+               FeatureColumn("y", KIND_NUMERICAL, ROLE_LABEL)]
+    columns["y"] = np.zeros(n)
+    vocabularies = {f"c{j}": [f"v{i}" for i in range(c)] for j, c in enumerate(cardinalities)} | (vocabularies or {})
+    return Dataset(schema=schema, columns=columns, vocabularies=vocabularies | {"s": ["0", "1"]}, n=n)
+
+
+def test_small_columns_share_one_code_space():
+    ds = categorical_table([3, 4, 2, 5, 3])
+    _, _, _, codes, _ = _encode(ds)
+    assert codes.shape == (1, ROWS)  # (3+1)(4+1)(2+1)(5+1)(3+1) = 1440 codes
+    assert_matches_oracle(ds)
+
+
+def test_a_column_wider_than_the_bound_next_to_small_ones():
+    ds = categorical_table([3, PROBE_MAX_CODES, 4, 2])
+    _, _, _, codes, _ = _encode(ds)
+    assert codes.shape == (3, ROWS)  # {c0}, {c1} alone, {c2, c3}
+    got, _ = assert_matches_oracle(ds)
+    assert sum(1 for name in got if name.startswith("c1=")) == PROBE_MAX_CODES
+
+
+def test_unknown_ids_and_a_frozen_level_inside_a_grouped_column():
+    ds = categorical_table([3, 4, 2], vocabularies={"c1": ["v0", "v1", "v2"]})
+    ds.columns["c1"] = np.where(ds.columns["c1"] == 1, 2, ds.columns["c1"])  # no row holds v1
+    ds.columns["c2"][::7] = 2  # the unknown id of c2's two levels
+    assert (ds.columns["c1"] == 3).any() and not (ds.columns["c1"] == 1).any()
+    _, _, _, codes, _ = _encode(ds)
+    assert codes.shape == (1, ROWS)
+    got, wanted = assert_matches_oracle(ds)
+    assert got["c1=v1"] == 0.0 and wanted["c1=v1"] == 0.0
+
+
+def test_adult_shaped_cardinalities_pack_into_three_groups():
+    cardinalities = (8, 16, 7, 14, 6, 5, 40, 2)
+    assert _code_groups([c + 1 for c in cardinalities]) == [[0, 1, 2], [3, 4, 5], [6, 7]]
+    _, _, _, codes, members = _encode(categorical_table(cardinalities))
+    assert codes.shape == (3, ROWS) and members.shape[0] == 3

@@ -1,10 +1,11 @@
-"""README quotes the fixed row counts that bound memory; they must match the code."""
+"""README quotes the fixed sizes that bound memory; they must match the code."""
 
 import re
 from pathlib import Path
 
 from fairint.data import CSV_CHUNK_ROWS
 from fairint.model import SCORE_BLOCK_ROWS
+from fairint.probe import PROBE_MAX_CODES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -21,3 +22,8 @@ def test_readme_states_the_score_block_size():
 def test_readme_states_the_csv_chunk_size():
     sizes = quoted(r"written (\d+) rows at a time")
     assert sizes and set(sizes) == {CSV_CHUNK_ROWS}, sizes
+
+
+def test_readme_states_the_probe_code_bound():
+    sizes = quoted(r"at most (\d+) joint codes")
+    assert sizes and set(sizes) == {PROBE_MAX_CODES}, sizes

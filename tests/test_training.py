@@ -339,15 +339,27 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_evaluation_memory_does_not_grow_with_the_row_count():
-    # the vanilla model: its 64-wide hidden layer makes a block's activations outweigh the per-row arrays
+def evaluation_peaks(model_class) -> list:
+    """Traced peaks of ``evaluate_model`` over 1 and 16 score blocks of synth rows."""
     warm = synth_generate(n=200, bias_strength=2.0, proxy_corr=0.8, seed=0)
-    model = VanillaModel(warm.input_columns, ModelConfig(), seed=0)
+    model = model_class(warm.input_columns, ModelConfig(), seed=0)
     evaluate_model(model, warm, "all")  # first calls allocate numpy's lazy imports and caches
     peaks = []
     for blocks in (1, 16):
         ds = synth_generate(n=blocks * fairint.model.SCORE_BLOCK_ROWS, bias_strength=2.0, proxy_corr=0.8, seed=1)
         peaks.append(traced_peak(lambda: evaluate_model(model, ds, "all")))
+    return peaks
+
+
+def test_evaluation_memory_does_not_grow_with_the_row_count():
+    # the vanilla model: its 64-wide hidden layer makes a block's activations outweigh the per-row arrays
+    peaks = evaluation_peaks(VanillaModel)
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_fair_evaluation_memory_does_not_grow_with_the_row_count():
+    # the fair model's block is narrower, so the per-row arrays weigh more: no attention is kept per row
+    peaks = evaluation_peaks(FairIntModel)
     assert peaks[1] < 2 * peaks[0], peaks
 
 
