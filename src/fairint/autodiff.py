@@ -29,10 +29,10 @@ The operations, each one graph node:
 - :func:`dense`, one layer: ``x @ w``, plus a bias row or a tracked
   addend, then an optional ReLU or sigmoid and optional inverted
   dropout; it covers every MLP layer, the attention query, the
-  reconstructor's scalar readout, the residual fusion and the sigmoid
-  heads;
-- the attention: :func:`feature_scores`, :func:`softmax_lastdim`,
-  :func:`feature_pool` and :func:`concat_lastdim` across heads;
+  reconstructor's scalar readout, the residual fusion and the fair
+  model's one-layer predictor;
+- the attention: :func:`feature_scores`, :func:`softmax_lastdim` and
+  :func:`feature_pool`;
 - the losses: :func:`mean_all`, :func:`row_cross_entropy` (per-row
   binary cross-entropy of probabilities against 0/1 labels),
   :func:`mean_squared_error`, :func:`symmetric_kl` (between the
@@ -68,7 +68,6 @@ from .errors import ConfigError, DataError, DomainError, NumericError, ShapeErro
 __all__ = [
     "Tensor",
     "softmax_lastdim",
-    "concat_lastdim",
     "feature_scores",
     "feature_pool",
     "mean_all",
@@ -194,18 +193,6 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.values.shape}")
     y = _softmax(x.values)
     return _result(y, (x,), "softmax", lambda g: (_softmax_grad(y, g),))
-
-
-def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate tensors along the last axis."""
-    if not parts:
-        raise ShapeError("concat of an empty sequence")
-    parts = tuple(parts)
-
-    def grad_fn(g):
-        return np.split(g, np.cumsum([p.values.shape[-1] for p in parts[:-1]]), axis=-1)
-
-    return _result(np.concatenate([p.values for p in parts], axis=-1), parts, "concat", grad_fn)
 
 
 def _project_blocks(blocks: Tensor, proj: Tensor):

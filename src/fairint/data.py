@@ -173,7 +173,6 @@ class Batch:
     features: dict[str, np.ndarray]
     labels: np.ndarray
     true_sensitive: np.ndarray
-    indices: np.ndarray
 
     @property
     def size(self) -> int:
@@ -293,7 +292,7 @@ def _encode_column(col: FeatureColumn, texts: tuple, col_ids: dict, vocab: list,
             return None, _first_bad_cell(parse, texts)
         ok = (values == 0.0) | (values == 1.0) if col.role == ROLE_LABEL else np.isfinite(values)
     else:
-        if building:
+        if building and len(vocab) < col.cardinality:
             # new categories take the next ids in order of first appearance until the column is full
             for text in dict.fromkeys(texts):
                 if len(vocab) == col.cardinality:
@@ -539,16 +538,14 @@ def _split_indices(dataset: Dataset, which: str) -> np.ndarray:
     return np.flatnonzero(dataset.split_tags == SPLIT_CODES[which])
 
 
-def _make_batch(dataset: Dataset, indices: np.ndarray, rows=None) -> Batch:
-    """The rows at ``indices``, copied out of the columns; ``rows=slice(None)`` takes
-    every row as views of the columns instead."""
-    rows = indices if rows is None else rows
+def _make_batch(dataset: Dataset, rows) -> Batch:
+    """The rows at the indices ``rows``, copied out of the columns; ``rows=slice(None)``
+    takes every row as views of the columns instead."""
     features = {c.name: dataset.columns[c.name][rows] for c in dataset.input_columns}
     return Batch(
         features=features,
         labels=dataset.columns[dataset.label_column.name][rows],
         true_sensitive=dataset.columns[dataset.sensitive_column.name][rows],
-        indices=indices,
     )
 
 
@@ -567,7 +564,7 @@ def batches(dataset: Dataset, which: str, batch_size: int, seed: int, epoch: int
 def full_batch(dataset: Dataset, which: str) -> Batch:
     """The whole split as one batch, in original row order. Split ``all`` views the
     dataset's own columns, which the loaders freeze; any other split copies its rows."""
-    return _make_batch(dataset, _split_indices(dataset, which), slice(None) if which == "all" else None)
+    return _make_batch(dataset, slice(None) if which == "all" else _split_indices(dataset, which))
 
 
 # -- synthetic biased data ----------------------------------------------------

@@ -11,17 +11,18 @@ they can be tested and inspected separately:
      a pseudo-sensitive embedding, plus a scalar probability that the row
      belongs to group 1.
   3. bid_attention: the pseudo-sensitive embedding is the only attention
-     query; each head scores every feature once (|C| scores per row, not
+     query; one head scores every feature once (|C| scores per row, not
      |C| squared, in one fused op) and normalizes with a softmax.
-  4. interaction_embedding + residual_fuse: attention-weighted value
-     projections, concatenated across heads, plus a residual projection
-     of the pseudo-sensitive embedding, through a ReLU.
-  5. predict: a small head maps the fused embedding to a probability.
+  4. interaction_embedding + residual_fuse: the attention-weighted sum of
+     the features' value projections, plus a residual projection of the
+     pseudo-sensitive embedding, through a ReLU.
+  5. predict: one sigmoid layer maps the fused embedding to a probability.
 
 Weight matrices are stored in (input, output) orientation so the forward
 pass is plain right-multiplication.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -48,33 +49,23 @@ __all__ = [
 class ModelConfig:
     """Architecture sizes. Defaults follow the reference setting.
 
-    ``sar_hidden`` lists the reconstructor's hidden widths; together with
-    its linear output projection to ``embed_dim`` the default makes a
-    four-layer MLP. ``value_dim`` is the per-head width of the attention
-    value space and defaults to ``embed_dim``. ``head_hidden`` is empty
-    for a single-layer prediction head.
+    ``embed_dim`` is also the width of the attention's query, key and
+    value projections. ``sar_hidden`` lists the reconstructor's hidden
+    widths; together with its linear output projection to ``embed_dim``
+    the default makes a four-layer MLP.
     """
 
     embed_dim: int = 4
-    attention_heads: int = 1
-    value_dim: int | None = None
     sar_hidden: tuple = (16, 16, 8)
-    head_hidden: tuple = ()
     baseline_hidden: tuple = (64, 32)
 
     def __post_init__(self):
-        for name in ("embed_dim", "attention_heads", "value_dim"):
-            size = getattr(self, name)
-            if not (size is None and name == "value_dim") and (type(size) is not int or size < 1):
-                raise ConfigError(f"{name} must be a positive int, got {size!r}")
-        for name in ("sar_hidden", "head_hidden", "baseline_hidden"):
+        if type(self.embed_dim) is not int or self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be a positive int, got {self.embed_dim!r}")
+        for name in ("sar_hidden", "baseline_hidden"):
             widths = getattr(self, name)
             if any(type(w) is not int or w < 1 for w in widths):
                 raise ConfigError(f"{name} widths must be positive ints, got {widths}")
-
-    @property
-    def head_width(self) -> int:
-        return self.value_dim if self.value_dim is not None else self.embed_dim
 
     def to_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -83,7 +74,7 @@ class ModelConfig:
     def from_dict(cls, doc: dict) -> "ModelConfig":
         check_options(doc, cls.__dataclass_fields__, "model")
         kwargs = dict(doc)
-        for name in ("sar_hidden", "head_hidden", "baseline_hidden"):
+        for name in ("sar_hidden", "baseline_hidden"):
             if name in kwargs:
                 if not isinstance(kwargs[name], (list, tuple)):
                     raise ConfigError(f"{name} must be a list of widths, got {kwargs[name]!r}")
@@ -98,9 +89,9 @@ class ForwardTrace:
     embeddings: Tensor        # (B, |C| * d): one block of width d per feature, in feature_names order
     pseudo_embed: Tensor      # (B, d)
     pseudo_scalar: Tensor     # (B, 1), in (0, 1)
-    attention: list           # per head: (B, |C|) Tensor, rows sum to 1, columns in feature_names order
-    interaction: Tensor       # (B, head_width * heads)
-    fused: Tensor             # (B, head_width * heads)
+    attention: Tensor         # (B, |C|), rows sum to 1, columns in feature_names order
+    interaction: Tensor       # (B, d)
+    fused: Tensor             # (B, d)
     prediction: Tensor        # (B, 1), in (0, 1)
 
 
@@ -223,16 +214,13 @@ class FairIntModel(_EmbeddingBase):
     """Interaction model with pseudo-sensitive attention and residual fusion."""
 
     def _add_layers(self):
-        config = self.config
-        d = config.embed_dim
-        dv = config.head_width
-        self._add_mlp("sar", [len(self.input_columns) * d, *config.sar_hidden, d])
+        d = self.config.embed_dim
+        self._add_mlp("sar", [len(self.input_columns) * d, *self.config.sar_hidden, d])
         self._initial["sar_scalar.w"] = _glorot(self._rng, d, 1)
-        for h in range(config.attention_heads):
-            for role in ("query", "key", "value"):
-                self._initial[f"bid.h{h}.{role}"] = _glorot(self._rng, d, dv)
-        self._initial["fuse.w_res"] = _glorot(self._rng, d, dv * config.attention_heads)
-        self._add_mlp("head", [dv * config.attention_heads, *config.head_hidden, 1])
+        for role in ("query", "key", "value"):
+            self._initial[f"bid.h0.{role}"] = _glorot(self._rng, d, d)
+        self._initial["fuse.w_res"] = _glorot(self._rng, d, d)
+        self._add_mlp("head", [d, 1])
 
     def sar_forward(self, embeddings: Tensor, training: bool = False, rng=None):
         """Reconstruct the sensitive attribute from all feature embeddings.
@@ -245,45 +233,36 @@ class FairIntModel(_EmbeddingBase):
         scalar = ad.dense(pseudo, self.params["sar_scalar.w"], activation="sigmoid")
         return pseudo, scalar
 
-    def bid_attention(self, pseudo_embed: Tensor, embeddings: Tensor, head: int) -> Tensor:
+    def bid_attention(self, pseudo_embed: Tensor, embeddings: Tensor) -> Tensor:
         """Attention of the pseudo-sensitive embedding over the features.
 
         One dot-product score per feature per row (the pseudo embedding is
         the only query), then a softmax across features. Returns (B, |C|)
         with columns in ``feature_names`` order.
         """
-        if not 0 <= head < self.config.attention_heads:
-            raise UsageError(f"head {head} out of range")
-        q = ad.dense(pseudo_embed, self.params[f"bid.h{head}.query"])
-        scores = ad.feature_scores(embeddings, self.params[f"bid.h{head}.key"], q)
+        q = ad.dense(pseudo_embed, self.params["bid.h0.query"])
+        scores = ad.feature_scores(embeddings, self.params["bid.h0.key"], q)
         return ad.softmax_lastdim(scores)
 
-    def interaction_embedding(self, attention: list, embeddings: Tensor) -> Tensor:
-        """Attention-weighted sum of value projections, concatenated across heads."""
-        head_outputs = [
-            ad.feature_pool(embeddings, self.params[f"bid.h{h}.value"], weights)
-            for h, weights in enumerate(attention)
-        ]
-        return ad.concat_lastdim(head_outputs) if len(head_outputs) > 1 else head_outputs[0]
+    def interaction_embedding(self, attention: Tensor, embeddings: Tensor) -> Tensor:
+        """Attention-weighted sum of the features' value projections, (B, d)."""
+        return ad.feature_pool(embeddings, self.params["bid.h0.value"], attention)
 
     def residual_fuse(self, interaction: Tensor, pseudo_embed: Tensor) -> Tensor:
         """ReLU of the interaction embedding plus a projection of the pseudo embedding."""
         return ad.dense(pseudo_embed, self.params["fuse.w_res"], interaction, activation="relu")
 
-    def predict(self, fused: Tensor, training: bool = False, rng=None) -> Tensor:
-        """Probability head over the fused embedding."""
-        return self._run_mlp("head", fused, training, rng, output="sigmoid")
+    def predict(self, fused: Tensor) -> Tensor:
+        """Probability of the positive class: one sigmoid layer over the fused embedding."""
+        return ad.dense(fused, self.params["head.layer0.w"], self.params["head.layer0.b"], "sigmoid")
 
     def forward(self, features: dict, training: bool = False, rng=None) -> ForwardTrace:
         """Full pass; see the module docstring for the stage breakdown."""
         embeddings = self.embed_features(features)
         pseudo, scalar = self.sar_forward(embeddings, training, rng)
-        attention = [
-            self.bid_attention(pseudo, embeddings, h) for h in range(self.config.attention_heads)
-        ]
+        attention = self.bid_attention(pseudo, embeddings)
         interaction = self.interaction_embedding(attention, embeddings)
         fused = self.residual_fuse(interaction, pseudo)
-        prediction = self.predict(fused, training, rng)
         return ForwardTrace(
             embeddings=embeddings,
             pseudo_embed=pseudo,
@@ -291,7 +270,7 @@ class FairIntModel(_EmbeddingBase):
             attention=attention,
             interaction=interaction,
             fused=fused,
-            prediction=prediction,
+            prediction=self.predict(fused),
         )
 
 
@@ -353,34 +332,34 @@ def score_rows(model, features: dict) -> tuple:
 
 
 def attention_summary(model: FairIntModel, features: dict) -> list:
-    """Per head and feature, the mean, variance, min and max of the attention weight over all rows.
+    """Per feature, the mean, variance, min and max of the attention weight over all rows,
+    as the one entry of a per-head list.
 
     The rows are scored in blocks (see :func:`_score_blocks`); each
     statistic is taken over the weights of all rows at once.
     """
     if not isinstance(model, FairIntModel):
         return []  # the vanilla model has no attention
-    shape = (_row_count(features), len(model.feature_names))
-    attention = [np.empty(shape) for _ in range(model.config.attention_heads)]
+    attention = np.empty((_row_count(features), len(model.feature_names)))
 
     def read(rows, out):
-        for filled, weights in zip(attention, out.attention):
-            filled[rows] = weights.values
+        attention[rows] = out.attention.values
 
     _score_blocks(model, features, read)
-    return [
-        {"head": h, "features": [
-            {"feature": name, "mean": float(column.mean()), "variance": float(column.var()),
-             "min": float(column.min()), "max": float(column.max())}
-            for name, column in zip(model.feature_names, weights.T)
-        ]}
-        for h, weights in enumerate(attention)
-    ]
+    return [{"head": 0, "features": [
+        {"feature": name, "mean": float(column.mean()), "variance": float(column.var()),
+         "min": float(column.min()), "max": float(column.max())}
+        for name, column in zip(model.feature_names, attention.T)
+    ]}]
 
 
 # -- persistence ---------------------------------------------------------------
 
 _REQUIRED_META = ("kind", "model", "schema", "vocabularies", "standardize_stats")
+# architecture sizes of older files, each dropped on load when it holds the one value the
+# model now has: one attention head, value projections of width embed_dim, one predictor layer;
+# older files also carry dropout, a training setting now, which is dropped whatever it holds
+_RETIRED_SIZES = {"attention_heads": 1, "value_dim": None, "head_hidden": []}
 
 
 def save_model(model, dataset, path, train_config) -> None:
@@ -423,8 +402,13 @@ def load_model(path):
     _check_encoder_state(meta, path)
     schema = parse_schema(meta["schema"], f"{path}: metadata")
     architecture = meta["model"]
-    if isinstance(architecture, dict):  # files written before dropout became a training setting carry it here
-        architecture = {k: v for k, v in architecture.items() if k != "dropout"}
+    if isinstance(architecture, dict):
+        for key, default in _RETIRED_SIZES.items():
+            value = architecture.get(key, default)
+            if value != default or type(value) is not type(default):
+                raise DataError(f"{path}: model file metadata: {key} {json.dumps(value)} is no longer"
+                                f" supported, only {json.dumps(default)}")
+        architecture = {k: v for k, v in architecture.items() if k != "dropout" and k not in _RETIRED_SIZES}
     try:
         config = ModelConfig.from_dict(architecture)
     except ConfigError as exc:

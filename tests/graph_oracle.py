@@ -128,7 +128,7 @@ def fair_forward(model, features, training=False, rng=None) -> ForwardTrace:
     embeddings = model.embed_features(features)
     pseudo = model._run_mlp("sar", embeddings, training, rng)
     scalar = sigmoid(matmul(pseudo, model.params["sar_scalar.w"]))
-    attention = [model.bid_attention(pseudo, embeddings, h) for h in range(model.config.attention_heads)]
+    attention = model.bid_attention(pseudo, embeddings)
     interaction = model.interaction_embedding(attention, embeddings)
     fused = relu(add(interaction, matmul(pseudo, model.params["fuse.w_res"])))
     prediction = sigmoid(model._run_mlp("head", fused, training, rng))

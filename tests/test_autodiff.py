@@ -22,7 +22,6 @@ from fairint.autodiff import (
     Tensor,
     abs_gap,
     backward,
-    concat_lastdim,
     dense,
     feature_pool,
     feature_scores,
@@ -215,16 +214,6 @@ def test_grad_softmax(seed):
     c = Tensor(rng.standard_normal((4, 5)))
     check_gradients(
         lambda xs: sum_all(mul(softmax_lastdim(xs[0]), c)), [rng.standard_normal((4, 5))]
-    )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_grad_concat_slice_sum(seed):
-    rng = np.random.default_rng(seed)
-    c = Tensor(rng.standard_normal((3, 5)))
-    check_gradients(
-        lambda xs: sum_all(mul(concat_lastdim([xs[0], xs[1]]), c)),
-        [rng.standard_normal((3, 2)), rng.standard_normal((3, 3))],
     )
 
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface and its file artifacts."""
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -116,6 +117,14 @@ def test_missing_config_file_exits_2(tmp_path):
 def test_bad_train_options_exit_2(tmp_path):
     path, _ = write_config(tmp_path, train={"learning_rate": -1.0})
     assert main(["train", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("attention_heads", 1), ("value_dim", 8), ("head_hidden", [])])
+def test_retired_architecture_sizes_are_unknown_model_options(tmp_path, capsys, key, value):
+    path, _ = write_config(tmp_path, model={key: value})
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: unknown model options: ['{key}']"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_dropout_is_a_train_option_not_a_model_option(tmp_path, capsys):
@@ -273,6 +282,8 @@ def test_model_file_records_the_architecture_and_the_run_training_config(trained
     "section, entries",
     [
         ("model", {"dropout": 0.1}),  # written while dropout was also an architecture field
+        # written while the model took several heads, a value width and a hidden predictor layer
+        ("model", {"attention_heads": 1, "value_dim": None, "head_hidden": []}),
         ("train", {"enable_ifc": True, "enable_fc": True}),  # written while these were training options
     ],
 )
@@ -387,17 +398,60 @@ def _insert_non_utf8(raw):
 SYNTH_INPUTS = ("proxy1", "proxy2", "noise1", "noise2", "noise3")
 
 
+def _metadata_as(doc):
+    """Replace a model file's whole JSON metadata with ``doc``, keeping its arrays."""
+
+    def corrupt(raw):
+        (length,) = struct.unpack_from("<I", raw, 12)  # after the magic and the version
+        text = json.dumps(doc).encode("utf-8")
+        return raw[:12] + struct.pack("<I", len(text)) + text + raw[16 + length :]
+
+    return corrupt
+
+
 def _with_metadata(**entries):
     """Replace entries of a model file's JSON metadata, keeping its arrays."""
 
     def corrupt(raw):
-        (length,) = struct.unpack_from("<I", raw, 12)  # after the magic and the version
-        meta = json.loads(raw[16 : 16 + length])
-        meta.update(entries)
-        text = json.dumps(meta).encode("utf-8")
-        return raw[:12] + struct.pack("<I", len(text)) + text + raw[16 + length :]
+        (length,) = struct.unpack_from("<I", raw, 12)
+        return _metadata_as({**json.loads(raw[16 : 16 + length]), **entries})(raw)
 
     return corrupt
+
+
+def _with_version(raw):
+    return raw[:8] + struct.pack("<I", 2) + raw[12:]
+
+
+def _with_first_record_twice(raw):
+    """Append a copy of a model file's first parameter record and count it."""
+    (length,) = struct.unpack_from("<I", raw, 12)
+    count_at = 16 + length
+    (count,) = struct.unpack_from("<I", raw, count_at)
+    start = count_at + 4
+    (name_length,) = struct.unpack_from("<I", raw, start)
+    ndim_at = start + 4 + name_length
+    (ndim,) = struct.unpack_from("<I", raw, ndim_at)
+    shape = struct.unpack_from(f"<{ndim}Q", raw, ndim_at + 4)
+    end = ndim_at + 4 + 8 * ndim + 8 * math.prod(shape)
+    return raw[:count_at] + struct.pack("<I", count + 1) + raw[start:] + raw[start:end]
+
+
+def _with_schema(edit):
+    """Replace a schema file's JSON array with ``edit(array)``."""
+    return lambda raw: json.dumps(edit(json.loads(raw))).encode("utf-8")
+
+
+def _with_schema_entry(column, **fields):
+    """Update the schema entry of ``column``."""
+
+    def edit(schema):
+        for entry in schema:
+            if entry["name"] == column:
+                entry.update(fields)
+        return schema
+
+    return _with_schema(edit)
 
 
 def _with_arrays(**fills):
@@ -515,6 +569,22 @@ def _with_categorical(column, cardinality):
         ("config", _with_config(train={"l2": float("nan")}), 2),
         ("config", lambda raw: raw.replace(b'"seed": 1', b'"seed": 1' + b"0" * 5000), 2),
         ("schema", lambda raw: raw.replace(b'"cardinality": 2', b'"cardinality": 2' + b"0" * 5000), 3),
+        ("schema", _with_schema(lambda schema: []), 3),
+        ("schema", _with_schema(lambda schema: {"columns": schema}), 3),
+        ("schema", _with_schema_entry("noise1", name="proxy1"), 3),
+        ("schema", _with_schema_entry("noise1", kind="ordinal"), 3),
+        ("schema", _with_schema_entry("noise1", role="weight"), 3),
+        ("schema", _with_schema_entry("s", cardinality=0), 3),
+        ("schema", _with_schema_entry("noise1", cardinality=3), 3),
+        ("schema", _with_schema_entry("y", role="non_sensitive"), 3),
+        ("schema", _with_schema_entry("noise1", kind="categorical", cardinality=2, role="sensitive"), 3),
+        ("model", _with_version, 3),
+        ("model", _metadata_as([1]), 3),
+        ("model", _with_first_record_twice, 3),
+        ("model", _with_metadata(kind="forest"), 3),
+        ("model", _with_metadata(model={"attention_heads": 2}), 3),
+        ("model", _with_metadata(model={"value_dim": 8}), 3),
+        ("model", _with_metadata(model={"head_hidden": [8]}), 3),
         # PiB-scale: numpy refuses the allocation before touching memory
         ("config", _with_config(synth={"n": 10**15}), 3),
         # sizes numpy cannot represent at all: a dimension, or a byte count, beyond intp
@@ -548,7 +618,13 @@ def _with_categorical(column, cardinality):
         "train_seed_not_int", "train_patience_bool", "train_lambda_bool", "train_enable_not_bool",
         "vanilla_with_a_weight",
         "model_size_bool", "train_rate_nan", "train_lambda_infinite", "train_l2_nan",
-        "config_int_too_long", "schema_int_too_long", "synth_n_too_large_to_allocate",
+        "config_int_too_long", "schema_int_too_long",
+        "schema_no_columns", "schema_not_array", "schema_duplicate_names", "schema_unknown_kind",
+        "schema_unknown_role", "schema_bad_cardinality", "schema_numerical_with_cardinality",
+        "schema_no_label", "schema_two_sensitive",
+        "model_unsupported_version", "meta_not_object", "model_duplicate_parameter", "meta_unknown_kind",
+        "meta_two_heads", "meta_value_width", "meta_hidden_head_layer",
+        "synth_n_too_large_to_allocate",
         "synth_n_beyond_intp", "synth_n_bytes_beyond_intp", "sar_width_beyond_intp",
         "vanilla_width_beyond_intp", "cardinality_beyond_intp", "meta_sar_width_beyond_intp", "csv_path_not_string", "schema_path_null",
         "csv_path_empty", "output_dir_null", "output_dir_empty", "output_dir_nul",

@@ -3,8 +3,8 @@
 ``graph_oracle`` holds the output layers and the loss terms as chains of
 separate graph nodes. Fair and vanilla training steps built from either
 must leave the same parameter bytes and log the same loss values, with
-every weight setting, with dropout, with several heads and a hidden
-prediction layer, and on a batch whose rows all fall into one group.
+every weight setting, with dropout, with non-default widths, and on a
+batch whose rows all fall into one group.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from fairint.training import Adam
 STEPS = 4
 ARCHITECTURES = {
     "default": ModelConfig(),
-    "two heads, hidden head layer": ModelConfig(embed_dim=3, attention_heads=2, head_hidden=(4,)),
+    "embed_dim 5, two-layer reconstructor": ModelConfig(embed_dim=5, sar_hidden=(8, 6)),
 }
 
 
@@ -101,7 +101,7 @@ def test_vanilla_steps_match_the_op_chains(dataset):
 
 def test_eval_forwards_match_the_op_chains(dataset):
     features = {c.name: dataset.columns[c.name] for c in dataset.input_columns}
-    fair = FairIntModel(dataset.input_columns, ModelConfig(attention_heads=2), seed=2)
+    fair = FairIntModel(dataset.input_columns, ModelConfig(), seed=2)
     vanilla = VanillaModel(dataset.input_columns, ModelConfig(), seed=2)
     with no_grad():
         got, want = fair.forward(features), graph_oracle.fair_forward(fair, features)

@@ -47,18 +47,14 @@ def small_batch(n=6, seed=0):
 def test_config_defaults_match_reference_setting():
     c = ModelConfig()
     assert c.embed_dim == 4
-    assert c.attention_heads == 1
-    assert c.head_width == 4
     assert len(c.sar_hidden) == 3  # plus the output projection: four layers
-    assert c.head_hidden == ()
     assert c.baseline_hidden == (64, 32)
+    assert set(c.to_dict()) == {"embed_dim", "sar_hidden", "baseline_hidden"}
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(embed_dim=0)
-    with pytest.raises(ConfigError):
-        ModelConfig(attention_heads=0)
     with pytest.raises(ConfigError):  # the rate is checked where a training forward applies it
         small_model(dropout=1.0).forward(small_batch(), training=True, rng=np.random.default_rng(0))
     with pytest.raises(ConfigError):
@@ -68,7 +64,7 @@ def test_config_validation():
 
 
 def test_config_dict_round_trip():
-    c = ModelConfig(embed_dim=3, attention_heads=2, value_dim=5)
+    c = ModelConfig(embed_dim=3, sar_hidden=(5,), baseline_hidden=(7, 2))
     assert ModelConfig.from_dict(c.to_dict()) == c
 
 
@@ -135,14 +131,14 @@ def test_attention_uniform_when_scores_equal():
     m = small_model()
     m.params["bid.h0.query"].values[:] = 0.0  # all scores collapse to 0
     trace = m.forward(small_batch())
-    np.testing.assert_allclose(trace.attention[0].values, np.full((6, 3), 1.0 / 3.0), atol=1e-12)
+    np.testing.assert_allclose(trace.attention.values, np.full((6, 3), 1.0 / 3.0), atol=1e-12)
 
 
 def test_attention_single_feature_weight_is_one():
     config = ModelConfig(embed_dim=2, sar_hidden=(3,))
     m = FairIntModel(cols(("only", "numerical", None)), config, seed=0)
     trace = m.forward({"only": np.array([0.5, -2.0])})
-    np.testing.assert_allclose(trace.attention[0].values, np.ones((2, 1)), atol=1e-12)
+    np.testing.assert_allclose(trace.attention.values, np.ones((2, 1)), atol=1e-12)
 
 
 def test_attention_log2_oracle():
@@ -153,25 +149,16 @@ def test_attention_log2_oracle():
     m.params["bid.h0.key"].values[:] = 1.0
     pseudo = Tensor([[1.0]])
     embeddings = Tensor([[np.log(2.0), 0.0]])  # features a and b, one column each
-    weights = m.bid_attention(pseudo, embeddings, head=0)
+    weights = m.bid_attention(pseudo, embeddings)
     np.testing.assert_allclose(weights.values, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
 
 def test_attention_rows_normalized_and_one_score_per_feature():
-    m = small_model(seed=3, attention_heads=2)
-    trace = m.forward(small_batch(n=8))
-    assert len(trace.attention) == 2
-    for head in trace.attention:
-        assert head.shape == (8, 3)  # |C| scores per row, not |C| squared
-        np.testing.assert_allclose(head.values.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(head.values > 0.0) and np.all(head.values < 1.0)
-
-
-def test_attention_head_index_checked():
-    m = small_model()
-    trace = m.forward(small_batch())
-    with pytest.raises(UsageError, match="head"):
-        m.bid_attention(trace.pseudo_embed, trace.embeddings, head=1)
+    m = small_model(seed=3)
+    attention = m.forward(small_batch(n=8)).attention
+    assert attention.shape == (8, 3)  # |C| scores per row, not |C| squared
+    np.testing.assert_allclose(attention.values.sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(attention.values > 0.0) and np.all(attention.values < 1.0)
 
 
 # -- interaction and fusion ------------------------------------------------------------
@@ -181,7 +168,7 @@ def test_interaction_single_feature_is_value_projection():
     config = ModelConfig(embed_dim=2, sar_hidden=(3,))
     m = FairIntModel(cols(("only", "numerical", None)), config, seed=2)
     emb = m.embed_features({"only": np.array([1.3, -0.7])})
-    attn = [Tensor(np.ones((2, 1)))]
+    attn = Tensor(np.ones((2, 1)))
     got = m.interaction_embedding(attn, emb)
     want = emb.values @ m.params["bid.h0.value"].values
     np.testing.assert_allclose(got.values, want, atol=1e-12)
@@ -190,17 +177,17 @@ def test_interaction_single_feature_is_value_projection():
 def test_interaction_weights_one_zero_select_first_feature():
     m = small_model(seed=5)
     emb = m.embed_features(small_batch(n=2))
-    attn = [Tensor(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))]
+    attn = Tensor(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     got = m.interaction_embedding(attn, emb)
     want = block(emb, 0) @ m.params["bid.h0.value"].values
     np.testing.assert_allclose(got.values, want, atol=1e-12)
 
 
-def test_interaction_concatenates_heads():
-    m = small_model(seed=1, attention_heads=2, value_dim=3)
+def test_interaction_and_fusion_are_embed_dim_wide():
+    m = small_model(seed=1)
     trace = m.forward(small_batch(n=4))
-    assert trace.interaction.shape == (4, 6)
-    assert trace.fused.shape == (4, 6)
+    assert trace.interaction.shape == (4, 2)
+    assert trace.fused.shape == (4, 2)
 
 
 def test_residual_fuse_relu_oracle():
@@ -269,7 +256,7 @@ def test_permuting_feature_order_permutes_attention_and_keeps_output():
     permuted.load_arrays(arrays)
     other = permuted.forward(batch)
 
-    np.testing.assert_allclose(other.attention[0].values, trace.attention[0].values[:, perm], atol=1e-12)
+    np.testing.assert_allclose(other.attention.values, trace.attention.values[:, perm], atol=1e-12)
     np.testing.assert_allclose(other.interaction.values, trace.interaction.values, atol=1e-12)
     np.testing.assert_allclose(other.prediction.values, trace.prediction.values, atol=1e-12)
 
@@ -280,7 +267,7 @@ def test_permuting_feature_order_permutes_attention_and_keeps_output():
 @pytest.mark.parametrize("kind, card", [("numerical", None), ("categorical", 2)])
 def test_each_added_feature_adds_zero_nodes_to_a_fair_step(kind, card):
     # one gather embeds every feature from one leaf over all the tables;
-    # attention scores and pooling are one node per head whatever the feature count
+    # attention scores and pooling are one node each whatever the feature count
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 2, size=32).astype(np.float64)
     sensitive = rng.integers(0, 2, size=32).astype(np.float64)
@@ -367,7 +354,7 @@ B = 64  # the block size these tests score in; a block then has 64 to 127 rows
 BLOCKED_ROW_COUNTS = [1, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 3 * B + 5]
 # the default widths, so each matrix product is as wide as the benchmark's
 SCORED_MODELS = {
-    "fair": lambda: FairIntModel(small_model().input_columns, ModelConfig(attention_heads=2), seed=3),
+    "fair": lambda: FairIntModel(small_model().input_columns, ModelConfig(), seed=3),
     "vanilla": lambda: VanillaModel(small_model().input_columns, ModelConfig(), seed=3),
 }
 
@@ -388,10 +375,8 @@ def test_blocked_scores_equal_one_forward_over_all_rows_bit_for_bit(blocks_of_64
     if kind == "fair":
         assert pseudo.tobytes() == whole.pseudo_scalar.values.reshape(-1).tobytes()
         blocks = []
-        _score_blocks(model, batch, lambda rows, out: blocks.append([w.values for w in out.attention]))
-        assert len(whole.attention) == 2
-        for h, want in enumerate(whole.attention):
-            assert np.concatenate([heads[h] for heads in blocks]).tobytes() == want.values.tobytes()
+        _score_blocks(model, batch, lambda rows, out: blocks.append(out.attention.values))
+        assert np.concatenate(blocks).tobytes() == whole.attention.values.tobytes()
         whole = whole.prediction
     else:
         assert pseudo is None
@@ -400,7 +385,7 @@ def test_blocked_scores_equal_one_forward_over_all_rows_bit_for_bit(blocks_of_64
 
 @pytest.mark.parametrize("n", BLOCKED_ROW_COUNTS)
 def test_blocked_attention_summary_equals_the_single_block_one(monkeypatch, n):
-    model = small_model(seed=5, attention_heads=2)
+    model = small_model(seed=5)
     batch = small_batch(n=n, seed=n)
     monkeypatch.setattr(fairint.model, "SCORE_BLOCK_ROWS", 10 * n)
     whole = attention_summary(model, batch)
