@@ -4,8 +4,10 @@ Every subcommand reads plain files and writes plain files, so runs are
 reproducible and diffable. Artifact names inside an output directory are
 fixed: model.bin, history.jsonl, report.json (written by train),
 attention.json (explain), tradeoff.csv (sweep). Exit codes: 0 success,
-2 configuration or usage problem, 3 data or file problem, 4 training or
-metric failure.
+otherwise the failure's ``exit_code`` (see :mod:`fairint.errors`): 2
+configuration or usage problem, 3 data or file problem, 4 training or
+metric failure. An ``OSError`` or ``MemoryError`` is a file or size
+problem and exits 3.
 """
 
 import argparse
@@ -28,16 +30,15 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, DataError, FairIntError, UsageError
+from .errors import ConfigError, FairIntError, UsageError
 from .model import FairIntModel, ModelConfig, attention_summary, load_model, save_model
 from .probe import sensitive_probe
-from .training import NO_RECONSTRUCTOR, TrainConfig, evaluate_model, sweep, train
+from .training import EMPTY_GRID, NO_RECONSTRUCTOR, TrainConfig, evaluate_model, sweep, train
 
 SPLIT_RATIOS = (0.7, 0.15, 0.15)
 
-_CONFIG_KEYS = {"dataset", "synth", "model", "train", "output_dir"}
-_DATASET_KEYS = {"csv_path", "schema_path"}
-_SYNTH_KEYS = {"n", "beta", "rho"}
+_SOURCE_KEYS = {"dataset": {"csv_path", "schema_path"}, "synth": {"n", "beta", "rho"}}
+_CONFIG_KEYS = {*_SOURCE_KEYS, "model", "train", "output_dir"}
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    for key in ("dataset", "synth"):
+    for key in _SOURCE_KEYS:
         if key in doc and doc[key] is None:  # explicit null means "not this source"
             del doc[key]
     if ("dataset" in doc) == ("synth" in doc):
@@ -76,21 +77,14 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: 'output_dir' is required")
     _check_path(doc, "output_dir", path)
 
-    if "dataset" in doc:
-        source_kind, source = "dataset", doc["dataset"]
-        if not isinstance(source, dict) or set(source) != _DATASET_KEYS:
-            raise ConfigError(
-                f"{path}: 'dataset' must be an object with keys {sorted(_DATASET_KEYS)}"
-            )
-        for key in ("csv_path", "schema_path"):
+    source_kind = "dataset" if "dataset" in doc else "synth"
+    source, keys = doc[source_kind], sorted(_SOURCE_KEYS[source_kind])
+    if not isinstance(source, dict) or sorted(source) != keys:
+        raise ConfigError(f"{path}: {source_kind!r} must be an object with keys {keys}")
+    if source_kind == "dataset":
+        for key in keys:
             if not Path(_check_path(source, key, path)).exists():
                 raise ConfigError(f"{path}: {key} does not exist: {source[key]}")
-    else:
-        source_kind, source = "synth", doc["synth"]
-        if not isinstance(source, dict) or set(source) != _SYNTH_KEYS:
-            raise ConfigError(
-                f"{path}: 'synth' must be an object with keys {sorted(_SYNTH_KEYS)}"
-            )
 
     return ExperimentConfig(
         source_kind=source_kind,
@@ -108,8 +102,14 @@ def _check_path(doc: dict, key: str, path) -> str:
 
 
 def _materialize(config: ExperimentConfig, seed_flag: int | None):
-    """The run's training config, with ``--seed`` applied when given, and its
-    split dataset; that one seed drives the data, the split and training."""
+    """The run's training config, with ``--seed`` applied when given, its
+    split dataset, and its output directory; that one seed drives the data,
+    the split and training.
+
+    The directory is created once the data is built and before any
+    training, so a data error leaves none behind and an unusable
+    ``output_dir`` fails before any model is trained.
+    """
     train_config = config.train if seed_flag is None else replace(config.train, seed=seed_flag)
     seed = train_config.seed
     if config.source_kind == "synth":
@@ -118,23 +118,26 @@ def _materialize(config: ExperimentConfig, seed_flag: int | None):
     else:
         schema = load_schema(config.source["schema_path"])
         dataset = load_csv(config.source["csv_path"], schema)
-    return train_config, split(dataset, SPLIT_RATIOS, seed)
+    dataset = split(dataset, SPLIT_RATIOS, seed)
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return train_config, dataset, out
 
 
-def _dataset_for_model(meta: dict, schema, csv_path):
-    """Encode a CSV exactly the way the saved model's training data was."""
-    dataset = load_csv(csv_path, schema, vocabularies=meta["vocabularies"])
+def _dataset_for_model(args, schema, meta: dict):
+    """Encode ``args.csv`` exactly the way the saved model's training data
+    was: with the ``--schema`` file when given, else the saved ``schema``,
+    and with the vocabularies and statistics saved in ``meta``."""
+    if args.schema is not None:
+        schema = load_schema(args.schema)
+    dataset = load_csv(args.csv, schema, vocabularies=meta["vocabularies"])
     if meta["standardize_stats"]:
         dataset = apply_standardization(dataset, meta["standardize_stats"])
     return dataset
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _emit(doc: dict, out_path) -> None:
-    text = _dump(doc)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path is not None:
         Path(out_path).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -147,12 +150,9 @@ def cmd_train(args) -> int:
     config = load_experiment_config(args.config)
     if args.groups_from == "reconstructed" and not config.train.enable_bid:
         raise UsageError(NO_RECONSTRUCTOR)  # the vanilla model's report would fail only after training
-    train_config, dataset = _materialize(config, args.seed)
+    train_config, dataset, out = _materialize(config, args.seed)
 
     model, history = train(dataset, config.model, train_config)
-
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     save_model(model, dataset, out / "model.bin", train_config)
 
     # first history line is run metadata, the rest are per-epoch records
@@ -178,9 +178,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, schema, meta = load_model(args.model)
-    if args.schema is not None:
-        schema = load_schema(args.schema)
-    dataset = _dataset_for_model(meta, schema, args.csv)
+    dataset = _dataset_for_model(args, schema, meta)
     report = evaluate_model(model, dataset, "all", threshold=args.threshold, groups_from=args.groups_from)
     _emit(report.to_dict(), args.out)
     return 0
@@ -202,18 +200,18 @@ def _parse_grid(text: str):
         if not all(is_finite_number(w) and w >= 0 for w in pair):
             raise UsageError(f"bad grid point {part!r}: weights must be finite numbers >= 0")
         pairs.append(pair)
+    if not pairs:
+        raise UsageError(EMPTY_GRID)
     return pairs
 
 
 def cmd_sweep(args) -> int:
     config = load_experiment_config(args.config)
     grid = _parse_grid(args.grid)
-    train_config, dataset = _materialize(config, args.seed)
+    train_config, dataset, out = _materialize(config, args.seed)
 
     points = sweep(dataset, config.model, train_config, grid)
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     columns = ("lambda_ifc", "lambda_fc", "auc", "ddp", "deo")
     with open(out / "tradeoff.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -242,9 +240,7 @@ def cmd_explain(args) -> int:
             "saved model has no interaction attention (trained with the"
             " interaction module disabled); nothing to explain"
         )
-    if args.schema is not None:
-        schema = load_schema(args.schema)
-    dataset = _dataset_for_model(meta, schema, args.csv)
+    dataset = _dataset_for_model(args, schema, meta)
     heads = attention_summary(model, full_batch(dataset, "all").features)
     out_path = Path(args.out) if args.out else Path(args.model).parent / "attention.json"
     _emit({"split": "all", "heads": heads}, out_path)
@@ -351,21 +347,11 @@ def main(argv=None) -> int:
         # every op checks its result for NaN and Inf, so numpy's overflow warnings add nothing
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
-    except (ConfigError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:  # a size too large to allocate, such as a huge synth n
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 3
-    except FairIntError as exc:  # training, metric, numeric: the run itself failed
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except (FairIntError, OSError, MemoryError) as exc:
+        # MemoryError: a size too large to allocate, such as a huge synth n
+        prefix = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

@@ -198,7 +198,7 @@ def load_schema(path) -> list[FeatureColumn]:
 
 
 def parse_schema(doc, source) -> list[FeatureColumn]:
-    """Validate a decoded schema document; ``source`` names it in errors."""
+    """Validate a decoded schema document; ``source`` starts each error message."""
     if not isinstance(doc, list):
         raise DataError(f"{source}: schema must be a JSON array of column objects")
     columns = []
@@ -218,7 +218,10 @@ def parse_schema(doc, source) -> list[FeatureColumn]:
                 cardinality=entry["cardinality"],
             )
         )
-    return _validate_schema(columns)
+    try:
+        return _validate_schema(columns)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
 
 
 def schema_entry(column: FeatureColumn) -> dict:
@@ -335,6 +338,12 @@ def _read_error(path, line: int, exc: Exception) -> DataError:
     return DataError(f"{path}: line {line}: {exc}")  # csv.Error, such as a field over the size limit
 
 
+def columns_without_vocabulary(schema: list[FeatureColumn], vocabularies: dict) -> list[str]:
+    """The categorical non-label columns of ``schema`` that ``vocabularies`` has no entry for."""
+    return [c.name for c in schema if c.kind == KIND_CATEGORICAL and c.role != ROLE_LABEL
+            and c.name not in vocabularies]
+
+
 def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str]] | None = None) -> Dataset:
     """Load and encode a CSV whose header matches the schema column order.
 
@@ -354,8 +363,7 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
     schema = _validate_schema(list(schema))
     building = vocabularies is None
     if not building:
-        missing = [c.name for c in schema if c.kind == KIND_CATEGORICAL and c.role != ROLE_LABEL
-                   and c.name not in vocabularies]
+        missing = columns_without_vocabulary(schema, vocabularies)
         if missing:
             raise DataError(f"no vocabulary for categorical columns {missing}")
     vocabs: dict[str, list[str]] = (

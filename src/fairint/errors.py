@@ -1,12 +1,15 @@
 """Exception hierarchy shared by all fairint modules.
 
-The CLI maps these onto exit codes: config/usage problems exit 2, data
-problems exit 3, training or metric failures exit 4.
+Each class carries the CLI exit code of its failures in ``exit_code``:
+config/usage problems exit 2, data problems exit 3, and every other
+error, a training or metric failure, exits 4 as its base class does.
 """
 
 
 class FairIntError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 4
 
 
 class ShapeError(FairIntError):
@@ -24,13 +27,19 @@ class NumericError(FairIntError):
 class UsageError(FairIntError):
     """The API was called in a way its contract forbids."""
 
+    exit_code = 2
+
 
 class ConfigError(FairIntError):
     """A configuration value is missing, malformed, or out of range."""
 
+    exit_code = 2
+
 
 class DataError(FairIntError):
     """A dataset, CSV file, or schema is malformed or inconsistent."""
+
+    exit_code = 3
 
 
 class MetricError(FairIntError):

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, check_options, is_finite_number, parse_schema, schema_entry
+from .data import (KIND_CATEGORICAL, ROLE_NON_SENSITIVE, check_options, columns_without_vocabulary,
+                   is_finite_number, parse_schema, schema_entry)
 from .errors import ConfigError, DataError, UsageError
 
 __all__ = [
@@ -399,8 +400,8 @@ def load_model(path):
         raise DataError(f"{path}: model file metadata is missing {sorted(missing)}")
     if meta["kind"] not in ("fairint", "vanilla"):
         raise DataError(f"{path}: unknown model kind {meta['kind']!r}")
-    _check_encoder_state(meta, path)
     schema = parse_schema(meta["schema"], f"{path}: metadata")
+    _check_encoder_state(meta, schema, path)
     architecture = meta["model"]
     if isinstance(architecture, dict):
         for key, default in _RETIRED_SIZES.items():
@@ -420,13 +421,17 @@ def load_model(path):
     return model, schema, meta
 
 
-def _check_encoder_state(meta: dict, path) -> None:
-    """Type-check the saved vocabularies and standardization statistics."""
+def _check_encoder_state(meta: dict, schema, path) -> None:
+    """Type-check the saved vocabularies and standardization statistics, and check
+    that the vocabularies cover every categorical column of the schema but the label."""
     vocabs = meta["vocabularies"]
     if not isinstance(vocabs, dict) or not all(
         isinstance(v, list) and all(isinstance(t, str) for t in v) for v in vocabs.values()
     ):
         raise DataError(f"{path}: model file metadata 'vocabularies' is not an object of string lists")
+    missing = columns_without_vocabulary(schema, vocabs)
+    if missing:
+        raise DataError(f"{path}: model file metadata 'vocabularies' has no entry for categorical columns {missing}")
     stats = meta["standardize_stats"]
     if stats is not None and not (isinstance(stats, dict) and all(map(_is_mean_std, stats.values()))):
         raise DataError(f"{path}: model file metadata 'standardize_stats' is not null or finite [mean, std > 0] pairs")

@@ -156,6 +156,7 @@ class Adam:
 
 
 NO_RECONSTRUCTOR = "this model has no reconstructor; groups_from='reconstructed' needs one"
+EMPTY_GRID = "sweep needs a non-empty grid of (lambda_ifc, lambda_fc) pairs"
 
 
 def _nonempty_split(dataset: Dataset, split: str):
@@ -304,7 +305,7 @@ def sweep(dataset: Dataset, model_config: ModelConfig, base_config: TrainConfig,
     """
     grid = list(lambda_grid)
     if not grid:
-        raise UsageError("sweep needs a non-empty grid of (lambda_ifc, lambda_fc) pairs")
+        raise UsageError(EMPTY_GRID)
     points = []
     for li, lf in grid:
         try:

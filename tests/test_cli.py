@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import fairint
+import fairint.cli
+import fairint.training
 from fairint.autodiff import load_parameters, save_parameters
 from fairint.cli import load_experiment_config, main
 from fairint.model import ModelConfig
@@ -363,6 +365,25 @@ def test_explain_writes_one_row_per_feature(trained, capsys):
             assert 0.0 < row["mean"] < 1.0
 
 
+def test_explain_explicit_schema_matches_embedded(trained, tmp_path):
+    model = str(trained["dir"] / "model.bin")
+    argv = ["explain", "--model", model, "--csv", str(trained["csv"])]
+    assert main(argv + ["--out", str(tmp_path / "embedded.json")]) == 0
+    assert main(argv + ["--schema", str(trained["schema"]), "--out", str(tmp_path / "explicit.json")]) == 0
+    assert (tmp_path / "explicit.json").read_bytes() == (tmp_path / "embedded.json").read_bytes()
+
+
+def test_schema_flag_with_a_column_the_model_has_no_vocabulary_for_exits_3(trained, tmp_path, capsys):
+    schema = json.loads(trained["schema"].read_text())
+    for entry in schema:
+        if entry["name"] == "noise1":
+            entry.update(kind="categorical", cardinality=3)
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    assert main(["eval", "--model", str(trained["dir"] / "model.bin"), "--csv", str(trained["csv"]),
+                 "--schema", str(tmp_path / "schema.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: no vocabulary for categorical columns ['noise1']"]
+
+
 def test_explain_uniform_attention_oracle(trained, tmp_path, capsys):
     # zeroed query weights make every attention row exactly uniform
     arrays, meta = load_parameters(trained["dir"] / "model.bin")
@@ -435,6 +456,29 @@ def _with_first_record_twice(raw):
     shape = struct.unpack_from(f"<{ndim}Q", raw, ndim_at + 4)
     end = ndim_at + 4 + 8 * ndim + 8 * math.prod(shape)
     return raw[:count_at] + struct.pack("<I", count + 1) + raw[start:] + raw[start:end]
+
+
+def _with_non_utf8_parameter_name(raw):
+    """Make the first byte of a model file's first parameter name invalid UTF-8."""
+    (length,) = struct.unpack_from("<I", raw, 12)
+    at = 16 + length + 8  # past the metadata, the parameter count and the name's length
+    return raw[:at] + b"\xff" + raw[at + 1 :]
+
+
+def _without_vocabulary(column):
+    """Drop ``column``'s entry from a model file's saved vocabularies."""
+
+    def corrupt(raw):
+        (length,) = struct.unpack_from("<I", raw, 12)
+        vocabularies = json.loads(raw[16 : 16 + length])["vocabularies"]
+        return _with_metadata(vocabularies={k: v for k, v in vocabularies.items() if k != column})(raw)
+
+    return corrupt
+
+
+def _without_config_key(key):
+    """Remove one top-level key from an experiment config."""
+    return lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != key}).encode("utf-8")
 
 
 def _with_schema(edit):
@@ -549,6 +593,7 @@ def _with_categorical(column, cardinality):
         ("model", _with_metadata(schema=[1, 2]), 3),
         ("model", _with_metadata(vocabularies=5), 3),
         ("model", _with_metadata(vocabularies={}), 3),
+        ("model", _without_vocabulary("s"), 3),
         ("model", _with_metadata(model=[1]), 3),
         ("model", _with_metadata(model={"embed_dim": "4"}), 3),
         ("model", _with_metadata(standardize_stats={"proxy1": 0.5}), 3),
@@ -581,6 +626,7 @@ def _with_categorical(column, cardinality):
         ("model", _with_version, 3),
         ("model", _metadata_as([1]), 3),
         ("model", _with_first_record_twice, 3),
+        ("model", _with_non_utf8_parameter_name, 3),
         ("model", _with_metadata(kind="forest"), 3),
         ("model", _with_metadata(model={"attention_heads": 2}), 3),
         ("model", _with_metadata(model={"value_dim": 8}), 3),
@@ -601,6 +647,9 @@ def _with_categorical(column, cardinality):
         ("config", _with_config(output_dir=None), 2),
         ("config", _with_config(output_dir=""), 2),
         ("config", _with_config(output_dir="run\0"), 2),
+        ("config", lambda raw: b"[1]", 2),
+        ("config", _without_config_key("output_dir"), 2),
+        ("config", _with_config(synth=None, dataset=5), 2),
         ("model", _with_arrays(**{"bid.h0.key": float("nan")}), 3),
         ("model", _with_arrays(**{"head.layer0.b": float("inf")}), 3),
         # finite weights whose products overflow: the op's own check, with no numpy warning
@@ -612,6 +661,7 @@ def _with_categorical(column, cardinality):
         "csv_not_utf8", "csv_cell_overflows_when_standardized", "csv_field_over_size_limit",
         "schema_not_utf8", "config_not_utf8",
         "meta_schema_not_objects", "meta_vocabularies_not_object", "meta_vocabulary_missing",
+        "meta_vocabulary_lacks_sensitive",
         "meta_model_not_object", "meta_model_size_not_int", "meta_stats_not_pairs", "meta_stats_zero_std",
         "meta_stats_int_too_large",
         "train_not_object", "train_rate_not_number", "train_batch_not_int", "train_epochs_not_int",
@@ -622,12 +672,14 @@ def _with_categorical(column, cardinality):
         "schema_no_columns", "schema_not_array", "schema_duplicate_names", "schema_unknown_kind",
         "schema_unknown_role", "schema_bad_cardinality", "schema_numerical_with_cardinality",
         "schema_no_label", "schema_two_sensitive",
-        "model_unsupported_version", "meta_not_object", "model_duplicate_parameter", "meta_unknown_kind",
+        "model_unsupported_version", "meta_not_object", "model_duplicate_parameter",
+        "model_parameter_name_not_utf8", "meta_unknown_kind",
         "meta_two_heads", "meta_value_width", "meta_hidden_head_layer",
         "synth_n_too_large_to_allocate",
         "synth_n_beyond_intp", "synth_n_bytes_beyond_intp", "sar_width_beyond_intp",
         "vanilla_width_beyond_intp", "cardinality_beyond_intp", "meta_sar_width_beyond_intp", "csv_path_not_string", "schema_path_null",
         "csv_path_empty", "output_dir_null", "output_dir_empty", "output_dir_nul",
+        "config_not_object", "output_dir_missing", "dataset_not_object",
         "weights_nan", "weights_inf", "weights_overflow_in_matmul", "train_rate_overflows",
     ],
 )
@@ -653,6 +705,9 @@ def test_malformed_input_exits_with_one_error_line(trained, tmp_path, monkeypatc
         assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    # a data error in a schema or model file names the file; an allocation failure names the size
+    if kind in ("schema", "model") and code == 3 and not lines[0].startswith("error: out of memory: "):
+        assert str(bad) in lines[0]
 
 
 @pytest.mark.parametrize("command", ["synth", "sweep", "train"])
@@ -670,7 +725,7 @@ def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 def test_non_finite_threshold_exits_2_before_any_work(trained, tmp_path, capsys, command, value):
     config, _ = write_config(tmp_path)
     argv = {
@@ -683,6 +738,19 @@ def test_non_finite_threshold_exits_2_before_any_work(trained, tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith("error: ") and "--threshold" in lines[0]
     assert out.out == ""
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_output_dir_that_is_a_file_exits_3_before_any_training(tmp_path, monkeypatch, capsys, command):
+    config, doc = write_config(tmp_path)
+    Path(doc["output_dir"]).write_text("")
+    trained = [_spy(monkeypatch, owner, "train") for owner in (fairint.cli, fairint.training)]
+    argv = {"train": ["train", "--config", str(config)],
+            "sweep": ["sweep", "--config", str(config), "--grid", "0,0"]}[command]
+    assert main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert trained == [[], []]
 
 
 def test_column_whose_statistics_overflow_exits_3(tmp_path, capsys):
@@ -760,12 +828,27 @@ def test_scoring_commands_take_no_split_flag(trained, command):
 # -- sweep ---------------------------------------------------------------------
 
 
-def test_empty_grid_exits_2(trained):
-    assert main(["sweep", "--config", str(trained["config"]), "--grid", ""]) == 2
+def _spy(monkeypatch, owner, name):
+    """Record each call of ``owner.name``, which still runs; returns the list of calls."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
 
 
-def test_malformed_grid_exits_2(trained):
-    assert main(["sweep", "--config", str(trained["config"]), "--grid", "1,2,3"]) == 2
+def test_empty_grid_exits_2(trained, monkeypatch, capsys):
+    built = _spy(monkeypatch, fairint.cli, "_materialize")
+    for grid in ("", " ; "):
+        assert main(["sweep", "--config", str(trained["config"]), "--grid", grid]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "grid" in lines[0]
+    assert built == []  # rejected before any data is built
+
+
+def test_malformed_grid_exits_2(trained, capsys):
+    for grid in ("1,2,3", "a,b"):
+        assert main(["sweep", "--config", str(trained["config"]), "--grid", grid]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad grid point ")
 
 
 def test_one_point_sweep_round_trips_report_values(tmp_path):
