@@ -117,14 +117,6 @@ class Tensor:
             raise UsageError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def _accum(self, g) -> None:
-        if not self.grad_tracked:
-            return
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, op={self.op!r}, tracked={self.grad_tracked})"
 
@@ -158,18 +150,22 @@ def no_grad():
 
 def _all_finite(v: np.ndarray) -> bool:
     # a sum is finite only if every value is; a finite array whose sum overflows takes the full test
-    return math.isfinite(v.sum()) or bool(np.isfinite(v).all())
+    return math.isfinite(np.add.reduce(v, axis=None)) or bool(np.isfinite(v).all())
 
 
 def _result(values, parents: tuple, op: str, grad_fn) -> Tensor:
-    v = np.asarray(values, dtype=np.float64)
+    # every op hands over a new C-contiguous float64 array of its own, or a float64
+    # scalar, so the tensor takes it as it is, without Tensor()'s conversions
+    v = np.asarray(values)
     if not _all_finite(v):
         raise NumericError(f"operation {op!r} produced non-finite values")
-    if _grad_enabled and any(p.grad_tracked for p in parents):
-        out = Tensor(v, grad_tracked=True, _parents=parents, _op=op)
-        out._backward = grad_fn
-        return out
-    return Tensor(v, grad_tracked=False, _op=op)
+    out = Tensor.__new__(Tensor)
+    out.values, out.grad, out.op = v, None, op
+    if _grad_enabled and any([p.grad_tracked for p in parents]):
+        out.grad_tracked, out._parents, out._backward = True, parents, grad_fn
+    else:
+        out.grad_tracked, out._parents, out._backward = False, (), None
+    return out
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -301,25 +297,28 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, activation: str | None 
         out += bv
     if activation is not None and not _all_finite(out):
         raise NumericError("operation 'dense' produced non-finite values before its activation")
-    active = y = keep = None
+    mask = y = None  # backward multiplies the gradient by ``mask``, then by the sigmoid's slope
     if activation == "relu":
         np.maximum(out, 0.0, out=out)  # in place: ``out`` is this op's own product
         if _grad_enabled:  # the mask is for backward alone; max(z, 0) > 0 exactly where z > 0
-            active = out > 0.0
+            mask = out > 0.0
     elif activation == "sigmoid":
         out = y = _sigmoid(out)
     if rate > 0.0:
         if rng is None:
             raise UsageError(f"dropout at rate {rate} needs a generator")
         keep = (rng.random(out.shape) >= rate) / (1.0 - rate)
-        out = out * keep
+        if y is None:
+            out *= keep  # in place: ``out`` is this op's own product
+        else:
+            out = y * keep  # backward reads y
+        # keep >= 0, so g * (keep * active) has the bits of (g * keep) * active
+        mask = keep if mask is None else np.multiply(keep, mask, out=keep)
 
     def grad_fn(g):
-        if keep is not None:
-            g = g * keep
-        if active is not None:
-            g = g * active
-        elif y is not None:
+        if mask is not None:
+            g = g * mask
+        if y is not None:
             g = g * y * (1.0 - y)
         if bv is None:
             return g @ wv.T, xv.T @ g
@@ -435,12 +434,12 @@ def graph_nodes(root: Tensor) -> list:
         if expanded:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:  # a tensor hashes and compares by identity
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in reversed(node._parents):
-            if parent.grad_tracked and id(parent) not in visited:
+            if parent.grad_tracked and parent not in visited:
                 stack.append((parent, False))
     return topo
 
@@ -460,7 +459,12 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             for parent, g in zip(node._parents, node._backward(node.grad)):
-                parent._accum(g)
+                if not parent.grad_tracked:
+                    continue
+                if parent.grad is None:
+                    parent.grad = np.array(g, dtype=np.float64)
+                else:
+                    parent.grad += g
 
 
 # -- parameter serialization -------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import (
     apply_standardization,
+    columns_without_vocabulary,
     full_batch,
     is_finite_number,
     load_csv,
@@ -30,7 +31,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, FairIntError, UsageError
+from .errors import ConfigError, DataError, FairIntError, UsageError
 from .model import FairIntModel, ModelConfig, attention_summary, load_model, save_model
 from .probe import sensitive_probe
 from .training import EMPTY_GRID, NO_RECONSTRUCTOR, TrainConfig, evaluate_model, sweep, train
@@ -130,6 +131,9 @@ def _dataset_for_model(args, schema, meta: dict):
     and with the vocabularies and statistics saved in ``meta``."""
     if args.schema is not None:
         schema = load_schema(args.schema)
+        missing = columns_without_vocabulary(schema, meta["vocabularies"])
+        if missing:
+            raise DataError(f"{args.schema}: categorical columns {missing} have no vocabulary in {args.model}")
     dataset = load_csv(args.csv, schema, vocabularies=meta["vocabularies"])
     if meta["standardize_stats"]:
         dataset = apply_standardization(dataset, meta["standardize_stats"])

@@ -46,6 +46,7 @@ __all__ = [
     "split",
     "mean_std",
     "apply_standardization",
+    "epoch_permutation",
     "batches",
     "full_batch",
     "synth_generate",
@@ -557,15 +558,20 @@ def _make_batch(dataset: Dataset, rows) -> Batch:
     )
 
 
+def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:
+    """Positions 0..n-1 of a split's rows in the order the (seed, epoch) pair fixes."""
+    return np.random.default_rng([seed, epoch]).permutation(n)
+
+
 def batches(dataset: Dataset, which: str, batch_size: int, seed: int, epoch: int) -> list[Batch]:
-    """Shuffled batches of a split; the (seed, epoch) pair fixes the order.
+    """Shuffled batches of a split, in the order of :func:`epoch_permutation`.
 
     The last partial batch is kept.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be at least 1, got {batch_size}")
     rows = _split_indices(dataset, which)
-    order = rows[np.random.default_rng([seed, epoch]).permutation(rows.size)]
+    order = rows[epoch_permutation(rows.size, seed, epoch)]
     return [_make_batch(dataset, order[i : i + batch_size]) for i in range(0, order.size, batch_size)]
 
 

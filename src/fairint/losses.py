@@ -100,13 +100,17 @@ def assign_groups(pseudo_scalar) -> np.ndarray:
 def group_means(groups) -> np.ndarray | None:
     """Constant (2, B) matrix whose rows average pseudo-groups 0 and 1; None if one is empty."""
     groups = np.asarray(groups).reshape(-1)
-    members = np.stack([groups == 0, groups == 1])
-    if not members.any(axis=0).all():
+    ones = groups == 1
+    if not (ones | (groups == 0)).all():
         raise UsageError(f"group ids must be 0 or 1, got {np.unique(groups).tolist()}")
-    counts = members.sum(axis=1, keepdims=True)
-    if not counts.all():
+    n1 = np.count_nonzero(ones)
+    n0 = ones.size - n1
+    if not (n0 and n1):
         return None
-    return members / counts
+    means = np.empty((2, ones.size))
+    np.divide(~ones, n0, out=means[0])  # 1 / |g| or 0, as a true division of the 0/1 membership
+    np.divide(ones, n1, out=means[1])
+    return means
 
 
 def group_divergence_loss(fused: Tensor, means: np.ndarray | None) -> Tensor:

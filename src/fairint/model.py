@@ -7,6 +7,9 @@ they can be tested and inspected separately:
      embedding (a table column for categoricals, a learned direction
      scaled by the standardized value); one scaled gather from all the
      tables forms the (B, |C| * d) tensor, in ``feature_names`` order.
+     The gather reads the rows' encoding (:meth:`encode`: a category id
+     and a scale per feature, with the category range check); a training
+     run encodes its train split once and each step slices its rows.
   2. sar_forward: a four-layer MLP reads all embeddings and reconstructs
      a pseudo-sensitive embedding, plus a scalar probability that the row
      belongs to group 1.
@@ -36,6 +39,7 @@ from .errors import ConfigError, DataError, UsageError
 
 __all__ = [
     "ModelConfig",
+    "EncodedRows",
     "ForwardTrace",
     "FairIntModel",
     "VanillaModel",
@@ -81,6 +85,23 @@ class ModelConfig:
                     raise ConfigError(f"{name} must be a list of widths, got {kwargs[name]!r}")
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
+
+
+@dataclass
+class EncodedRows:
+    """Rows as the embedding reads them: per row and feature, in ``feature_names`` order,
+    a category id (0 for a numerical feature) and a scale (the value of a numerical
+    feature, 1 for a categorical one). Both are (n, |C|); a slice selects rows of both."""
+
+    ids: np.ndarray     # int64
+    scales: np.ndarray  # float64
+
+    def __getitem__(self, rows: slice) -> "EncodedRows":
+        return EncodedRows(self.ids[rows], self.scales[rows])
+
+    def take(self, positions: np.ndarray) -> "EncodedRows":
+        """The rows at the integer ``positions``, copied (several times faster than fancy indexing)."""
+        return EncodedRows(np.take(self.ids, positions, axis=0), np.take(self.scales, positions, axis=0))
 
 
 @dataclass
@@ -190,25 +211,39 @@ class _EmbeddingBase:
                 raise DataError(f"parameter {name!r} has shape {arr.shape}, expected {p.values.shape}")
             p.values[...] = arr
 
-    def embed_features(self, features: dict) -> Tensor:
-        """Map a batch's raw feature arrays to one (B, |C| * d) embedding tensor.
+    def encode(self, features: dict) -> EncodedRows:
+        """Encode a mapping of raw feature columns for :meth:`embed_features`.
+
+        DataError if a feature column is missing, or if a category id lies
+        outside its table.
+        """
+        for name in self.feature_names:
+            if name not in features:
+                raise DataError(f"batch is missing feature column {name!r}")
+        columns = [np.asarray(features[name], dtype=np.float64) for name in self.feature_names]
+        n = len(columns[0])
+        rows = EncodedRows(np.zeros((n, len(columns)), dtype=np.int64), np.ones((n, len(columns))))
+        for c, (column, categorical, vocab) in enumerate(zip(columns, self._categorical, self._vocab)):
+            if not categorical:
+                rows.scales[:, c] = column
+            elif ((column >= 0) & (column < vocab)).all():
+                rows.ids[:, c] = column  # to int64: a fractional id truncates
+            else:
+                raise DataError(f"category id out of range [0, {vocab}) for feature {self.feature_names[c]!r}")
+        return rows
+
+    def embed_features(self, features) -> Tensor:
+        """Map a batch's feature columns, or its rows already encoded by :meth:`encode`,
+        to one (B, |C| * d) embedding tensor.
 
         Feature c's embedding is the block of columns [c*d, (c+1)*d), in
         ``feature_names`` order. A categorical id selects one column of its
         table; a numerical value scales its (1, d) row, so 0 embeds to zeros.
         """
-        for name in self.feature_names:
-            if name not in features:
-                raise DataError(f"batch is missing feature column {name!r}")
-        x = np.column_stack([np.asarray(features[name], dtype=np.float64) for name in self.feature_names])
-        ids = np.where(self._categorical, x, 0.0)
-        outside = ~((ids >= 0) & (ids < self._vocab))
-        if outside.any():
-            c = int(outside.any(axis=0).argmax())
-            raise DataError(f"category id out of range [0, {self._vocab[c]}) for feature {self.feature_names[c]!r}")
-        index = np.repeat(ids.astype(np.int64), self.config.embed_dim, axis=1)
+        rows = features if isinstance(features, EncodedRows) else self.encode(features)
+        index = np.repeat(rows.ids, self.config.embed_dim, axis=1)
         index += self._table_index  # in place: a broadcast add into a new array is several times slower
-        return ad.gather_scale(self._tables, index, np.where(self._categorical, 1.0, x))
+        return ad.gather_scale(self._tables, index, rows.scales)
 
 
 class FairIntModel(_EmbeddingBase):
@@ -257,8 +292,9 @@ class FairIntModel(_EmbeddingBase):
         """Probability of the positive class: one sigmoid layer over the fused embedding."""
         return ad.dense(fused, self.params["head.layer0.w"], self.params["head.layer0.b"], "sigmoid")
 
-    def forward(self, features: dict, training: bool = False, rng=None) -> ForwardTrace:
-        """Full pass; see the module docstring for the stage breakdown."""
+    def forward(self, features, training: bool = False, rng=None) -> ForwardTrace:
+        """Full pass over a feature mapping or :class:`EncodedRows`; see the module
+        docstring for the stage breakdown."""
         embeddings = self.embed_features(features)
         pseudo, scalar = self.sar_forward(embeddings, training, rng)
         attention = self.bid_attention(pseudo, embeddings)
@@ -281,8 +317,8 @@ class VanillaModel(_EmbeddingBase):
     def _add_layers(self):
         self._add_mlp("mlp", [len(self.input_columns) * self.config.embed_dim, *self.config.baseline_hidden, 1])
 
-    def forward(self, features: dict, training: bool = False, rng=None) -> Tensor:
-        """Probability of the positive class, shape (B, 1)."""
+    def forward(self, features, training: bool = False, rng=None) -> Tensor:
+        """Probability of the positive class, shape (B, 1), for a feature mapping or :class:`EncodedRows`."""
         return self._run_mlp("mlp", self.embed_features(features), training, rng, output="sigmoid")
 
 
@@ -416,7 +452,10 @@ def load_model(path):
         raise DataError(f"{path}: model file metadata: {exc}") from None
     inputs = [c for c in schema if c.role == ROLE_NON_SENSITIVE]
     cls = FairIntModel if meta["kind"] == "fairint" else VanillaModel
-    model = cls(inputs, config, seed=0)
+    try:
+        model = cls(inputs, config, seed=0)
+    except MemoryError as exc:  # sizes the metadata asks for
+        raise MemoryError(f"{path}: {exc}") from None
     model.load_arrays(arrays)
     return model, schema, meta
 

@@ -1,9 +1,11 @@
 """Mini-batch training with early stopping, plus evaluation and weight sweeps.
 
 One call to :func:`train` owns the whole run: it builds the model from the
-train seed, walks seeded mini-batches, applies Adam-style updates with an
-L2 penalty, validates at every epoch end, and restores the parameters of
-the best validation-AUC epoch before freezing them. Everything is
+train seed, encodes the train split once (category ids and numeric scales,
+see :class:`~fairint.model.EncodedRows`), walks seeded mini-batches, each
+step slicing its rows from that encoding, applies Adam-style updates with
+an L2 penalty, validates at every epoch end, and restores the parameters
+of the best validation-AUC epoch before freezing them. Everything is
 deterministic given (dataset, configs, seed): rerunning produces
 bit-identical parameters and history.
 
@@ -18,7 +20,8 @@ import numpy as np
 
 from . import metrics as fm
 from .autodiff import backward
-from .data import Dataset, batches, check_options, full_batch, is_finite_number
+# train() shuffles its rows itself, in the order of batches(); the benchmark's trace wraps that name here
+from .data import Dataset, batches, check_options, epoch_permutation, full_batch, is_finite_number  # noqa: F401
 from .errors import (
     ConfigError,
     DomainError,
@@ -140,19 +143,25 @@ class Adam:
         self.t = 0
         self._m = np.zeros_like(values)
         self._v = np.zeros_like(values)
+        self._scratch = np.empty_like(values), np.empty_like(values)
 
     def step(self) -> None:
+        """One update: lr * (m / b1c) / (sqrt(v / b2c) + eps), each product and quotient
+        taken in that order, written into the two scratch buffers."""
         self.t += 1
         b1c = 1.0 - self.BETA1 ** self.t
         b2c = 1.0 - self.BETA2 ** self.t
+        a, b = self._scratch
         g = self.grads
         if self.l2 > 0.0:
-            g = g + 2.0 * self.l2 * self.values
+            g = np.add(g, np.multiply(2.0 * self.l2, self.values, out=a), out=a)
         self._m *= self.BETA1
-        self._m += (1.0 - self.BETA1) * g
+        self._m += np.multiply(1.0 - self.BETA1, g, out=b)
         self._v *= self.BETA2
-        self._v += (1.0 - self.BETA2) * g * g
-        self.values -= self.learning_rate * (self._m / b1c) / (np.sqrt(self._v / b2c) + self.EPS)
+        self._v += np.multiply(np.multiply(1.0 - self.BETA2, g, out=b), g, out=b)
+        update = np.multiply(self.learning_rate, np.divide(self._m, b1c, out=a), out=a)
+        update /= np.add(np.sqrt(np.divide(self._v, b2c, out=b), out=b), self.EPS, out=b)
+        self.values -= update
 
 
 NO_RECONSTRUCTOR = "this model has no reconstructor; groups_from='reconstructed' needs one"
@@ -195,14 +204,48 @@ def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
     return report
 
 
+def _train_epoch(model, optimizer: Adam, cfg: TrainConfig, epoch: int, encoded, labels, sensitive) -> LossBreakdown:
+    """One step per batch over the train rows (``encoded``, ``labels`` and ``sensitive``, in
+    split order) in the epoch's shuffled order; returns the batch-size-weighted mean losses."""
+    dropout_rng = np.random.default_rng([cfg.seed, epoch, 1])
+    n = labels.size
+    # the rows copied once in the epoch's order, so that every batch is a slice of them;
+    # the copies go when the epoch returns, before the next one makes its own
+    order = epoch_permutation(n, cfg.seed, epoch)
+    inputs, labels, sensitive = encoded.take(order), labels[order], sensitive[order]
+    sums = {"l0": 0.0, "l_sar": 0.0, "l_ifc": 0.0, "l_fc": 0.0, "total": 0.0}
+    for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
+        rows = slice(start, start + cfg.batch_size)
+        batch_labels = labels[rows]
+        try:
+            if cfg.enable_bid:
+                trace = model.forward(inputs[rows], training=True, rng=dropout_rng)
+                total, breakdown = joint_loss(trace, batch_labels, sensitive[rows], cfg.lambda_ifc, cfg.lambda_fc)
+            else:
+                pred = model.forward(inputs[rows], training=True, rng=dropout_rng)
+                total = ce_loss(pred, batch_labels)
+                l0 = total.item()
+                breakdown = LossBreakdown(l0=l0, l_sar=0.0, l_ifc=0.0, l_fc=0.0, total=l0)
+            model.param_grads.fill(0.0)
+            backward(total)
+            optimizer.step()
+        except (NumericError, DomainError) as exc:
+            raise TrainingError(f"loss diverged at epoch {epoch}, batch {batch_index}: {exc}") from exc
+        for key, value in breakdown.as_dict().items():
+            sums[key] += value * batch_labels.size
+    return LossBreakdown(**{k: v / n for k, v in sums.items()})
+
+
 # every op checks its result for NaN and Inf, so numpy's overflow warnings add nothing
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig):
     """Run one full optimization and return (frozen model, history).
 
     The dataset must already be split, and a validation split on which
-    the metrics are undefined raises before the first step. Training
-    walks seeded shuffled mini-batches; any non-finite value surfacing in
+    the metrics are undefined raises before the first step, and so does
+    a category id outside the model's tables in a train row. Training
+    walks seeded shuffled mini-batches (the order of
+    :func:`~fairint.data.batches`); any non-finite value surfacing in
     a step, or in the epoch-end validation, stops the run with a
     TrainingError naming the epoch (and the batch, for a step). Early
     stopping triggers after ``patience`` epochs without a new best
@@ -218,6 +261,9 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     cls = FairIntModel if cfg.enable_bid else VanillaModel
     model = cls(dataset.input_columns, model_config, seed=cfg.seed, dropout=cfg.dropout)
     optimizer = Adam(model.param_values, model.param_grads, cfg.learning_rate, l2=cfg.l2)
+    train_rows = full_batch(dataset, "train")
+    encoded, labels, sensitive = model.encode(train_rows.features), train_rows.labels, train_rows.true_sensitive
+    del train_rows  # frees the raw feature columns: the run reads only their encoding
 
     records: list[EpochRecord] = []
     best_auc = -math.inf
@@ -227,32 +273,7 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     stopping_reason = "max_epochs"
 
     for epoch in range(cfg.max_epochs):
-        dropout_rng = np.random.default_rng([cfg.seed, epoch, 1])
-        sums = {"l0": 0.0, "l_sar": 0.0, "l_ifc": 0.0, "l_fc": 0.0, "total": 0.0}
-        rows = 0
-        for batch_index, batch in enumerate(batches(dataset, "train", cfg.batch_size, cfg.seed, epoch)):
-            try:
-                if cfg.enable_bid:
-                    trace = model.forward(batch.features, training=True, rng=dropout_rng)
-                    total, breakdown = joint_loss(trace, batch.labels, batch.true_sensitive,
-                                                  cfg.lambda_ifc, cfg.lambda_fc)
-                else:
-                    pred = model.forward(batch.features, training=True, rng=dropout_rng)
-                    total = ce_loss(pred, batch.labels)
-                    l0 = total.item()
-                    breakdown = LossBreakdown(l0=l0, l_sar=0.0, l_ifc=0.0, l_fc=0.0, total=l0)
-                model.param_grads.fill(0.0)
-                backward(total)
-                optimizer.step()
-            except (NumericError, DomainError) as exc:
-                raise TrainingError(
-                    f"loss diverged at epoch {epoch}, batch {batch_index}: {exc}"
-                ) from exc
-            for key, value in breakdown.as_dict().items():
-                sums[key] += value * batch.size
-            rows += batch.size
-
-        epoch_losses = LossBreakdown(**{k: v / rows for k, v in sums.items()})
+        epoch_losses = _train_epoch(model, optimizer, cfg, epoch, encoded, labels, sensitive)
         try:
             val_report = evaluate_model(model, dataset, "val")
         except (NumericError, DomainError) as exc:

@@ -641,6 +641,28 @@ def test_training_step_and_eval_leave_no_cyclic_garbage():
             gc.enable()
 
 
+def test_every_op_of_a_step_holds_a_c_contiguous_float64_array():
+    # _result keeps the array an op hands over as it is, so each op must make its own
+    # in this layout; the penalties get fixed groups so that every op runs
+    dataset = split(synth_generate(n=600, bias_strength=2.0, proxy_corr=0.8, seed=3), (0.6, 0.2, 0.2), seed=3)
+    batch = batches(dataset, "train", 128, seed=0, epoch=0)[0]
+    labels = batch.labels.reshape(-1, 1)
+    means = group_means(np.arange(batch.size) % 2)
+    seen = set()
+    for cls in (FairIntModel, VanillaModel):
+        model = cls(dataset.input_columns, ModelConfig(), seed=0, dropout=0.1)
+        out = model.forward(batch.features, training=True, rng=np.random.default_rng(0))
+        pred = out.prediction if cls is FairIntModel else out
+        terms = [mean_all(row_cross_entropy(pred, labels)), abs_gap(row_cross_entropy(pred, labels), means, 2.0)]
+        if cls is FairIntModel:
+            terms += [mean_squared_error(out.pseudo_scalar, labels), symmetric_kl(out.fused, means)]
+        for node in graph_nodes(weighted_sum(terms, [1.0] * len(terms))):
+            assert node.values.dtype == np.float64 and node.values.flags.c_contiguous, node.op
+            seen.add(node.op)
+    assert seen == {"leaf", "gather_scale", "dense", "feature_scores", "softmax", "feature_pool",
+                    "row_cross_entropy", "mean", "abs_gap", "mean_squared_error", "symmetric_kl", "weighted_sum"}
+
+
 # -- error paths --------------------------------------------------------------
 
 

@@ -136,6 +136,8 @@ def test_frozen_vocabulary_sends_unseen_to_unknown(tmp_path):
     write_csv(path2, ["1,f,astronaut,0"])
     ds2 = load_csv(path2, make_schema(), vocabularies=vocab)
     assert ds2.columns["job"][0] == 3  # unknown slot for cardinality 3
+    with pytest.raises(DataError, match=r"no vocabulary for categorical columns \['job'\]"):
+        load_csv(path, make_schema(), vocabularies={"sex": vocab["sex"]})
 
 
 def test_decode_inverts_encode(tmp_path):

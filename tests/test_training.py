@@ -1,5 +1,6 @@
 """Training-loop contracts: determinism, selection, ablation, sweeps."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ import pytest
 
 import fairint.model
 from fairint.autodiff import backward, mean_squared_error, pack_parameters
-from fairint.data import full_batch, split, synth_generate
-from fairint.errors import ConfigError, MetricError, TrainingError, UsageError
+from fairint.data import FeatureColumn, full_batch, split, synth_generate
+from fairint.errors import ConfigError, DataError, MetricError, TrainingError, UsageError
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
 from fairint.training import (
     Adam,
@@ -18,6 +19,7 @@ from fairint.training import (
     sweep,
     train,
 )
+from training_oracle import reference_train
 
 
 def tiny_dataset(n=400, seed=7):
@@ -230,6 +232,42 @@ def test_training_is_bitwise_deterministic(tiny):
     arrays_a, arrays_b = model_a.parameter_arrays(), model_b.parameter_arrays()
     for name in arrays_a:
         assert np.array_equal(arrays_a[name], arrays_b[name])
+
+
+def with_categorical_inputs(ds):
+    """Copy of ``ds`` with two categorical inputs before the label: a 4-level band of
+    proxy1, which leaks the group, and a 3-level row counter."""
+    band = FeatureColumn("band", "categorical", "non_sensitive", cardinality=4)
+    parity = FeatureColumn("parity", "categorical", "non_sensitive", cardinality=3)
+    columns = dict(ds.columns, band=np.digitize(ds.columns["proxy1"], [-0.5, 0.0, 0.5]), parity=np.arange(ds.n) % 3)
+    return replace(ds, schema=[*ds.schema[:-1], band, parity, ds.schema[-1]], columns=columns,
+                   vocabularies=dict(ds.vocabularies, band=list("abcd"), parity=list("xyz")))
+
+
+@pytest.mark.parametrize("categorical", [False, True], ids=["numerical", "categorical"])
+@pytest.mark.parametrize("fair", [True, False], ids=["fair", "vanilla"])
+def test_train_equals_the_per_batch_reference_loop_bit_for_bit(tiny, fair, categorical):
+    # train() encodes its train split once and slices each batch from it; the reference
+    # walks batches() and encodes every batch's raw columns in forward, as train() once did
+    ds = with_categorical_inputs(tiny) if categorical else tiny
+    weights = {"lambda_ifc": 1.0, "lambda_fc": 5.0} if fair else {"enable_bid": False}
+    config = quick_config(max_epochs=2, l2=1e-3, **weights)  # 240 train rows: the last batch holds 48
+    model, history = train(ds, ModelConfig(), config)
+    want_model, want_history = reference_train(ds, ModelConfig(), config)
+    assert json.dumps(history.history_lines()) == json.dumps(want_history.history_lines())
+    assert (history.best_epoch, history.stopping_reason) == (want_history.best_epoch, want_history.stopping_reason)
+    assert model.param_values.tobytes() == want_model.param_values.tobytes()
+
+
+def test_category_id_outside_the_table_fails_before_the_first_step(tiny, monkeypatch):
+    ds = with_categorical_inputs(tiny)
+    band = ds.columns["band"].copy()
+    band[np.flatnonzero(ds.split_tags == 0)[-1]] = 5  # the table holds 4 levels and the unknown slot
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
+    with pytest.raises(DataError, match=r"out of range \[0, 5\) for feature 'band'"):
+        train(replace(ds, columns=dict(ds.columns, band=band)), ModelConfig(), quick_config(max_epochs=1))
+    assert steps == []
 
 
 def test_history_lines_have_exactly_the_contract_fields(trained):
