@@ -28,21 +28,20 @@ The operations, each one graph node:
 - the embedding lookup, :func:`gather_scale`;
 - :func:`dense`, one layer: ``x @ w``, plus a bias row or a tracked
   addend, then an optional ReLU or sigmoid and optional inverted
-  dropout; it covers every MLP layer, the attention query, the
-  reconstructor's scalar readout, the residual fusion and the fair
-  model's one-layer predictor;
-- the attention: :func:`feature_scores`, :func:`softmax_lastdim` and
-  :func:`feature_pool`;
-- the losses: :func:`mean_all`, :func:`row_cross_entropy` (per-row
-  binary cross-entropy of probabilities against 0/1 labels),
+  dropout; it covers every MLP layer, the reconstructor's scalar
+  readout, the residual fusion and the fair model's one-layer predictor;
+- the attention: :func:`feature_attention` (query, one score per
+  feature, softmax over the features) and :func:`feature_pool`;
+- the losses: :func:`cross_entropy` (mean binary cross-entropy of
+  probabilities against 0/1 labels), :func:`cross_entropy_gap` (the
+  absolute gap between two groups' mean cross-entropies),
   :func:`mean_squared_error`, :func:`symmetric_kl` (between the
-  softmaxes of two group means), :func:`abs_gap` (the absolute gap
-  between two group means) and :func:`weighted_sum` (the weighted
+  softmaxes of two group means) and :func:`weighted_sum` (the weighted
   total).
 
-The layer and loss ops are fused: each one's backward runs the
-arithmetic of the chain of elementwise ops, matmuls and reductions it
-replaces, in the same order, so values and gradients come out bit for
+The layer, attention and loss ops are fused: each one's backward runs
+the arithmetic of the chain of elementwise ops, matmuls and reductions
+it replaces, in the same order, so values and gradients come out bit for
 bit as they would from the separate ops. Those chains are kept only as
 the tests' reference.
 
@@ -52,7 +51,13 @@ ever propagated silently. A fused op checks its intermediate results too
 where a later step could hide a non-finite value: :func:`dense` checks
 the pre-activation as well as its output, since ReLU turns a ``-inf``
 pre-activation into 0 and a sigmoid turns ``inf`` into 1, and
-:func:`symmetric_kl` checks the group means before its softmax.
+:func:`feature_attention` checks its scores and :func:`symmetric_kl` its
+group means before their softmax.
+
+:func:`backward` adopts the first gradient it receives for a tensor as
+that tensor's ``grad`` and adds any later one into it in place. So a
+``grad_fn`` returns arrays that no tensor holds yet: new arrays, never
+the gradient it was handed or an array it keeps.
 """
 
 import contextlib
@@ -67,16 +72,14 @@ from .errors import ConfigError, DataError, DomainError, NumericError, ShapeErro
 
 __all__ = [
     "Tensor",
-    "softmax_lastdim",
-    "feature_scores",
+    "feature_attention",
     "feature_pool",
-    "mean_all",
     "gather_scale",
     "dense",
-    "row_cross_entropy",
+    "cross_entropy",
+    "cross_entropy_gap",
     "mean_squared_error",
     "symmetric_kl",
-    "abs_gap",
     "weighted_sum",
     "backward",
     "graph_nodes",
@@ -183,14 +186,6 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    if x.values.ndim < 1 or x.values.shape[-1] < 1:
-        raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.values.shape}")
-    y = _softmax(x.values)
-    return _result(y, (x,), "softmax", lambda g: (_softmax_grad(y, g),))
-
-
 def _project_blocks(blocks: Tensor, proj: Tensor):
     """Products of the C width-d blocks of (B, C*d) ``blocks`` with (d, k) ``proj``, as (B, C, k),
     and the map from their gradient to the gradients of ``blocks`` and ``proj``."""
@@ -206,26 +201,34 @@ def _project_blocks(blocks: Tensor, proj: Tensor):
     return (rows @ w).reshape(x.shape[0], -1, w.shape[1]), project_grads
 
 
-def feature_scores(blocks: Tensor, proj: Tensor, query: Tensor) -> Tensor:
-    """(B, C) scores of (B, C*d) ``blocks`` against (B, k) ``query``:
-    out[b, c] = (blocks[b, c] @ proj) . query[b], with ``proj`` (d, k).
+def feature_attention(blocks: Tensor, key: Tensor, source: Tensor, query: Tensor) -> Tensor:
+    """(B, C) softmax over the features of one score per width-d block of (B, C*d) ``blocks``:
+    score[b, c] = (blocks[b, c] @ key) . q[b], with ``key`` (d, k) and the query
+    q = (B, m) ``source`` @ (m, k) ``query``.
 
     Each score adds its k products in order, from 0.0. For k < 8 that is
     how numpy sums a last axis, so the scores equal ``(keys * q).sum(-1)``
     bit for bit; for k >= 8 numpy sums pairwise, and the two differ by ULPs.
     """
-    keys, project_grads = _project_blocks(blocks, proj)
-    q = query.values
-    if q.shape != (keys.shape[0], keys.shape[2]):
-        raise ShapeError(f"query shape {q.shape} does not match keys of shape {keys.shape}")
+    keys, project_grads = _project_blocks(blocks, key)
+    sv, qw = source.values, query.values
+    if (sv.ndim != 2 or qw.ndim != 2 or sv.shape[1] != qw.shape[0]
+            or (len(sv), qw.shape[1]) != (len(keys), keys.shape[2])):
+        raise ShapeError(f"query {sv.shape} @ {qw.shape} does not match keys of shape {keys.shape}")
+    q = sv @ qw
     scores = np.zeros(keys.shape[:2])
     for j in range(keys.shape[2]):  # k adds over (B, C), never a (B, C, k) product
         scores += keys[:, :, j] * q[:, j, None]
+    if not _all_finite(scores):
+        raise NumericError("operation 'feature_attention' produced non-finite values before its softmax")
+    y = _softmax(scores)
 
     def grad_fn(g):
-        return *project_grads(g[:, :, None] * q[:, None, :]), np.einsum("bc,bck->bk", g, keys)
+        g_scores = _softmax_grad(y, g)
+        g_q = np.einsum("bc,bck->bk", g_scores, keys)
+        return *project_grads(g_scores[:, :, None] * q[:, None, :]), g_q @ qw.T, sv.T @ g_q
 
-    return _result(scores, (blocks, proj, query), "feature_scores", grad_fn)
+    return _result(y, (blocks, key, source, query), "feature_attention", grad_fn)
 
 
 def feature_pool(blocks: Tensor, proj: Tensor, weights: Tensor) -> Tensor:
@@ -241,14 +244,6 @@ def feature_pool(blocks: Tensor, proj: Tensor, weights: Tensor) -> Tensor:
 
     # einsum adds the features up in order, as a loop over them would
     return _result(np.einsum("bc,bck->bk", w, values), (blocks, proj, weights), "feature_pool", grad_fn)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    """Mean of all elements, as a scalar tensor."""
-    n = x.values.size
-    if n == 0:
-        raise UsageError("mean of an empty tensor")
-    return _result(x.values.mean(), (x,), "mean", lambda g: (np.full_like(x.values, float(g) / n),))
 
 
 def gather_scale(source: Tensor, index, scale) -> Tensor:
@@ -315,24 +310,24 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, activation: str | None 
         # keep >= 0, so g * (keep * active) has the bits of (g * keep) * active
         mask = keep if mask is None else np.multiply(keep, mask, out=keep)
 
-    def grad_fn(g):
-        if mask is not None:
-            g = g * mask
+    def grad_fn(g_out):
+        g = g_out if mask is None else g_out * mask
         if y is not None:
             g = g * y * (1.0 - y)
         if bv is None:
             return g @ wv.T, xv.T @ g
-        return g @ wv.T, xv.T @ g, g.sum(axis=0) if bv.ndim == 1 else g
+        # an addend's gradient is g itself: a copy, unless g is already this call's own array
+        return g @ wv.T, xv.T @ g, g.sum(axis=0) if bv.ndim == 1 else g.copy() if g is g_out else g
 
     return _result(out, (x, w) if b is None else (x, w, b), "dense", grad_fn)
 
 
-def row_cross_entropy(pred: Tensor, labels) -> Tensor:
+def _row_cross_entropy(pred: Tensor, labels):
     """Per-row binary cross-entropy -log(pred * (2y - 1) + (1 - y)) of probabilities ``pred``
     against 0/1 ``labels`` of the same shape: -log of the probability given to the right
     class, bit for bit the two-term y * pred + (1 - y) * (1 - pred) inside the log, and
-    exactly 0 when the model is confidently correct. DomainError if that probability is
-    not positive."""
+    exactly 0 when the model is confidently correct. Returns it and the map from its
+    gradient to pred's. DomainError if that probability is not positive."""
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != pred.values.shape:
         raise ShapeError(f"labels of shape {y.shape} do not match predictions of shape {pred.values.shape}")
@@ -340,7 +335,16 @@ def row_cross_entropy(pred: Tensor, labels) -> Tensor:
     picked = pred.values * sign + (1.0 - y)
     if np.any(picked <= 0.0):
         raise DomainError("log of a non-positive value")
-    return _result(np.log(picked) * -1.0, (pred,), "row_cross_entropy", lambda g: (((g * -1.0) / picked) * sign,))
+    return np.log(picked) * -1.0, lambda g: ((g * -1.0) / picked) * sign
+
+
+def cross_entropy(pred: Tensor, labels) -> Tensor:
+    """Mean binary cross-entropy of probabilities ``pred`` against 0/1 ``labels`` of its shape."""
+    ce, ce_grad = _row_cross_entropy(pred, labels)
+    n = ce.size
+    if n == 0:
+        raise UsageError("cross entropy of an empty batch")
+    return _result(ce.mean(), (pred,), "cross_entropy", lambda g: (ce_grad(np.full_like(ce, float(g) / n)),))
 
 
 def mean_squared_error(x: Tensor, target) -> Tensor:
@@ -394,18 +398,20 @@ def symmetric_kl(x: Tensor, mix) -> Tensor:
     return _result(terms.sum(), (x,), "symmetric_kl", grad_fn)
 
 
-def abs_gap(x: Tensor, mix, scale: float) -> Tensor:
-    """``scale`` * |sum of (mix[0] - mix[1]) @ x| for (B, k) ``x`` and constant (2, B) ``mix``:
-    the absolute gap between two weighted means of x's rows."""
-    m, xv = _two_row_mix(x, mix, "abs_gap")
+def cross_entropy_gap(pred: Tensor, labels, mix, scale: float) -> Tensor:
+    """``scale`` * |sum of (mix[0] - mix[1]) @ ce| for the per-row binary cross-entropies
+    ce of (B, 1) probabilities ``pred`` against 0/1 ``labels`` and constant (2, B) ``mix``:
+    the absolute gap between two weighted means of the rows' cross-entropies."""
+    m, _ = _two_row_mix(pred, mix, "cross_entropy_gap")
+    ce, ce_grad = _row_cross_entropy(pred, labels)
     contrast = _PAIR_DIFFERENCE @ m
-    gap = contrast @ xv
+    gap = contrast @ ce
     total = np.asarray(gap.sum())
 
     def grad_fn(g):
-        return (contrast.T @ np.full_like(gap, float(g * scale * np.sign(total))),)
+        return (ce_grad(contrast.T @ np.full_like(gap, float(g * scale * np.sign(total)))),)
 
-    return _result(np.abs(total) * scale, (x,), "abs_gap", grad_fn)
+    return _result(np.abs(total) * scale, (pred,), "cross_entropy_gap", grad_fn)
 
 
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
@@ -462,7 +468,7 @@ def backward(root: Tensor) -> None:
                 if not parent.grad_tracked:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.array(g, dtype=np.float64)
+                    parent.grad = np.asarray(g)  # a new array: see the module docstring
                 else:
                     parent.grad += g
 

@@ -481,7 +481,7 @@ def split(dataset: Dataset, ratios: tuple[float, float, float], seed: int) -> Da
     """
     if dataset.split_tags is not None:
         raise UsageError("dataset is already split")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(is_finite_number(r) and r > 0 for r in ratios):
         raise ConfigError(f"split ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")

@@ -18,10 +18,9 @@ penalties read one constant (2, B) group-mean matrix M (:func:`group_means`),
 whose row g averages the rows of group g; :func:`joint_loss` builds it once
 per batch, and a batch with one group adds 0 to both penalties.
 
-Each term is one fused graph node, or two for l0 and l_fc, which each
-start from their own per-row cross-entropy node; the weighted total is
-one more. Their values and gradients are bit for bit those of the
-separate operations they replace.
+Each term is one fused graph node; the weighted total is one more. Their
+values and gradients are bit for bit those of the separate operations
+they replace.
 
 A weight of exactly 0, the only off switch, skips its term entirely: the
 term is not evaluated and contributes no graph nodes, which keeps training
@@ -72,17 +71,12 @@ def _as_column(values, n: int, what: str) -> np.ndarray:
 
 def ce_loss(pred: Tensor, labels) -> Tensor:
     """Mean binary cross-entropy; ``pred`` holds probabilities in (0, 1)."""
-    n = pred.values.shape[0]
-    if n == 0:
-        raise UsageError("cross entropy of an empty batch")
-    return ad.mean_all(ad.row_cross_entropy(pred, _as_column(labels, n, "labels")))
+    return ad.cross_entropy(pred, _as_column(labels, pred.values.shape[0], "labels"))
 
 
 def reconstruction_loss(pseudo_scalar: Tensor, sensitive) -> Tensor:
     """Mean squared error between reconstructed probability and true group."""
     n = pseudo_scalar.values.shape[0]
-    if n == 0:
-        raise UsageError("reconstruction loss of an empty batch")
     return ad.mean_squared_error(pseudo_scalar, _as_column(sensitive, n, "sensitive values"))
 
 
@@ -141,7 +135,7 @@ def group_gap_loss(pred: Tensor, labels, means: np.ndarray | None) -> Tensor:
     y = _as_column(labels, pred.values.shape[0], "labels")
     if means is None:
         return Tensor(0.0)
-    return ad.abs_gap(ad.row_cross_entropy(pred, y), means, 2.0)
+    return ad.cross_entropy_gap(pred, y, means, 2.0)
 
 
 def joint_loss(trace, labels, sensitive, lambda_ifc: float = 0.0, lambda_fc: float = 0.0):

@@ -15,7 +15,7 @@ they can be tested and inspected separately:
      belongs to group 1.
   3. bid_attention: the pseudo-sensitive embedding is the only attention
      query; one head scores every feature once (|C| scores per row, not
-     |C| squared, in one fused op) and normalizes with a softmax.
+     |C| squared) and normalizes with a softmax, all in one graph node.
   4. interaction_embedding + residual_fuse: the attention-weighted sum of
      the features' value projections, plus a residual projection of the
      pseudo-sensitive embedding, through a ReLU.
@@ -69,8 +69,8 @@ class ModelConfig:
             raise ConfigError(f"embed_dim must be a positive int, got {self.embed_dim!r}")
         for name in ("sar_hidden", "baseline_hidden"):
             widths = getattr(self, name)
-            if any(type(w) is not int or w < 1 for w in widths):
-                raise ConfigError(f"{name} widths must be positive ints, got {widths}")
+            if not isinstance(widths, (list, tuple)) or any(type(w) is not int or w < 1 for w in widths):
+                raise ConfigError(f"{name} must be a list of positive int widths, got {widths!r}")
 
     def to_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -80,9 +80,7 @@ class ModelConfig:
         check_options(doc, cls.__dataclass_fields__, "model")
         kwargs = dict(doc)
         for name in ("sar_hidden", "baseline_hidden"):
-            if name in kwargs:
-                if not isinstance(kwargs[name], (list, tuple)):
-                    raise ConfigError(f"{name} must be a list of widths, got {kwargs[name]!r}")
+            if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 
@@ -276,9 +274,8 @@ class FairIntModel(_EmbeddingBase):
         the only query), then a softmax across features. Returns (B, |C|)
         with columns in ``feature_names`` order.
         """
-        q = ad.dense(pseudo_embed, self.params["bid.h0.query"])
-        scores = ad.feature_scores(embeddings, self.params["bid.h0.key"], q)
-        return ad.softmax_lastdim(scores)
+        key, query = self.params["bid.h0.key"], self.params["bid.h0.query"]
+        return ad.feature_attention(embeddings, key, pseudo_embed, query)
 
     def interaction_embedding(self, attention: Tensor, embeddings: Tensor) -> Tensor:
         """Attention-weighted sum of the features' value projections, (B, d)."""

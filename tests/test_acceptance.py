@@ -119,13 +119,10 @@ def c1_op_cases(rng):
     labels = np.array([[0.0], [1.0], [1.0], [0.0], [1.0]])
     mix = np.stack([labels[:, 0] == 0, labels[:, 0] == 1]) / np.array([[2.0], [3.0]])  # two group means
     return [
-        ("softmax_lastdim", lambda xs: sum_all(mul(ad.softmax_lastdim(xs[0]), xs[1])),
-         [smooth(3, 5), smooth(3, 5)]),
-        ("feature_scores", lambda xs: sum_all(mul(ad.feature_scores(xs[0], xs[1], xs[2]), xs[3])),
-         [smooth(3, 6), smooth(2, 4), smooth(3, 4), smooth(3, 3)]),
+        ("feature_attention", lambda xs: sum_all(mul(ad.feature_attention(xs[0], xs[1], xs[2], xs[3]), xs[4])),
+         [smooth(3, 6), smooth(2, 4), smooth(3, 2), smooth(2, 4), smooth(3, 3)]),
         ("feature_pool", lambda xs: sum_all(mul(ad.feature_pool(xs[0], xs[1], xs[2]), xs[3])),
          [smooth(3, 6), smooth(2, 4), smooth(3, 3), smooth(3, 4)]),
-        ("mean_all", lambda xs: ad.mean_all(mul(xs[0], xs[0])), [smooth(3, 4)]),
         ("gather_scale", lambda xs: sum_all(mul(ad.gather_scale(xs[0], index, scale), xs[1])),
          [tables, smooth(4, 4)]),
         ("dense linear", lambda xs: sum_all(mul(ad.dense(xs[0], xs[1], xs[2]), xs[3])),
@@ -135,8 +132,8 @@ def c1_op_cases(rng):
         ("dense relu dropout=0.4",
          lambda xs: sum_all(mul(ad.dense(xs[0], xs[1], xs[2], "relu", rate=0.4, rng=drop_rng()), xs[3])),
          [smooth(4, 3), smooth(3, 5), smooth(5), smooth(4, 5)]),
-        ("row_cross_entropy labels 0 and 1", lambda xs: sum_all(mul(ad.row_cross_entropy(xs[0], labels), xs[1])),
-         [rng.uniform(0.05, 0.95, (5, 1)), smooth(5, 1)]),
+        ("cross_entropy labels 0 and 1", lambda xs: ad.cross_entropy(xs[0], labels),
+         [rng.uniform(0.05, 0.95, (5, 1))]),
         ("dense sigmoid", lambda xs: sum_all(mul(ad.dense(xs[0], xs[1], xs[2], "sigmoid"), xs[3])),
          [smooth(4, 3), smooth(3, 5), smooth(5), smooth(4, 5)]),
         ("dense sigmoid without bias", lambda xs: sum_all(mul(ad.dense(xs[0], xs[1], None, "sigmoid"), xs[2])),
@@ -145,7 +142,9 @@ def c1_op_cases(rng):
          [smooth(4, 3), smooth(3, 5), smooth(4, 5), smooth(4, 5)]),
         ("mean_squared_error", lambda xs: ad.mean_squared_error(xs[0], labels), [rng.uniform(0.05, 0.95, (5, 1))]),
         ("symmetric_kl", lambda xs: ad.symmetric_kl(xs[0], mix), [smooth(5, 3)]),
-        ("abs_gap", lambda xs: ad.abs_gap(xs[0], mix, 2.0), [rng.uniform(0.1, 2.0, (5, 1))]),
+        # p(y=1) in [0.6, 0.95]: group 0 (label 0) has the larger cross-entropy, clear of the kink
+        ("cross_entropy_gap", lambda xs: ad.cross_entropy_gap(xs[0], labels, mix, 2.0),
+         [rng.uniform(0.6, 0.95, (5, 1))]),
         ("weighted_sum", lambda xs: sum_all(mul(ad.weighted_sum([xs[0], xs[1]], [1.0, -2.5]), xs[2])),
          [smooth(3, 4), smooth(3, 4), smooth(3, 4)]),
     ]

@@ -5,8 +5,8 @@ differences (h = 1e-5, relative error < 1e-4) at several random points,
 each fused op also bit for bit against its chain of separate ops in
 ``graph_oracle``. Those chain ops are the reference, so they get the
 same finite-difference checks. Inputs for the kinks of relu, absolute
-and the absolute gap are kept away from 0 so the numeric derivative is
-well defined.
+and the cross-entropy gap are kept away from 0 so the numeric derivative
+is well defined.
 """
 
 import gc
@@ -17,24 +17,23 @@ import pytest
 
 import fairint.autodiff as ad
 import graph_oracle
-from graph_oracle import absolute, add, log, matmul, mul, relu, sigmoid, sum_all
+from graph_oracle import (absolute, add, feature_scores, log, matmul, mean_all, mul, relu, row_cross_entropy,
+                          sigmoid, softmax_lastdim, sum_all)
 from fairint.autodiff import (
     Tensor,
-    abs_gap,
     backward,
+    cross_entropy,
+    cross_entropy_gap,
     dense,
+    feature_attention,
     feature_pool,
-    feature_scores,
     gather_scale,
     graph_nodes,
     load_parameters,
-    mean_all,
     mean_squared_error,
     no_grad,
     pack_parameters,
-    row_cross_entropy,
     save_parameters,
-    softmax_lastdim,
     symmetric_kl,
     weighted_sum,
 )
@@ -106,6 +105,17 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(out.values.sum(axis=-1), 1.0, atol=1e-12)
 
 
+def test_feature_attention_known_values():
+    # two width-1 blocks scored by the query 1 * 1: scores [ln 2, 0], weights [2/3, 1/3]
+    one = Tensor([[1.0]])
+    out = feature_attention(Tensor([[np.log(2.0), 0.0]]), one, one, one)
+    np.testing.assert_allclose(out.values, [[2.0 / 3.0, 1.0 / 3.0]], rtol=0, atol=1e-12)
+    rng = np.random.default_rng(7)
+    out = feature_attention(*(Tensor(rng.standard_normal(shape) * 3) for shape in [(6, 10), (2, 4), (6, 3), (3, 4)]))
+    assert out.shape == (6, 5)
+    np.testing.assert_allclose(out.values.sum(axis=-1), 1.0, atol=1e-12)
+
+
 def test_sigmoid_is_stable_at_extremes():
     out = dense(Tensor([[-500.0], [0.0], [500.0]]), Tensor([[1.0]]), activation="sigmoid").values[:, 0]
     assert np.all(np.isfinite(out))
@@ -140,6 +150,19 @@ def test_basic_arithmetic_values():
     np.testing.assert_array_equal(add(a, Tensor([10.0, 20.0])).values, [[11, 22], [13, 24]])
     np.testing.assert_array_equal(absolute(mul(a, -1.0)).values, a.values)
     assert sum_all(a).item() == 10.0
+
+
+def test_a_tensor_keeps_a_c_contiguous_copy_of_a_strided_array():
+    source = np.arange(6.0).reshape(3, 2)
+    t = Tensor(source.T)
+    assert t.values.flags.c_contiguous and not np.shares_memory(t.values, source)
+    np.testing.assert_array_equal(t.values, source.T)
+
+
+def test_item_needs_a_single_element_and_repr_names_shape_op_and_tracking():
+    with pytest.raises(UsageError, match="single-element"):
+        Tensor([1.0, 2.0]).item()
+    assert repr(Tensor(np.ones((2, 3)), grad_tracked=True)) == "Tensor(shape=(2, 3), op='leaf', tracked=True)"
 
 
 def test_relu_derivative_is_zero_at_zero():
@@ -235,6 +258,19 @@ def test_grad_feature_scores(seed, shape):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", FEATURE_SHAPES)
+def test_grad_feature_attention(seed, shape):
+    rows, n_feat, d, k = shape
+    rng = np.random.default_rng(seed)
+    c = Tensor(rng.standard_normal((rows, n_feat)))
+    check_gradients(
+        lambda xs: sum_all(mul(feature_attention(*xs), c)),
+        [rng.standard_normal((rows, n_feat * d)), rng.standard_normal((d, k)), rng.standard_normal((rows, 3)),
+         rng.standard_normal((3, k))],
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", FEATURE_SHAPES)
 def test_grad_feature_pool(seed, shape):
     rows, n_feat, d, k = shape
     rng = np.random.default_rng(seed)
@@ -245,21 +281,24 @@ def test_grad_feature_pool(seed, shape):
     )
 
 
-# head widths up to 7: feature_scores adds a score's k products in order, as numpy sums a last
-# axis shorter than 8; from 8 on numpy sums pairwise and the two differ by ULPs
+# head widths up to 7: feature_attention and feature_scores add a score's k products in order, as
+# numpy sums a last axis shorter than 8; from 8 on numpy sums pairwise and the two differ by ULPs
 @pytest.mark.parametrize("n_feat, d, k", [(1, 4, 4), (5, 4, 4), (14, 4, 4), (3, 2, 5), (14, 4, 7)])
 def test_feature_ops_equal_a_per_feature_loop(n_feat, d, k):
     # at least two rows: numpy multiplies a single row through its
     # matrix-vector path, which rounds differently from the matrix product
     rng = np.random.default_rng(n_feat)
     blocks = rng.standard_normal((257, n_feat * d))
-    proj, query = rng.standard_normal((d, k)), rng.standard_normal((257, k))
+    proj, source, query_w = rng.standard_normal((d, k)), rng.standard_normal((257, 3)), rng.standard_normal((3, k))
+    query = source @ query_w
     weights = rng.random((257, n_feat))
     projections = [np.ascontiguousarray(blocks[:, c * d : (c + 1) * d]) @ proj for c in range(n_feat)]
 
     scores = np.concatenate([(p * query).sum(axis=-1, keepdims=True) for p in projections], axis=-1)
     got = feature_scores(Tensor(blocks), Tensor(proj), Tensor(query)).values
     assert np.array_equal(got, scores)
+    got = feature_attention(Tensor(blocks), Tensor(proj), Tensor(source), Tensor(query_w)).values
+    assert np.array_equal(got, ad._softmax(scores))
 
     pooled = weights[:, 0:1] * projections[0]
     for c in range(1, n_feat):
@@ -348,6 +387,13 @@ def test_grad_row_cross_entropy(seed):
     check_gradients(lambda xs: sum_all(mul(row_cross_entropy(xs[0], labels), c)), [rng.uniform(0.05, 0.95, (6, 1))])
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_cross_entropy(seed):
+    rng = np.random.default_rng(seed)
+    labels = np.array([[0.0], [1.0], [0.0], [1.0], [1.0], [0.0]])
+    check_gradients(lambda xs: cross_entropy(xs[0], labels), [rng.uniform(0.05, 0.95, (6, 1))])
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 @pytest.mark.parametrize("use_relu", [False, True])
 def test_dense_equals_its_op_chain_bit_for_bit(rate, use_relu):
@@ -356,6 +402,7 @@ def test_dense_equals_its_op_chain_bit_for_bit(rate, use_relu):
 
 
 def test_row_cross_entropy_equals_its_op_chain_bit_for_bit():
+    # the reference op that the fused cross-entropy terms are compared with
     rng = np.random.default_rng(6)
     y = rng.integers(0, 2, size=(8, 1)).astype(np.float64)
     p = rng.uniform(0.01, 0.99, (8, 1))
@@ -449,11 +496,22 @@ def test_grad_symmetric_kl(seed):
     check_gradients(lambda xs: symmetric_kl(xs[0], two_groups(7, seed)), [rng.standard_normal((7, 4))])
 
 
+def gap_inputs(rng, rows, seed, sign=1.0):
+    """Labels, predictions and group means whose cross-entropy gap is far from 0:
+    group 0 gives the right class a probability below 0.4 (above 0.6 if ``sign`` is -1),
+    group 1 one above 0.6 (below 0.4)."""
+    mix = two_groups(rows, seed)
+    labels = rng.integers(0, 2, (rows, 1)).astype(np.float64)
+    right = np.where((mix[0] > 0)[:, None] == (sign > 0), rng.uniform(0.05, 0.4, (rows, 1)),
+                     rng.uniform(0.6, 0.95, (rows, 1)))
+    return labels, np.where(labels == 1.0, right, 1.0 - right), mix
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_grad_abs_gap(seed):
-    # row cross-entropies are positive; the gap keeps its sign under the probe's steps
+def test_grad_cross_entropy_gap(seed):
     rng = np.random.default_rng(seed)
-    check_gradients(lambda xs: abs_gap(xs[0], two_groups(7, seed), 2.0), [rng.uniform(0.1, 3.0, (7, 1))])
+    labels, pred, mix = gap_inputs(rng, 7, seed)
+    check_gradients(lambda xs: cross_entropy_gap(xs[0], labels, mix, 2.0), [pred])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -477,6 +535,26 @@ def equal_bits(build_fused, build_chain, arrays, upstream=1.7):
     assert results[0] == results[1]
 
 
+def test_cross_entropy_equals_its_op_chain_bit_for_bit():
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 2, (9, 1)).astype(np.float64)
+    pred = np.concatenate([rng.uniform(0.01, 0.99, (8, 1)), [[1.0]]])  # and one confidently right row
+    labels[-1] = 1.0
+    equal_bits(lambda xs: cross_entropy(xs[0], labels),
+               lambda xs: mean_all(row_cross_entropy(xs[0], labels)), [pred])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_feature_attention_equals_its_op_chain_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(shape) for shape in [(11, 15), (3, 4), (11, 4), (4, 4)]]  # five blocks of 3
+
+    def chain(xs):
+        return softmax_lastdim(feature_scores(xs[0], xs[1], matmul(xs[2], xs[3])))
+
+    equal_bits(lambda xs: feature_attention(*xs), chain, arrays, upstream=Tensor(rng.standard_normal((11, 5))))
+
+
 def test_mean_squared_error_equals_its_op_chain_bit_for_bit():
     rng = np.random.default_rng(6)
     target = rng.integers(0, 2, (9, 1)).astype(np.float64)
@@ -493,12 +571,12 @@ def test_symmetric_kl_equals_its_op_chain_bit_for_bit(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_abs_gap_equals_its_op_chain_bit_for_bit(seed):
+def test_cross_entropy_gap_equals_its_op_chain_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
-    mix = two_groups(11, seed)
     for sign in (1.0, -1.0):  # both signs of the gap
-        x = rng.uniform(0.1, 3.0, (11, 1)) + sign * 10.0 * (mix[0] > 0)[:, None]  # group 0's mean moves by 10
-        equal_bits(lambda xs: abs_gap(xs[0], mix, 2.0), lambda xs: graph_oracle.abs_gap(xs[0], mix, 2.0), [x])
+        labels, pred, mix = gap_inputs(rng, 11, seed, sign)
+        equal_bits(lambda xs: cross_entropy_gap(xs[0], labels, mix, 2.0),
+                   lambda xs: graph_oracle.abs_gap(row_cross_entropy(xs[0], labels), mix, 2.0), [pred])
 
 
 def test_weighted_sum_equals_its_op_chain_bit_for_bit():
@@ -509,9 +587,9 @@ def test_weighted_sum_equals_its_op_chain_bit_for_bit():
         equal_bits(lambda xs: weighted_sum(xs, weights), lambda xs: graph_oracle.weighted_sum(xs, weights), arrays)
 
 
-def test_abs_gap_of_equal_means_has_zero_gradient():
+def test_cross_entropy_gap_of_equal_means_has_zero_gradient():
     x = Tensor(np.array([[0.5], [0.5], [0.5]]), grad_tracked=True)
-    out = abs_gap(x, group_means(np.array([0, 1, 1])), 2.0)
+    out = cross_entropy_gap(x, np.array([[1.0], [0.0], [1.0]]), group_means(np.array([0, 1, 1])), 2.0)
     backward(out)
     assert out.item() == 0.0 and not x.grad.any()
 
@@ -535,7 +613,7 @@ def test_grad_composite_network(seed):
 
     def build(xs):
         h = dense(xs[0], xs[1], xs[2], "relu")
-        return mean_all(row_cross_entropy(dense(h, xs[3], activation="sigmoid"), labels))
+        return cross_entropy(dense(h, xs[3], activation="sigmoid"), labels)
 
     check_gradients(build, [x, w1, b1, w2])
 
@@ -588,10 +666,60 @@ def test_parameter_reused_twice_accumulates():
     np.testing.assert_allclose(p.grad, [[3.0 + 2.0, 3.0 + 4.0]])
 
 
+def copying_backward(root):
+    """``backward`` as it was when it copied every first gradient instead of adopting it."""
+    root.grad = np.ones_like(root.values)
+    for node in reversed(graph_nodes(root)):
+        if node._backward is not None:
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if parent.grad_tracked:
+                    if parent.grad is None:
+                        parent.grad = np.array(g, dtype=np.float64)
+                    else:
+                        parent.grad += g
+
+
+def test_backward_adopts_first_gradients_as_a_copying_backward_would_set_them():
+    # every grad_fn returns new arrays, so adopting them changes no bit and shares no memory
+    dataset = split(synth_generate(n=600, bias_strength=2.0, proxy_corr=0.8, seed=3), (0.6, 0.2, 0.2), seed=3)
+    model = FairIntModel(dataset.input_columns, ModelConfig(), seed=0, dropout=0.1)
+    batch = batches(dataset, "train", 128, seed=0, epoch=0)[0]
+    grads = []
+    for run in (copying_backward, backward):
+        trace = model.forward(batch.features, training=True, rng=np.random.default_rng(0))
+        total, breakdown = joint_loss(trace, batch.labels, batch.true_sensitive, 2.0, 30.0)
+        assert breakdown.l_ifc > 0.0 and breakdown.l_fc > 0.0
+        model.param_grads.fill(0.0)
+        run(total)
+        nodes = graph_nodes(total)
+        grads.append([node.grad.tobytes() for node in nodes])
+    assert grads[0] == grads[1]
+    own = [node.grad for node in nodes if node.op != "leaf"]
+    for i, grad in enumerate(own):
+        assert isinstance(grad, np.ndarray)
+        assert not any(np.shares_memory(grad, other) for other in [model.param_grads, *own[i + 1:]])
+
+
+def test_dense_hands_an_addend_a_gradient_of_its_own():
+    # with no activation and no dropout the addend's gradient is the incoming one, which its node holds
+    x, w, addend = (Tensor(np.ones(shape), grad_tracked=True) for shape in [(2, 3), (3, 4), (2, 4)])
+    out = dense(x, w, addend)
+    backward(sum_all(mul(out, 2.0)))
+    np.testing.assert_array_equal(addend.grad, np.full((2, 4), 2.0))
+    assert not np.shares_memory(addend.grad, out.grad)
+
+
 def test_backward_requires_scalar_root():
     x = Tensor([[1.0, 2.0]], grad_tracked=True)
     with pytest.raises(UsageError):
         backward(x)
+
+
+def test_backward_from_an_untracked_root_sets_no_grad():
+    x = Tensor([[1.0]])
+    out = dense(x, Tensor([[2.0]]))
+    backward(out)
+    assert out.grad is None and x.grad is None
 
 
 def test_untracked_graph_records_no_parents():
@@ -608,7 +736,7 @@ def test_untracked_graph_records_no_parents():
     assert inside._parents == ()
     assert dense(p, w).grad_tracked
     with pytest.raises(DomainError), no_grad():
-        row_cross_entropy(dense(p, Tensor([[0.0]])), np.array([[1.0]]))
+        cross_entropy(dense(p, Tensor([[0.0]])), np.array([[1.0]]))
     assert dense(p, w)._parents == (p, w)
 
 
@@ -653,14 +781,14 @@ def test_every_op_of_a_step_holds_a_c_contiguous_float64_array():
         model = cls(dataset.input_columns, ModelConfig(), seed=0, dropout=0.1)
         out = model.forward(batch.features, training=True, rng=np.random.default_rng(0))
         pred = out.prediction if cls is FairIntModel else out
-        terms = [mean_all(row_cross_entropy(pred, labels)), abs_gap(row_cross_entropy(pred, labels), means, 2.0)]
+        terms = [cross_entropy(pred, labels), cross_entropy_gap(pred, labels, means, 2.0)]
         if cls is FairIntModel:
             terms += [mean_squared_error(out.pseudo_scalar, labels), symmetric_kl(out.fused, means)]
         for node in graph_nodes(weighted_sum(terms, [1.0] * len(terms))):
             assert node.values.dtype == np.float64 and node.values.flags.c_contiguous, node.op
             seen.add(node.op)
-    assert seen == {"leaf", "gather_scale", "dense", "feature_scores", "softmax", "feature_pool",
-                    "row_cross_entropy", "mean", "abs_gap", "mean_squared_error", "symmetric_kl", "weighted_sum"}
+    assert seen == {"leaf", "gather_scale", "dense", "feature_attention", "feature_pool", "cross_entropy",
+                    "cross_entropy_gap", "mean_squared_error", "symmetric_kl", "weighted_sum"}
 
 
 # -- error paths --------------------------------------------------------------
@@ -671,38 +799,44 @@ def test_shape_mismatches_raise():
     for w, b in ((np.ones((2, 3)), np.ones(3)), (np.ones((3, 2)), np.ones(3)), (np.ones((3, 2)), np.ones((1, 2)))):
         with pytest.raises(ShapeError):
             dense(a, Tensor(w), Tensor(b))
+    half = Tensor(np.full((2, 1), 0.5))
     with pytest.raises(ShapeError):
-        row_cross_entropy(Tensor(np.full((2, 1), 0.5)), np.zeros(2))
+        cross_entropy(half, np.zeros(2))
+    with pytest.raises(ShapeError):
+        cross_entropy_gap(half, np.zeros(2), group_means(np.array([0, 1])), 2.0)
     with pytest.raises(ShapeError):
         dense(a, Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))  # an addend of the wrong rows
     with pytest.raises(UsageError, match="activation"):
         dense(a, Tensor(np.ones((3, 2))), activation="tanh")
     with pytest.raises(ShapeError):
         mean_squared_error(Tensor(np.ones((2, 1))), np.ones(2))
-    for op in (symmetric_kl, lambda x, mix: abs_gap(x, mix, 2.0)):
-        with pytest.raises(ShapeError):
-            op(a, np.ones((2, 3)))  # one weight per row of a, not per column
-        with pytest.raises(ShapeError):
-            op(a, np.ones((3, 2)))
+    for x, op in ((a, symmetric_kl), (half, lambda x, mix: cross_entropy_gap(x, np.zeros((2, 1)), mix, 2.0))):
+        for mix in (np.ones((2, 3)), np.ones((3, 2))):  # not one row of weights per group and row of x
+            with pytest.raises(ShapeError):
+                op(x, mix)
     with pytest.raises(ShapeError):
         weighted_sum([Tensor(1.0), Tensor([1.0])], [1.0, 1.0])
     with pytest.raises(UsageError):
         weighted_sum([Tensor(1.0)], [1.0, 2.0])
-    proj, query, weights = Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3)))
+    proj, weights = Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3)))
+    source, query = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
     blocks = Tensor(np.ones((2, 6)))  # three blocks of width 2
-    for op, third in ((feature_scores, query), (feature_pool, weights)):
+    for op, rest in ((feature_attention, (source, query)), (feature_pool, (weights,))):
         with pytest.raises(ShapeError):
-            op(Tensor(np.ones((2, 5))), proj, third)  # width not a multiple of d
+            op(Tensor(np.ones((2, 5))), proj, *rest)  # width not a multiple of d
         with pytest.raises(ShapeError):
-            op(Tensor(np.ones((2, 1))), proj, third)  # narrower than one block
+            op(Tensor(np.ones((2, 1))), proj, *rest)  # narrower than one block
         with pytest.raises(ShapeError):
-            op(Tensor(np.ones(6)), proj, third)
+            op(Tensor(np.ones(6)), proj, *rest)
         with pytest.raises(ShapeError):
-            op(blocks, Tensor(np.ones(2)), third)
-    with pytest.raises(ShapeError):
-        feature_scores(blocks, proj, Tensor(np.ones((2, 3))))  # query width is not k
-    with pytest.raises(ShapeError):
-        feature_scores(blocks, proj, Tensor(np.ones((3, 4))))  # query rows are not B
+            op(blocks, Tensor(np.ones(2)), *rest)
+    assert feature_attention(blocks, proj, source, query).shape == (2, 3)
+    for bad_source, bad_query in [((2, 3), (3, 3)),  # query width is not k
+                                  ((3, 3), (3, 4)),  # query rows are not B
+                                  ((2, 2), (3, 4)),  # source and query do not multiply
+                                  ((2,), (3, 4)), ((2, 3), (3,))]:
+        with pytest.raises(ShapeError):
+            feature_attention(blocks, proj, Tensor(np.ones(bad_source)), Tensor(np.ones(bad_query)))
     with pytest.raises(ShapeError):
         feature_pool(blocks, proj, Tensor(np.ones((2, 2))))  # one weight per block
     with pytest.raises(ShapeError):
@@ -710,10 +844,12 @@ def test_shape_mismatches_raise():
 
 
 def test_log_of_nonpositive_raises_domain_error():
-    with pytest.raises(DomainError):
-        row_cross_entropy(Tensor([[0.5], [0.0]]), np.array([[0.0], [1.0]]))  # p(y=1) = 0
-    with pytest.raises(DomainError):
-        row_cross_entropy(Tensor([[1.0]]), np.array([[0.0]]))  # p(y=0) = 0
+    means = group_means(np.array([0, 1]))
+    for op in (cross_entropy, lambda pred, labels: cross_entropy_gap(pred, labels, means, 2.0)):
+        with pytest.raises(DomainError):
+            op(Tensor([[0.5], [0.0]]), np.array([[0.0], [1.0]]))  # p(y=1) = 0
+        with pytest.raises(DomainError):
+            op(Tensor([[1.0], [0.5]]), np.array([[0.0], [1.0]]))  # p(y=0) = 0
 
 
 def test_overflow_to_inf_raises_numeric_error():
@@ -746,10 +882,20 @@ def test_a_finite_result_whose_sum_overflows_passes_the_finite_check():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_result_raises_numeric_error_naming_the_op(bad):
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="operation 'mean'"):
-        mean_all(Tensor([1.0, bad]))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="operation 'mean_squared_error'"):
+        mean_squared_error(Tensor([[1.0, bad]]), np.zeros((1, 2)))
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="operation 'dense'"):
         dense(Tensor([[1.0, bad]]), Tensor([[1.0], [1.0]]))
+
+
+def test_feature_attention_checks_its_scores_before_its_softmax():
+    # a score of -inf would become a finite weight of 0 in the softmax
+    blocks, one = Tensor([[1e308, 1.0]]), Tensor([[1.0]])
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="before its softmax"):
+        feature_attention(blocks, Tensor([[-10.0]]), one, one)
+    # and so would a query of -inf, through every score of its row
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="before its softmax"):
+        feature_attention(Tensor([[1.0, 2.0]]), one, Tensor([[1e308]]), Tensor([[-10.0]]))
 
 
 def test_symmetric_kl_checks_its_group_means_and_its_probabilities():

@@ -369,6 +369,19 @@ def test_split_validation():
         split(standardized, (0.6, 0.2, 0.2), seed=0)
 
 
+def test_a_numerical_column_has_no_table():
+    column = FeatureColumn("age", "numerical", "non_sensitive")
+    for attr in ("table_size", "unknown_id"):
+        with pytest.raises(UsageError, match="'age' is not categorical"):
+            getattr(column, attr)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "a", None, True])
+def test_split_rejects_a_ratio_that_is_not_a_finite_number(bad):
+    with pytest.raises(ConfigError, match="three positive numbers"):
+        split(make_numeric_dataset(list(range(10))), (bad, 0.5, 0.5), seed=1)
+
+
 def test_constant_column_standardizes_to_zeros():
     ds = split(make_numeric_dataset([5.0] * 10), (0.6, 0.2, 0.2), seed=1)
     np.testing.assert_array_equal(ds.columns["x"], np.zeros(10))

@@ -1,7 +1,7 @@
 """Differential tests: the fused graph trains bit for bit like its op chains.
 
-``graph_oracle`` holds the output layers and the loss terms as chains of
-separate graph nodes. Fair and vanilla training steps built from either
+``graph_oracle`` holds the attention, the output layers and the loss
+terms as chains of separate graph nodes. Fair and vanilla training steps built from either
 must leave the same parameter bytes and log the same loss values, with
 every weight setting, with dropout, with non-default widths, and on a
 batch whose rows all fall into one group.
@@ -90,7 +90,8 @@ def test_vanilla_steps_match_the_op_chains(dataset):
         return total, total.item()
 
     def chained(model, batch, rng):
-        total = ce_loss(graph_oracle.vanilla_forward(model, batch.features, training=True, rng=rng), batch.labels)
+        pred = graph_oracle.vanilla_forward(model, batch.features, training=True, rng=rng)
+        total = graph_oracle.ce_loss(pred, batch.labels)
         return total, total.item()
 
     def model():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from graph_oracle import add, log, mul
-from fairint.autodiff import Tensor, backward, graph_nodes, mean_all
+from graph_oracle import add, log, mean_all, mul
+from fairint.autodiff import Tensor, backward, graph_nodes
 from fairint.data import FeatureColumn, full_batch, split, synth_generate
 from fairint.errors import ConfigError, ShapeError, UsageError
 from fairint.losses import (
@@ -251,14 +251,15 @@ def test_joint_skipped_terms_add_no_graph_nodes():
     assert len(graph_nodes(weighted)) > len(graph_nodes(plain))
 
 
-def test_joint_loss_adds_7_nodes_with_two_groups_and_4_with_one():
+def test_joint_loss_adds_5_nodes_with_two_groups_and_3_with_one():
+    # one node per evaluated term, and one for the weighted total
     ds = split(synth_generate(n=400, bias_strength=2.0, proxy_corr=0.8, seed=7), (0.6, 0.2, 0.2), seed=7)
     batch = full_batch(ds, "train")
     m = FairIntModel(ds.input_columns, ModelConfig(), seed=0)
     groups = assign_groups(m.forward(batch.features).pseudo_scalar)
     assert len(ds.input_columns) == 5 and 0 < groups.sum() < groups.size
     one_group = {name: values[groups == 1] for name, values in batch.features.items()}
-    for features, rows, added in [(batch.features, slice(None), 7), (one_group, groups == 1, 4)]:
+    for features, rows, added in [(batch.features, slice(None), 5), (one_group, groups == 1, 3)]:
         trace = m.forward(features)
         forward = {id(n) for t in (trace.prediction, trace.pseudo_scalar, trace.fused) for n in graph_nodes(t)}
         total, _ = joint_loss(trace, batch.labels[rows], batch.true_sensitive[rows], 2.0, 30.0)

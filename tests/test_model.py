@@ -5,13 +5,16 @@ import pytest
 
 import fairint.autodiff as ad
 import fairint.model
-from fairint.autodiff import Tensor, backward, mean_all
+from graph_oracle import mean_all
+from fairint.autodiff import Tensor, backward
 from fairint.data import FeatureColumn, full_batch, split, synth_generate
 from fairint.errors import ConfigError, DataError, UsageError
 from fairint.losses import assign_groups, ce_loss, joint_loss
 from fairint.model import (
-    FairIntModel, ForwardTrace, ModelConfig, VanillaModel, _score_blocks, attention_summary, score_rows,
+    FairIntModel, ForwardTrace, ModelConfig, VanillaModel, _score_blocks, attention_summary, load_model, save_model,
+    score_rows,
 )
+from fairint.training import TrainConfig
 
 
 def cols(*specs):
@@ -59,8 +62,31 @@ def test_config_validation():
         small_model(dropout=1.0).forward(small_batch(), training=True, rng=np.random.default_rng(0))
     with pytest.raises(ConfigError):
         ModelConfig(sar_hidden=(8, 0))
+    for widths in (5, None, "16"):  # not a list of widths
+        with pytest.raises(ConfigError, match="sar_hidden must be a list"):
+            ModelConfig(sar_hidden=widths)
+        with pytest.raises(ConfigError, match="baseline_hidden must be a list"):
+            ModelConfig(baseline_hidden=widths)
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"embed_dim": 4, "mystery": 1})
+
+
+def test_a_model_needs_an_input_column_and_takes_only_non_sensitive_ones():
+    for cls in (FairIntModel, VanillaModel):
+        with pytest.raises(ConfigError, match="at least one"):
+            cls([], ModelConfig(), seed=0)
+        with pytest.raises(UsageError, match="role 'sensitive' cannot be a model input"):
+            cls([FeatureColumn("s", "categorical", "sensitive", cardinality=2)], ModelConfig(), seed=0)
+
+
+def test_a_model_saved_from_an_unstandardized_dataset_records_no_statistics(tmp_path):
+    dataset = synth_generate(n=200, bias_strength=2.0, proxy_corr=0.8, seed=1)
+    assert dataset.standardize_stats is None
+    model = FairIntModel(dataset.input_columns, ModelConfig(), seed=0)
+    save_model(model, dataset, tmp_path / "model.bin", TrainConfig())
+    loaded, _, meta = load_model(tmp_path / "model.bin")
+    assert meta["standardize_stats"] is None
+    assert loaded.param_values.tobytes() == model.param_values.tobytes()
 
 
 def test_config_dict_round_trip():
@@ -285,7 +311,7 @@ def test_each_added_feature_adds_zero_nodes_to_a_fair_step(kind, card):
     assert step_nodes(base + cols(("extra", kind, card))) == step_nodes(base)
 
 
-def test_default_architecture_builds_35_nodes_per_fair_step_and_13_per_vanilla_step():
+def test_default_architecture_builds_31_nodes_per_fair_step_and_12_per_vanilla_step():
     # the graphs the benchmark counts per step: a training forward with dropout, then
     # the joint loss with both penalties active, or the vanilla model's cross-entropy
     ds = split(synth_generate(n=400, bias_strength=2.0, proxy_corr=0.8, seed=7), (0.6, 0.2, 0.2), seed=7)
@@ -295,10 +321,10 @@ def test_default_architecture_builds_35_nodes_per_fair_step_and_13_per_vanilla_s
         batch.features, training=True, rng=np.random.default_rng(0))
     assert set(assign_groups(trace.pseudo_scalar)) == {0, 1}
     total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, 2.0, 30.0)
-    assert len(ad.graph_nodes(total)) == 35
+    assert len(ad.graph_nodes(total)) == 31
     pred = VanillaModel(ds.input_columns, config, seed=0, dropout=0.1).forward(
         batch.features, training=True, rng=np.random.default_rng(0))
-    assert len(ad.graph_nodes(ce_loss(pred, batch.labels))) == 13
+    assert len(ad.graph_nodes(ce_loss(pred, batch.labels))) == 12
 
 
 # -- determinism and dropout -----------------------------------------------------------------

@@ -17,7 +17,8 @@ What the trace cannot see:
   deselected: the tracer's own frames keep objects in reference cycles,
   so that test fails under the trace while passing without it.
 
-The exit status is pytest's.
+The exit status is pytest's when pytest fails; when it passes, 0 if
+every line ran and 1 if some line never did.
 """
 
 import ast
@@ -92,7 +93,7 @@ def main(argv) -> int:
     for name, count in counts.items():
         print(f"{count:4d}  {name}")
     print(f"{sum(counts.values()):4d}  unrun lines in total")
-    return code
+    return code or int(any(counts.values()))
 
 
 if __name__ == "__main__":
