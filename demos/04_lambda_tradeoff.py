@@ -1,9 +1,14 @@
 """Walk the fairness-weight grid and print the accuracy/fairness trade-off.
 
 One row per (lambda_ifc, lambda_fc) pair, trained independently from the
-same seed. This is the data behind a trade-off curve: gaps fall as the
-weights grow, while AUC drifts down much more slowly. The same table
-comes out of `fairint sweep` as tradeoff.csv.
+same seed; the same table comes out of `fairint sweep` as tradeoff.csv.
+The gaps do not fall steadily as the weights grow. On one run (Python
+3.11, numpy 2.4) ddp reads 0.9756-0.9867 at every pair up to (2, 30),
+then 0.5822 at (5, 40) and 0.1644 at (10, 50), where auc has fallen from
+0.9480 to 0.8657 and 0.8503. As README's quick start explains, a
+penalized model's gaps at the 0.5 threshold come from a score band
+collapsed around 0.5, so a low gap here is not a fair ranking (ROADMAP
+item 1).
 """
 
 from fairint.data import split, synth_generate

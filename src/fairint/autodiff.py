@@ -100,16 +100,16 @@ class Tensor:
 
     __slots__ = ("values", "grad_tracked", "grad", "_parents", "_backward", "op")
 
-    def __init__(self, values, grad_tracked: bool = False, _parents=(), _op: str = "leaf", grad=None):
+    def __init__(self, values, grad_tracked: bool = False, grad=None):
         v = np.asarray(values, dtype=np.float64)
         if not v.flags["C_CONTIGUOUS"]:
             v = np.ascontiguousarray(v)
         self.values = v
         self.grad_tracked = bool(grad_tracked)
         self.grad = grad
-        self._parents = tuple(_parents)
+        self._parents = ()
         self._backward = None
-        self.op = _op
+        self.op = "leaf"
 
     @property
     def shape(self) -> tuple:

@@ -23,7 +23,6 @@ from .data import (
     apply_standardization,
     columns_without_vocabulary,
     full_batch,
-    is_finite_number,
     load_csv,
     load_schema,
     save_csv,
@@ -31,7 +30,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, DataError, FairIntError, UsageError
+from .errors import ConfigError, DataError, FairIntError, UsageError, check_number
 from .model import FairIntModel, ModelConfig, attention_summary, load_model, save_model
 from .probe import sensitive_probe
 from .training import EMPTY_GRID, NO_RECONSTRUCTOR, TrainConfig, evaluate_model, sweep, train
@@ -201,8 +200,8 @@ def _parse_grid(text: str):
             pair = (float(pieces[0]), float(pieces[1]))
         except ValueError:
             raise UsageError(f"bad grid point {part!r}: expected two numbers") from None
-        if not all(is_finite_number(w) and w >= 0 for w in pair):
-            raise UsageError(f"bad grid point {part!r}: weights must be finite numbers >= 0")
+        for name, weight in zip(("lambda_ifc", "lambda_fc"), pair):
+            check_number(f"bad grid point {part!r}: {name}", weight, "[0, inf)")
         pairs.append(pair)
     if not pairs:
         raise UsageError(EMPTY_GRID)
@@ -274,18 +273,19 @@ def cmd_synth(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _threshold(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if not is_finite_number(value):
-        raise UsageError(f"--threshold must be a finite number, got {text!r}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, such as a missing flag or a value its type rejects, raise
+    UsageError, so that :func:`main` reports them like any other; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _metric_flags(parser) -> None:
-    parser.add_argument("--threshold", type=_threshold, default=0.5, help="decision threshold")
+    def threshold(text: str) -> float:  # argparse names it in "invalid threshold value: 'abc'"
+        return check_number("--threshold", float(text))
+
+    parser.add_argument("--threshold", type=threshold, default=0.5, help="decision threshold")
     parser.add_argument(
         "--groups-from",
         choices=("true", "reconstructed"),
@@ -295,7 +295,7 @@ def _metric_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairint",
         description="Fair tabular classification by repairing biased feature interactions.",
     )
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)  # a non-finite --threshold raises UsageError here
+        args = build_parser().parse_args(argv)  # a bad flag or value raises UsageError or ConfigError here
         # every op checks its result for NaN and Inf, so numpy's overflow warnings add nothing
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)

@@ -15,13 +15,12 @@ seen categories as 0 and 1 and maps anything else to 2.
 import csv
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, UsageError, check_int, check_number
 
 KIND_CATEGORICAL = "categorical"
 KIND_NUMERICAL = "numerical"
@@ -51,23 +50,7 @@ __all__ = [
     "full_batch",
     "synth_generate",
     "SYNTH_SCHEMA",
-    "is_finite_number",
 ]
-
-
-def is_finite_number(value) -> bool:
-    """An int or float, not a bool, that converts to a finite float64."""
-    # NaN fails the comparison, and so does an int too large for a float
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-
-
-def check_options(doc, fields, what: str) -> None:
-    """ConfigError unless ``doc`` is an object whose keys are all in ``fields``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} options must be an object, got {doc!r}")
-    extra = set(doc) - set(fields)
-    if extra:
-        raise ConfigError(f"unknown {what} options: {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -477,12 +460,17 @@ def split(dataset: Dataset, ratios: tuple[float, float, float], seed: int) -> Da
     The shuffle is a seeded permutation; per-split counts differ from the
     exact fractions by less than one row. Statistics come from
     :func:`mean_std`, so a constant column maps to exact zeros. A dataset
-    that is already standardized is rejected.
+    that is already standardized is rejected. ``ratios`` is a tuple, list
+    or array of three numbers in (0, 1] that sum to 1.
     """
     if dataset.split_tags is not None:
         raise UsageError("dataset is already split")
-    if len(ratios) != 3 or not all(is_finite_number(r) and r > 0 for r in ratios):
-        raise ConfigError(f"split ratios must be three positive numbers, got {ratios}")
+    ratios = ratios.tolist() if isinstance(ratios, np.ndarray) else ratios
+    if not isinstance(ratios, (tuple, list)) or len(ratios) != 3:
+        raise ConfigError(f"split ratios must be a sequence of three numbers, got {ratios!r}")
+    for i, ratio in enumerate(ratios):
+        check_number(f"split ratio {i}", ratio, "(0, 1]")
+    check_int("seed", seed)
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
     counts = _largest_remainder(dataset.n, tuple(ratios))
@@ -568,8 +556,7 @@ def batches(dataset: Dataset, which: str, batch_size: int, seed: int, epoch: int
 
     The last partial batch is kept.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be at least 1, got {batch_size}")
+    check_int("batch_size", batch_size, 1)
     rows = _split_indices(dataset, which)
     order = rows[epoch_permutation(rows.size, seed, epoch)]
     return [_make_batch(dataset, order[i : i + batch_size]) for i in range(0, order.size, batch_size)]
@@ -617,16 +604,10 @@ def synth_generate(n: int, bias_strength: float, proxy_corr: float, seed: int) -
     of them is a breaking change. A bad argument raises ConfigError, and an
     ``n`` whose draws numpy cannot represent raises MemoryError.
     """
-    if type(n) is not int:  # type() excludes bools
-        raise ConfigError(f"synthetic generator needs an int n, got {n!r}")
-    if n < 100:
-        raise ConfigError(f"synthetic generator needs n >= 100, got {n}")
-    if not is_finite_number(bias_strength) or bias_strength < 0:
-        raise ConfigError(f"bias_strength must be a finite number >= 0, got {bias_strength}")
-    if not is_finite_number(proxy_corr) or not 0.0 <= proxy_corr <= 1.0:
-        raise ConfigError(f"proxy_corr must be in [0, 1], got {proxy_corr!r}")
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+    check_int("n", n, 100)
+    check_number("bias_strength", bias_strength, "[0, inf)")
+    check_number("proxy_corr", proxy_corr, "[0, 1]")
+    check_int("seed", seed)
     if n > _MAX_SYNTH_ROWS:  # numpy would raise ValueError, not MemoryError, for such a shape
         raise MemoryError(f"{n} synthetic rows exceed the largest array numpy can represent")
 

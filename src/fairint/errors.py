@@ -1,9 +1,24 @@
-"""Exception hierarchy shared by all fairint modules.
+"""Exception hierarchy shared by all fairint modules, and the checks of settings.
 
 Each class carries the CLI exit code of its failures in ``exit_code``:
 config/usage problems exit 2, data problems exit 3, and every other
 error, a training or metric failure, exits 4 as its base class does.
+
+Every int or numeric setting, whether a config field, a function
+argument or a CLI flag, goes through one of two checks, each with one
+message form:
+
+- :func:`check_int`: a Python int, not a bool, at or above a floor
+  (``seed must be an int >= 0, got -1``);
+- :func:`check_number`: a finite number (:func:`is_finite_number`) in an
+  interval whose ends are each open or closed
+  (``dropout must be a finite number in [0, 1), got 1.0``).
+
+Both raise :class:`ConfigError`. :class:`Settings` gives the config
+dataclasses their one ``to_dict``/``from_dict``.
 """
+
+import sys
 
 
 class FairIntError(Exception):
@@ -48,3 +63,48 @@ class MetricError(FairIntError):
 
 class TrainingError(FairIntError):
     """Optimization failed, typically by divergence to non-finite loss."""
+
+
+def is_finite_number(value) -> bool:
+    """An int or float, not a bool, that converts to a finite float64."""
+    # NaN fails the comparison, and so does an int too large for a float
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+def check_int(name: str, value, floor: int = 0) -> int:
+    """``value`` if it is a Python int at or above ``floor``, else ConfigError."""
+    if type(value) is not int or value < floor:  # type() excludes bools and numpy integers
+        raise ConfigError(f"{name} must be an int >= {floor}, got {value!r}")
+    return value
+
+
+def check_number(name: str, value, interval: str = "(-inf, inf)"):
+    """``value`` if it is a finite number inside ``interval``, else ConfigError.
+
+    ``interval`` is written as in the message, such as ``"[0, 1)"``: a
+    bracket includes its end and a parenthesis excludes it.
+    """
+    low, high = map(float, interval[1:-1].split(","))
+    if not (is_finite_number(value)
+            and (low < value if interval[0] == "(" else low <= value)
+            and (value < high if interval[-1] == ")" else value <= high)):
+        raise ConfigError(f"{name} must be a finite number in {interval}, got {value!r}")
+    return value
+
+
+class Settings:
+    """``to_dict``/``from_dict`` for a dataclass of settings, whose class attribute
+    ``what`` names its options in errors."""
+
+    def to_dict(self) -> dict:
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
+
+    @classmethod
+    def from_dict(cls, doc):
+        """ConfigError unless ``doc`` is an object whose keys are all fields; else the settings."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{cls.what} options must be an object, got {doc!r}")
+        extra = set(doc) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ConfigError(f"unknown {cls.what} options: {sorted(extra)}")
+        return cls(**doc)

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import MetricError, UsageError
+from .errors import MetricError, UsageError, check_number
 
 __all__ = [
     "FairnessReport",
@@ -144,6 +144,7 @@ def evaluate(
     """
     if groups_from not in ("true", "reconstructed"):
         raise UsageError(f"groups_from must be 'true' or 'reconstructed', got {groups_from!r}")
+    check_number("threshold", threshold)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(y).reshape(-1)
     s = _validate_groups(np.asarray(s).reshape(-1))

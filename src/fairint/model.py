@@ -33,9 +33,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import (KIND_CATEGORICAL, ROLE_NON_SENSITIVE, check_options, columns_without_vocabulary,
-                   is_finite_number, parse_schema, schema_entry)
-from .errors import ConfigError, DataError, UsageError
+from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, columns_without_vocabulary, parse_schema, schema_entry
+from .errors import ConfigError, DataError, Settings, UsageError, check_int, check_number, is_finite_number
 
 __all__ = [
     "ModelConfig",
@@ -51,38 +50,31 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Settings):
     """Architecture sizes. Defaults follow the reference setting.
 
     ``embed_dim`` is also the width of the attention's query, key and
     value projections. ``sar_hidden`` lists the reconstructor's hidden
     widths; together with its linear output projection to ``embed_dim``
-    the default makes a four-layer MLP.
+    the default makes a four-layer MLP. Widths given as a list are kept
+    as a tuple.
     """
 
     embed_dim: int = 4
     sar_hidden: tuple = (16, 16, 8)
     baseline_hidden: tuple = (64, 32)
 
+    what = "model"
+
     def __post_init__(self):
-        if type(self.embed_dim) is not int or self.embed_dim < 1:
-            raise ConfigError(f"embed_dim must be a positive int, got {self.embed_dim!r}")
+        check_int("embed_dim", self.embed_dim, 1)
         for name in ("sar_hidden", "baseline_hidden"):
             widths = getattr(self, name)
-            if not isinstance(widths, (list, tuple)) or any(type(w) is not int or w < 1 for w in widths):
-                raise ConfigError(f"{name} must be a list of positive int widths, got {widths!r}")
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        check_options(doc, cls.__dataclass_fields__, "model")
-        kwargs = dict(doc)
-        for name in ("sar_hidden", "baseline_hidden"):
-            if isinstance(kwargs.get(name), list):
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+            if not isinstance(widths, (list, tuple)):
+                raise ConfigError(f"{name} must be a list of widths, got {widths!r}")
+            for i, width in enumerate(widths):
+                check_int(f"{name}[{i}]", width, 1)
+            object.__setattr__(self, name, tuple(widths))  # how a frozen dataclass sets its own field
 
 
 @dataclass
@@ -148,8 +140,8 @@ class _EmbeddingBase:
         self.input_columns = list(input_columns)
         self.feature_names = [c.name for c in self.input_columns]
         self.config = config
-        self.dropout = dropout
-        self._rng = np.random.default_rng(seed)
+        self.dropout = check_number("dropout", dropout, "[0, 1)")
+        self._rng = np.random.default_rng(check_int("seed", seed))
         self._mlp_layers: dict[str, int] = {}
         self._initial: dict[str, np.ndarray] = {}
         d = config.embed_dim

@@ -21,13 +21,16 @@ import numpy as np
 from . import metrics as fm
 from .autodiff import backward
 # train() shuffles its rows itself, in the order of batches(); the benchmark's trace wraps that name here
-from .data import Dataset, batches, check_options, epoch_permutation, full_batch, is_finite_number  # noqa: F401
+from .data import Dataset, batches, epoch_permutation, full_batch  # noqa: F401
 from .errors import (
     ConfigError,
     DomainError,
     NumericError,
+    Settings,
     TrainingError,
     UsageError,
+    check_int,
+    check_number,
 )
 from .losses import LossBreakdown, assign_groups, ce_loss, joint_loss
 from .model import FairIntModel, ModelConfig, VanillaModel, score_rows
@@ -35,8 +38,14 @@ from .model import FairIntModel, ModelConfig, VanillaModel, score_rows
 __all__ = ["TrainConfig", "EpochRecord", "TrainHistory", "SweepPoint", "Adam", "train", "evaluate_model", "sweep"]
 
 
+# the floor of each int field and the interval of each numeric one
+_INT_FLOORS = {"batch_size": 1, "max_epochs": 0, "patience": 1, "seed": 0}
+_INTERVALS = {"lambda_ifc": "[0, inf)", "lambda_fc": "[0, inf)", "learning_rate": "(0, inf)",
+              "dropout": "[0, 1)", "l2": "[0, inf)"}
+
+
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Settings):
     """One training run's hyperparameters.
 
     ``lambda_ifc`` and ``lambda_fc`` weight the two fairness terms, and a
@@ -58,43 +67,18 @@ class TrainConfig:
     seed: int = 0
     enable_bid: bool = True
 
+    what = "training"
+
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is an int too
-                raise ConfigError(f"{name} must be an int, got {value!r}")
-        for name in ("lambda_ifc", "lambda_fc", "learning_rate", "dropout", "l2"):
-            value = getattr(self, name)
-            if not is_finite_number(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name, floor in _INT_FLOORS.items():
+            check_int(name, getattr(self, name), floor)
+        for name, interval in _INTERVALS.items():
+            check_number(name, getattr(self, name), interval)
         if not isinstance(self.enable_bid, bool):
             raise ConfigError(f"enable_bid must be true or false, got {self.enable_bid!r}")
-        for name in ("lambda_ifc", "lambda_fc", "l2"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.enable_bid and (self.lambda_ifc or self.lambda_fc):
             raise ConfigError(f"enable_bid false trains the vanilla model, which takes no fairness weights,"
                               f" got lambda_ifc={self.lambda_ifc}, lambda_fc={self.lambda_fc}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be non-negative, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be at least 1, got {self.patience}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        check_options(doc, cls.__dataclass_fields__, "training")
-        return cls(**doc)
 
 
 @dataclass

@@ -725,6 +725,35 @@ def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, command):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+SYNTH = ["synth", "--n", "200", "--beta", "2", "--rho", "0.8", "--out", "data.csv"]
+
+
+@pytest.mark.parametrize(("argv", "message"), [
+    (["synth", "--n", "abc", *SYNTH[3:]], "fairint synth: argument --n: invalid int value: 'abc'"),
+    ([*SYNTH, "--seed", "x"], "fairint synth: argument --seed: invalid int value: 'x'"),
+    ([*SYNTH, "--seed", "1.5"], "fairint synth: argument --seed: invalid int value: '1.5'"),
+    (["synth", "--n", "200", "--beta", "2", "--rho", "1.5", "--out", "data.csv"],
+     "proxy_corr must be a finite number in [0, 1], got 1.5"),
+    (["train"], "fairint train: the following arguments are required: --config"),
+    (["train", "--config", "cfg.json", "--epochs", "3"], "fairint: unrecognized arguments: --epochs 3"),
+    ([], "fairint: the following arguments are required: command"),
+])
+def test_a_malformed_command_line_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [f"error: {message}"] and out.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["synth", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fairint")
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 def test_non_finite_threshold_exits_2_before_any_work(trained, tmp_path, capsys, command, value):
@@ -820,10 +849,12 @@ def test_model_record_of_size_0_with_a_shape_numpy_cannot_represent_exits_3(trai
 
 
 @pytest.mark.parametrize("command", ["eval", "explain"])
-def test_scoring_commands_take_no_split_flag(trained, command):
+def test_scoring_commands_take_no_split_flag(trained, capsys, command):
     # a CSV loaded for scoring is never split, so only "all" could work
-    with pytest.raises(SystemExit):
-        main([command, "--model", str(trained["dir"] / "model.bin"), "--csv", str(trained["csv"]), "--split", "all"])
+    argv = [command, "--model", str(trained["dir"] / "model.bin"), "--csv", str(trained["csv"]), "--split", "all"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: fairint: unrecognized arguments: --split all"]
 
 
 # -- sweep ---------------------------------------------------------------------
