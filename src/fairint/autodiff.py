@@ -68,7 +68,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError, UsageError
+from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError, UsageError, located
 
 __all__ = [
     "Tensor",
@@ -523,49 +523,50 @@ def load_parameters(path) -> tuple[dict, dict]:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:8] != _MAGIC:
-        raise DataError(f"{path}: not a fairint model file")
-    off = 8
+    with located(path):
+        if raw[:8] != _MAGIC:
+            raise DataError("not a fairint model file")
+        off = 8
 
-    def take(size: int, what: str) -> bytes:
-        nonlocal off
-        if size > len(raw) - off:
-            raise DataError(f"{path}: model file is truncated inside {what}")
-        off += size
-        return raw[off - size : off]
+        def take(size: int, what: str) -> bytes:
+            nonlocal off
+            if size > len(raw) - off:
+                raise DataError(f"model file is truncated inside {what}")
+            off += size
+            return raw[off - size : off]
 
-    def u32(what: str) -> int:
-        return struct.unpack("<I", take(4, what))[0]
+        def u32(what: str) -> int:
+            return struct.unpack("<I", take(4, what))[0]
 
-    version = u32("the header")
-    if version != _VERSION:
-        raise DataError(f"{path}: unsupported model file version {version}")
-    mlen = u32("the header")
-    try:
-        metadata = json.loads(take(mlen, "the metadata").decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
-        raise DataError(f"{path}: model file metadata is not valid JSON: {exc}") from None
-    if not isinstance(metadata, dict):
-        raise DataError(f"{path}: model file metadata is not a JSON object")
-    count = u32("the record count")
-    arrays: dict[str, np.ndarray] = {}
-    for i in range(count):
-        what = f"parameter record {i}"
+        version = u32("the header")
+        if version != _VERSION:
+            raise DataError(f"unsupported model file version {version}")
+        mlen = u32("the header")
         try:
-            name = take(u32(what), what).decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: {what} has a name that is not UTF-8") from None
-        if name in arrays:
-            raise DataError(f"{path}: duplicate parameter name {name!r}")
-        ndim = u32(what)
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, what))
-        data = take(8 * math.prod(shape), what)
-        try:
-            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        except ValueError:  # a size-0 shape whose extents numpy cannot represent
-            raise DataError(f"{path}: {what} has a shape numpy cannot represent: {shape}") from None
-        if not np.isfinite(arrays[name]).all():
-            raise DataError(f"{path}: parameter {name!r} holds non-finite values")
-    if off != len(raw):
-        raise DataError(f"{path}: model file has {len(raw) - off} trailing bytes")
-    return arrays, metadata
+            metadata = json.loads(take(mlen, "the metadata").decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+            raise DataError(f"model file metadata is not valid JSON: {exc}") from None
+        if not isinstance(metadata, dict):
+            raise DataError("model file metadata is not a JSON object")
+        count = u32("the record count")
+        arrays: dict[str, np.ndarray] = {}
+        for i in range(count):
+            what = f"parameter record {i}"
+            try:
+                name = take(u32(what), what).decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{what} has a name that is not UTF-8") from None
+            if name in arrays:
+                raise DataError(f"duplicate parameter name {name!r}")
+            ndim = u32(what)
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, what))
+            data = take(8 * math.prod(shape), what)
+            try:
+                arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            except ValueError:  # a size-0 shape whose extents numpy cannot represent
+                raise DataError(f"{what} has a shape numpy cannot represent: {shape}") from None
+            if not np.isfinite(arrays[name]).all():
+                raise DataError(f"parameter {name!r} holds non-finite values")
+        if off != len(raw):
+            raise DataError(f"model file has {len(raw) - off} trailing bytes")
+        return arrays, metadata

@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import (
     apply_standardization,
+    check_synth,
     columns_without_vocabulary,
     full_batch,
     load_csv,
@@ -30,7 +31,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, DataError, FairIntError, UsageError, check_number
+from .errors import ConfigError, DataError, FairIntError, UsageError, check_int, check_number, located
 from .model import FairIntModel, ModelConfig, attention_summary, load_model, save_model
 from .probe import sensitive_probe
 from .training import EMPTY_GRID, NO_RECONSTRUCTOR, TrainConfig, evaluate_model, sweep, train
@@ -50,55 +51,64 @@ class ExperimentConfig:
     model: ModelConfig
     train: TrainConfig
     output_dir: str
+    path: str  # the config file, which an error in its settings names
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer too long to convert
-        raise ConfigError(f"{path}: config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    for key in _SOURCE_KEYS:
-        if key in doc and doc[key] is None:  # explicit null means "not this source"
-            del doc[key]
-    if ("dataset" in doc) == ("synth" in doc):
-        raise ConfigError(f"{path}: exactly one of 'dataset' or 'synth' must be given")
-    if "output_dir" not in doc:
-        raise ConfigError(f"{path}: 'output_dir' is required")
-    _check_path(doc, "output_dir", path)
+    with located(path):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError("config file not found") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from None
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # also an integer too long to convert
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(doc) - _CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        for key in _SOURCE_KEYS:
+            if key in doc and doc[key] is None:  # explicit null means "not this source"
+                del doc[key]
+        if ("dataset" in doc) == ("synth" in doc):
+            raise ConfigError("exactly one of 'dataset' or 'synth' must be given")
+        if "output_dir" not in doc:
+            raise ConfigError("'output_dir' is required")
+        _check_path(doc, "output_dir")
 
-    source_kind = "dataset" if "dataset" in doc else "synth"
-    source, keys = doc[source_kind], sorted(_SOURCE_KEYS[source_kind])
-    if not isinstance(source, dict) or sorted(source) != keys:
-        raise ConfigError(f"{path}: {source_kind!r} must be an object with keys {keys}")
-    if source_kind == "dataset":
-        for key in keys:
-            if not Path(_check_path(source, key, path)).exists():
-                raise ConfigError(f"{path}: {key} does not exist: {source[key]}")
+        source_kind = "dataset" if "dataset" in doc else "synth"
+        source, keys = doc[source_kind], sorted(_SOURCE_KEYS[source_kind])
+        if not isinstance(source, dict) or sorted(source) != keys:
+            raise ConfigError(f"{source_kind!r} must be an object with keys {keys}")
+        if source_kind == "dataset":
+            for key in keys:
+                if not Path(_check_path(source, key)).exists():
+                    raise ConfigError(f"{key} does not exist: {source[key]}")
 
-    return ExperimentConfig(
-        source_kind=source_kind,
-        source=dict(source),
-        model=ModelConfig.from_dict(doc.get("model", {})),
-        train=TrainConfig.from_dict(doc.get("train", {})),
-        output_dir=doc["output_dir"],
-    )
+        return ExperimentConfig(
+            source_kind=source_kind,
+            source=dict(source),
+            model=ModelConfig.from_dict(doc.get("model", {})),
+            train=TrainConfig.from_dict(doc.get("train", {})),
+            output_dir=doc["output_dir"],
+            path=str(path),
+        )
 
 
-def _check_path(doc: dict, key: str, path) -> str:
+def _check_path(doc: dict, key: str) -> str:
     if not isinstance(doc[key], str) or not doc[key] or "\0" in doc[key]:  # a NUL makes path calls raise ValueError
-        raise ConfigError(f"{path}: {key!r} must be a non-empty string without NUL, got {doc[key]!r}")
+        raise ConfigError(f"{key!r} must be a non-empty string without NUL, got {doc[key]!r}")
     return doc[key]
+
+
+def _synth(n, beta, rho, seed, prefix=""):
+    """:func:`synth_generate`, with a bad setting named by its config key, or by its flag with ``prefix`` ``--``."""
+    check_synth(n, beta, rho, seed, names=[prefix + name for name in ("n", "beta", "rho", "seed")])
+    return synth_generate(n=n, bias_strength=beta, proxy_corr=rho, seed=seed)
 
 
 def _materialize(config: ExperimentConfig, seed_flag: int | None):
@@ -110,11 +120,11 @@ def _materialize(config: ExperimentConfig, seed_flag: int | None):
     training, so a data error leaves none behind and an unusable
     ``output_dir`` fails before any model is trained.
     """
-    train_config = config.train if seed_flag is None else replace(config.train, seed=seed_flag)
+    train_config = config.train if seed_flag is None else replace(config.train, seed=check_int("--seed", seed_flag))
     seed = train_config.seed
     if config.source_kind == "synth":
-        src = config.source
-        dataset = synth_generate(n=src["n"], bias_strength=src["beta"], proxy_corr=src["rho"], seed=seed)
+        with located(config.path):
+            dataset = _synth(**config.source, seed=seed)
     else:
         schema = load_schema(config.source["schema_path"])
         dataset = load_csv(config.source["csv_path"], schema)
@@ -262,7 +272,7 @@ def cmd_synth(args) -> int:
     out_path = Path(args.out)
     if not out_path.name:  # "", "." and "/" leave no file name to write to
         raise UsageError(f"--out must name a CSV file, got {args.out!r}")
-    dataset = synth_generate(n=args.n, bias_strength=args.beta, proxy_corr=args.rho, seed=args.seed)
+    dataset = _synth(args.n, args.beta, args.rho, args.seed, prefix="--")
     schema_path = out_path.with_suffix(".schema.json")
     save_csv(dataset, out_path)
     save_schema(dataset.schema, schema_path)

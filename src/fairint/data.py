@@ -20,7 +20,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UsageError, check_int, check_number
+from .errors import ConfigError, DataError, UsageError, check_int, check_number, located
 
 KIND_CATEGORICAL = "categorical"
 KIND_NUMERICAL = "numerical"
@@ -173,27 +173,28 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def load_schema(path) -> list[FeatureColumn]:
     """Read a JSON schema file: a list of {name, kind, cardinality, role}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
-        raise DataError(f"{path}: schema is not valid JSON: {exc}") from exc
-    return parse_schema(doc, path)
+    with located(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+            raise DataError(f"schema is not valid JSON: {exc}") from exc
+        return parse_schema(doc)
 
 
-def parse_schema(doc, source) -> list[FeatureColumn]:
-    """Validate a decoded schema document; ``source`` starts each error message."""
+def parse_schema(doc) -> list[FeatureColumn]:
+    """Validate a decoded schema document."""
     if not isinstance(doc, list):
-        raise DataError(f"{source}: schema must be a JSON array of column objects")
+        raise DataError("schema must be a JSON array of column objects")
     columns = []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
-            raise DataError(f"{source}: schema entry {i} is not an object")
+            raise DataError(f"schema entry {i} is not an object")
         missing = {"name", "kind", "cardinality", "role"} - set(entry)
         if missing:
-            raise DataError(f"{source}: schema entry {i} is missing {sorted(missing)}")
+            raise DataError(f"schema entry {i} is missing {sorted(missing)}")
         if not all(isinstance(entry[key], str) for key in ("name", "kind", "role")):
-            raise DataError(f"{source}: schema entry {i} needs a string name, kind and role")
+            raise DataError(f"schema entry {i} needs a string name, kind and role")
         columns.append(
             FeatureColumn(
                 name=entry["name"],
@@ -202,10 +203,7 @@ def parse_schema(doc, source) -> list[FeatureColumn]:
                 cardinality=entry["cardinality"],
             )
         )
-    try:
-        return _validate_schema(columns)
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from None
+    return _validate_schema(columns)
 
 
 def schema_entry(column: FeatureColumn) -> dict:
@@ -222,45 +220,21 @@ def save_schema(schema: list[FeatureColumn], path) -> None:
 # -- CSV ingestion ------------------------------------------------------------
 
 
-def _parse_label(text: str) -> float:
+def _cell_fault(col: FeatureColumn, text: str) -> str | None:
+    """Why ``text`` is not a cell of ``col``, or None for a label that Python's ``float``
+    reads as 0 or 1 and a numerical cell it reads as a finite number. A categorical
+    cell reaches here only when it is a sensitive value outside the two known groups."""
+    if col.role != ROLE_LABEL and col.kind == KIND_CATEGORICAL:
+        return f"sensitive value {text!r} is not one of the two known groups"
     try:
         value = float(text)
     except ValueError:
-        raise DataError(f"label {text!r} is not 0 or 1") from None
-    if value not in (0.0, 1.0):
-        raise DataError(f"label {text!r} is not 0 or 1")
-    return value
-
-
-def _parse_numeric(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(f"{text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise DataError(f"non-finite value {text!r}")
-    return value
-
-
-def _cell_error(path, line: int, col: FeatureColumn, text: str) -> DataError:
-    """The error for a bad cell, located at its line and column."""
-    try:
-        if col.role == ROLE_LABEL:
-            _parse_label(text)
-        elif col.kind == KIND_NUMERICAL:
-            _parse_numeric(text)
-        else:  # a categorical cell is bad only when the sensitive column does not know it
-            raise DataError(f"sensitive value {text!r} is not one of the two known groups")
-    except DataError as exc:
-        return DataError(f"{path}: line {line}, column {col.name!r}: {exc}")
-
-
-def _first_bad_cell(parse, texts) -> int:
-    for i, text in enumerate(texts):
-        try:
-            parse(text)
-        except DataError:
-            return i
+        value = None
+    if col.role == ROLE_LABEL:
+        return None if value in (0.0, 1.0) else f"label {text!r} is not 0 or 1"
+    if value is None:
+        return f"{text!r} is not a number"
+    return None if math.isfinite(value) else f"non-finite value {text!r}"
 
 
 def _encode_column(col: FeatureColumn, texts: tuple, col_ids: dict, vocab: list, building: bool):
@@ -272,11 +246,10 @@ def _encode_column(col: FeatureColumn, texts: tuple, col_ids: dict, vocab: list,
     """
     count = len(texts)
     if col.role == ROLE_LABEL or col.kind == KIND_NUMERICAL:
-        parse = _parse_label if col.role == ROLE_LABEL else _parse_numeric
         try:
             values = np.fromiter(map(float, texts), np.float64, count)
         except ValueError:
-            return None, _first_bad_cell(parse, texts)
+            return None, next(i for i, text in enumerate(texts) if _cell_fault(col, text))
         ok = (values == 0.0) | (values == 1.0) if col.role == ROLE_LABEL else np.isfinite(values)
     else:
         if building and len(vocab) < col.cardinality:
@@ -316,10 +289,10 @@ def _start_line(rows: list, index: int, first: int) -> int:
     return first + index + breaks
 
 
-def _read_error(path, line: int, exc: Exception) -> DataError:
+def _read_error(line: int, exc: Exception) -> DataError:
     if isinstance(exc, UnicodeDecodeError):
-        return DataError(f"{path}: file is not UTF-8 text: {exc}")
-    return DataError(f"{path}: line {line}: {exc}")  # csv.Error, such as a field over the size limit
+        return DataError(f"file is not UTF-8 text: {exc}")
+    return DataError(f"line {line}: {exc}")  # csv.Error, such as a field over the size limit
 
 
 def columns_without_vocabulary(schema: list[FeatureColumn], vocabularies: dict) -> list[str]:
@@ -361,16 +334,16 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
     expected_header = [c.name for c in schema]
     width = len(schema)
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with located(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         first, failure = _read_rows(reader, 1)
         if failure is not None:
-            raise _read_error(path, 1, failure)
+            raise _read_error(1, failure)
         if not first:
-            raise DataError(f"{path}: file is empty")
+            raise DataError("file is empty")
         header = first[0]
         if header != expected_header:
-            raise DataError(f"{path}: header {header} does not match schema columns {expected_header}")
+            raise DataError(f"header {header} does not match schema columns {expected_header}")
         n = 0
         while True:
             first = reader.line_num + 1  # the physical line where the chunk's first record starts
@@ -386,18 +359,19 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
                 chunks[col.name].append(values)
             if fault is not None:
                 row, pos = fault
-                raise _cell_error(path, _start_line(rows, row, first), schema[pos], rows[row][pos])
+                col = schema[pos]
+                line = _start_line(rows, row, first)
+                raise DataError(f"line {line}, column {col.name!r}: {_cell_fault(col, rows[row][pos])}")
             if short < len(rows):
                 line = _start_line(rows, short, first)
-                raise DataError(f"{path}: line {line}: expected {width} fields, got {len(rows[short])}")
+                raise DataError(f"line {line}: expected {width} fields, got {len(rows[short])}")
             if failure is not None:
-                raise _read_error(path, _start_line(rows, len(rows), first), failure)
+                raise _read_error(_start_line(rows, len(rows), first), failure)
             n += len(rows)
             if len(rows) < CSV_CHUNK_ROWS:
                 break
-
-    if n == 0:
-        raise DataError(f"{path}: no data rows")
+        if n == 0:
+            raise DataError("no data rows")
     columns = {name: _freeze(np.concatenate(parts)) for name, parts in chunks.items()}
     return Dataset(schema=schema, columns=columns, vocabularies=vocabs, n=n)
 
@@ -581,6 +555,15 @@ SYNTH_SCHEMA = [
 ]
 
 
+def check_synth(n, bias_strength, proxy_corr, seed, names=("n", "bias_strength", "proxy_corr", "seed")) -> None:
+    """ConfigError unless :func:`synth_generate` takes these arguments; an error names its
+    argument by the caller's name for it in ``names``, such as a config key or a flag."""
+    check_int(names[0], n, 100)
+    check_number(names[1], bias_strength, "[0, inf)")
+    check_number(names[2], proxy_corr, "[0, 1]")
+    check_int(names[3], seed)
+
+
 # the largest draw is the (n, 5) float64 normals; numpy's byte counts must fit in intp
 _MAX_SYNTH_ROWS = np.iinfo(np.intp).max // (5 * 8)
 
@@ -601,13 +584,11 @@ def synth_generate(n: int, bias_strength: float, proxy_corr: float, seed: int) -
     order (s, then the 5 normals, then the label uniforms) is part of the
     contract: the same (n, beta, rho, seed) always yields a bit-identical
     dataset. Acceptance thresholds cite these constants, so changing any
-    of them is a breaking change. A bad argument raises ConfigError, and an
-    ``n`` whose draws numpy cannot represent raises MemoryError.
+    of them is a breaking change. A bad argument raises ConfigError (see
+    :func:`check_synth`), and an ``n`` whose draws numpy cannot represent
+    raises MemoryError.
     """
-    check_int("n", n, 100)
-    check_number("bias_strength", bias_strength, "[0, inf)")
-    check_number("proxy_corr", proxy_corr, "[0, 1]")
-    check_int("seed", seed)
+    check_synth(n, bias_strength, proxy_corr, seed)
     if n > _MAX_SYNTH_ROWS:  # numpy would raise ValueError, not MemoryError, for such a shape
         raise MemoryError(f"{n} synthetic rows exceed the largest array numpy can represent")
 

@@ -16,9 +16,16 @@ message form:
 
 Both raise :class:`ConfigError`. :class:`Settings` gives the config
 dataclasses their one ``to_dict``/``from_dict``.
+
+Every reader of a file names the file once, with :func:`located`: a
+``with located(path):`` around the reading puts the path in front of
+the message of any error raised inside, and nested uses compose, so a
+message reads from the file down to the fault
+(``data.csv: line 7, column 'y': label '2' is not 0 or 1``).
 """
 
 import sys
+from contextlib import contextmanager
 
 
 class FairIntError(Exception):
@@ -63,6 +70,18 @@ class MetricError(FairIntError):
 
 class TrainingError(FairIntError):
     """Optimization failed, typically by divergence to non-finite loss."""
+
+
+@contextmanager
+def located(where: str, error=None):
+    """Put ``where: `` in front of the message of a FairIntError or MemoryError raised
+    inside, keeping its class and exit code, or raising it as class ``error`` instead."""
+    try:
+        yield
+    except (FairIntError, MemoryError) as exc:
+        # a plain MemoryError: numpy's subclass builds its message from a shape, not a string
+        cls = error or (type(exc) if isinstance(exc, FairIntError) else MemoryError)
+        raise cls(f"{where}: {exc}").with_traceback(exc.__traceback__) from None
 
 
 def is_finite_number(value) -> bool:

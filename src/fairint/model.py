@@ -34,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, columns_without_vocabulary, parse_schema, schema_entry
-from .errors import ConfigError, DataError, Settings, UsageError, check_int, check_number, is_finite_number
+from .errors import ConfigError, DataError, Settings, UsageError, check_int, check_number, is_finite_number, located
 
 __all__ = [
     "ModelConfig",
@@ -420,49 +420,45 @@ def load_model(path):
     (encoder state included) for re-encoding new data.
     """
     arrays, meta = ad.load_parameters(path)
-    missing = set(_REQUIRED_META) - set(meta)
-    if missing:
-        raise DataError(f"{path}: model file metadata is missing {sorted(missing)}")
-    if meta["kind"] not in ("fairint", "vanilla"):
-        raise DataError(f"{path}: unknown model kind {meta['kind']!r}")
-    schema = parse_schema(meta["schema"], f"{path}: metadata")
-    _check_encoder_state(meta, schema, path)
-    architecture = meta["model"]
-    if isinstance(architecture, dict):
-        for key, default in _RETIRED_SIZES.items():
-            value = architecture.get(key, default)
-            if value != default or type(value) is not type(default):
-                raise DataError(f"{path}: model file metadata: {key} {json.dumps(value)} is no longer"
-                                f" supported, only {json.dumps(default)}")
-        architecture = {k: v for k, v in architecture.items() if k != "dropout" and k not in _RETIRED_SIZES}
-    try:
-        config = ModelConfig.from_dict(architecture)
-    except ConfigError as exc:
-        raise DataError(f"{path}: model file metadata: {exc}") from None
-    inputs = [c for c in schema if c.role == ROLE_NON_SENSITIVE]
-    cls = FairIntModel if meta["kind"] == "fairint" else VanillaModel
-    try:
-        model = cls(inputs, config, seed=0)
-    except MemoryError as exc:  # sizes the metadata asks for
-        raise MemoryError(f"{path}: {exc}") from None
-    model.load_arrays(arrays)
+    with located(path):
+        missing = set(_REQUIRED_META) - set(meta)
+        if missing:
+            raise DataError(f"model file metadata is missing {sorted(missing)}")
+        if meta["kind"] not in ("fairint", "vanilla"):
+            raise DataError(f"unknown model kind {meta['kind']!r}")
+        with located("metadata"):
+            schema = parse_schema(meta["schema"])
+        _check_encoder_state(meta, schema)
+        with located("model file metadata", DataError):  # a bad architecture is a bad file, not a bad config
+            architecture = meta["model"]
+            if isinstance(architecture, dict):
+                for key, default in _RETIRED_SIZES.items():
+                    value = architecture.get(key, default)
+                    if value != default or type(value) is not type(default):
+                        raise DataError(f"{key} {json.dumps(value)} is no longer supported, only {json.dumps(default)}")
+                architecture = {k: v for k, v in architecture.items() if k != "dropout" and k not in _RETIRED_SIZES}
+            config = ModelConfig.from_dict(architecture)
+        inputs = [c for c in schema if c.role == ROLE_NON_SENSITIVE]
+        cls = FairIntModel if meta["kind"] == "fairint" else VanillaModel
+        model = cls(inputs, config, seed=0)  # MemoryError for sizes the metadata asks for
+        model.load_arrays(arrays)
     return model, schema, meta
 
 
-def _check_encoder_state(meta: dict, schema, path) -> None:
+def _check_encoder_state(meta: dict, schema) -> None:
     """Type-check the saved vocabularies and standardization statistics, and check
     that the vocabularies cover every categorical column of the schema but the label."""
     vocabs = meta["vocabularies"]
     if not isinstance(vocabs, dict) or not all(
         isinstance(v, list) and all(isinstance(t, str) for t in v) for v in vocabs.values()
     ):
-        raise DataError(f"{path}: model file metadata 'vocabularies' is not an object of string lists")
+        raise DataError("model file metadata 'vocabularies' is not an object of string lists")
     missing = columns_without_vocabulary(schema, vocabs)
     if missing:
-        raise DataError(f"{path}: model file metadata 'vocabularies' has no entry for categorical columns {missing}")
+        raise DataError(f"model file metadata 'vocabularies' has no entry for categorical columns {missing}")
     stats = meta["standardize_stats"]
     if stats is not None and not (isinstance(stats, dict) and all(map(_is_mean_std, stats.values()))):
-        raise DataError(f"{path}: model file metadata 'standardize_stats' is not null or finite [mean, std > 0] pairs")
+        raise DataError("model file metadata 'standardize_stats' is not null or finite [mean, std > 0] pairs")
 
 
 def _is_mean_std(pair) -> bool:

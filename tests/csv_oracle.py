@@ -1,9 +1,10 @@
 """Row-at-a-time CSV loader and cell-at-a-time writer: the reference for ``fairint.data``.
 
 These are the straightforward loops that ``load_csv`` and ``save_csv``
-replace with chunked, columnar code. Each cell goes through the scalar
-parsers in file order, so the first fault found is the first in the
-file by construction. Every error names the physical line where the
+replace with chunked, columnar code. Each cell goes through this
+module's own scalar parsers in file order, so the first fault found is
+the first in the file by construction, and every message is worded
+here, apart from the package's. Every error names the physical line where the
 faulty record starts, read from ``csv.reader.line_num`` after the record
 before it. The only addition to the loops is that a ``csv.Error`` (such
 as a field over the csv module's size limit) becomes a DataError naming
@@ -11,6 +12,7 @@ the line of the record being read. Only tests import this module.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -21,11 +23,29 @@ from fairint.data import (
     ROLE_SENSITIVE,
     Dataset,
     _freeze,
-    _parse_label,
-    _parse_numeric,
     _validate_schema,
 )
 from fairint.errors import DataError
+
+
+def _parse_label(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"label {text!r} is not 0 or 1") from None
+    if value != 0.0 and value != 1.0:
+        raise DataError(f"label {text!r} is not 0 or 1")
+    return value
+
+
+def _parse_numeric(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite value {text!r}")
+    return value
 
 
 def oracle_load_csv(path, schema, vocabularies=None) -> Dataset:

@@ -112,8 +112,10 @@ def test_missing_schema_file_exits_2_and_names_it(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-def test_missing_config_file_exits_2(tmp_path):
-    assert main(["train", "--config", str(tmp_path / "absent.json")]) == 2
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: config file not found"]
 
 
 def test_bad_train_options_exit_2(tmp_path):
@@ -125,14 +127,14 @@ def test_bad_train_options_exit_2(tmp_path):
 def test_retired_architecture_sizes_are_unknown_model_options(tmp_path, capsys, key, value):
     path, _ = write_config(tmp_path, model={key: value})
     assert main(["train", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: unknown model options: ['{key}']"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: unknown model options: ['{key}']"]
     assert not (tmp_path / "run").exists()
 
 
 def test_dropout_is_a_train_option_not_a_model_option(tmp_path, capsys):
     path, _ = write_config(tmp_path, model={"dropout": 0.5})
     assert main(["train", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: unknown model options: ['dropout']"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: unknown model options: ['dropout']"]
     assert not (tmp_path / "run").exists()
 
 
@@ -140,7 +142,7 @@ def test_dropout_is_a_train_option_not_a_model_option(tmp_path, capsys):
 def test_a_weight_of_0_is_the_only_term_switch(tmp_path, capsys, key):
     path, _ = write_config(tmp_path, train={key: False})
     assert main(["train", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: unknown training options: ['{key}']"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: unknown training options: ['{key}']"]
     assert not (tmp_path / "run").exists()
 
 
@@ -500,7 +502,8 @@ def _with_schema_entry(column, **fields):
 
 
 def _with_arrays(**fills):
-    """Fill named parameter records of a model file with one value each, keeping its metadata."""
+    """Fill named parameter records of a model file with one value each, or drop those given None,
+    keeping its metadata."""
 
     def corrupt(raw):
         with tempfile.TemporaryDirectory() as tmp:
@@ -508,7 +511,10 @@ def _with_arrays(**fills):
             path.write_bytes(raw)
             arrays, meta = load_parameters(path)
             for name, value in fills.items():
-                arrays[name][...] = value
+                if value is None:
+                    del arrays[name]
+                else:
+                    arrays[name][...] = value
             save_parameters(path, arrays, meta)
             return path.read_bytes()
 
@@ -656,6 +662,13 @@ def _with_categorical(column, cardinality):
         # finite weights whose products overflow: the op's own check, with no numpy warning
         ("model", _with_arrays(**{"sar.layer0.w": 1e308}), 4),
         ("config", _with_config(train={"learning_rate": 1e300}), 4),
+        # settings whose errors once named neither the config file nor the key as written
+        ("config", _with_config(train={"seed": -1}), 2),
+        ("config", _with_config(train={"epochs": 3}), 2),
+        ("config", _with_config(synth={"beta": True}), 2),
+        ("config", _with_config(synth={"rho": 1.5}), 2),
+        ("config", _with_config(synth={"n": 50}), 2),
+        ("model", _with_arrays(**{"head.layer0.b": None}), 3),
     ],
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
@@ -682,9 +695,12 @@ def _with_categorical(column, cardinality):
         "csv_path_empty", "output_dir_null", "output_dir_empty", "output_dir_nul",
         "config_not_object", "output_dir_missing", "dataset_not_object",
         "weights_nan", "weights_inf", "weights_overflow_in_matmul", "train_rate_overflows",
+        "train_seed_negative", "train_unknown_option", "synth_beta_bool", "synth_rho_above_1", "synth_n_below_100",
+        "model_parameter_missing",
     ],
 )
-def test_malformed_input_exits_with_one_error_line(trained, tmp_path, monkeypatch, capsys, kind, corrupt, code):
+def test_malformed_input_exits_with_one_error_line(trained, tmp_path, monkeypatch, capsys, request, kind, corrupt,
+                                                   code):
     monkeypatch.chdir(tmp_path)  # a relative output directory lands here, not in the working tree
     files = {
         "model": trained["dir"] / "model.bin",
@@ -706,9 +722,36 @@ def test_malformed_input_exits_with_one_error_line(trained, tmp_path, monkeypatc
         assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    # a data error in a schema or model file names the file, and so does an allocation failure
-    if kind in ("schema", "model") and code == 3:
-        assert str(bad) in lines[0]
+    # the reader of the bad file names it once, before the fault; an allocation failure keeps its own prefix
+    if request.node.callspec.id in _FOUND_IN_USE:
+        assert str(bad) not in lines[0]
+    else:
+        assert lines[0].removeprefix("error: out of memory: ").removeprefix("error: ").startswith(f"{bad}: ")
+        assert lines[0].count(str(bad)) == 1
+
+
+# faults found once a file's contents are in use rather than while it is read, which name no file
+_FOUND_IN_USE = {
+    "csv_cell_overflows_when_standardized", "sar_width_beyond_intp", "vanilla_width_beyond_intp",
+    "cardinality_beyond_intp", "weights_overflow_in_matmul", "train_rate_overflows",
+}
+
+
+@pytest.mark.parametrize(("section", "setting", "message"), [
+    ("train", {"seed": -1}, "seed must be an int >= 0, got -1"),
+    ("train", {"epochs": 3}, "unknown training options: ['epochs']"),
+    ("model", {"embed_dim": 0}, "embed_dim must be an int >= 1, got 0"),
+    ("synth", {"beta": True}, "beta must be a finite number in [0, inf), got True"),
+    ("synth", {"beta": -1.0}, "beta must be a finite number in [0, inf), got -1.0"),
+    ("synth", {"rho": 1.5}, "rho must be a finite number in [0, 1], got 1.5"),
+    ("synth", {"n": 50}, "n must be an int >= 100, got 50"),
+])
+def test_a_bad_config_setting_names_the_file_then_the_key_as_written(tmp_path, capsys, section, setting, message):
+    path, _ = write_config(tmp_path, **{section: setting})
+    for command in (["train", "--config", str(path)], ["sweep", "--config", str(path), "--grid", "0,0"]):
+        assert main(command) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "sweep", "train"])
@@ -720,8 +763,7 @@ def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, command):
         "train": ["train", "--config", str(config)],
     }[command]
     assert main(argv + ["--seed", "-1"]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "seed" in lines[0]
+    assert capsys.readouterr().err.splitlines() == ["error: --seed must be an int >= 0, got -1"]
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -733,10 +775,13 @@ SYNTH = ["synth", "--n", "200", "--beta", "2", "--rho", "0.8", "--out", "data.cs
     ([*SYNTH, "--seed", "x"], "fairint synth: argument --seed: invalid int value: 'x'"),
     ([*SYNTH, "--seed", "1.5"], "fairint synth: argument --seed: invalid int value: '1.5'"),
     (["synth", "--n", "200", "--beta", "2", "--rho", "1.5", "--out", "data.csv"],
-     "proxy_corr must be a finite number in [0, 1], got 1.5"),
+     "--rho must be a finite number in [0, 1], got 1.5"),
     (["train"], "fairint train: the following arguments are required: --config"),
     (["train", "--config", "cfg.json", "--epochs", "3"], "fairint: unrecognized arguments: --epochs 3"),
     ([], "fairint: the following arguments are required: command"),
+    (["synth", "--n", "200", "--beta", "nan", "--rho", "0.8", "--out", "data.csv"],
+     "--beta must be a finite number in [0, inf), got nan"),
+    (["synth", "--n", "50", "--beta", "2", "--rho", "0.8", "--out", "data.csv"], "--n must be an int >= 100, got 50"),
 ])
 def test_a_malformed_command_line_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

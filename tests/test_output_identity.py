@@ -82,4 +82,31 @@ def test_a_command_that_fails_the_same_way_on_both_sides_fails_the_check(tmp_pat
     assert identity.main(["HEAD"]) == 1
     out = capsys.readouterr().out
     assert "3 of 3 outputs identical to HEAD\n" in out
-    assert out.endswith("commands that failed: base synth (exit 2), head synth (exit 2)\n")
+    assert out.endswith("commands with an unexpected exit code: base synth (exit 2, expected 0),"
+                        " head synth (exit 2, expected 0)\n")
+
+
+def _fake_malformed_matrix(monkeypatch, head_code):
+    """Stand-ins for both sides' runs of a malformed-input command, which the matrix expects to exit 3;
+    the head side exits ``head_code``."""
+    def fake_matrix(tree, run_dir):
+        code = 3 if run_dir.name == "base" else head_code
+        _write(run_dir, {"bad_cell.stderr": "error: bad_cell.csv: line 7, column 'x': 'abc' is not a number\n"})
+        return {"bad_cell": code}
+
+    monkeypatch.setattr(identity, "export_tree", lambda revision, into: into)
+    monkeypatch.setattr(identity, "run_matrix", fake_matrix)
+
+
+def test_a_malformed_input_that_exits_with_its_expected_code_passes(tmp_path, monkeypatch, capsys):
+    assert identity.EXPECTED_EXIT["bad_cell"] == 3
+    _fake_malformed_matrix(monkeypatch, 3)
+    assert identity.main(["HEAD"]) == 0
+    assert capsys.readouterr().out.endswith("1 of 1 outputs identical to HEAD\n")
+
+
+def test_a_malformed_input_that_exits_0_fails_the_check(tmp_path, monkeypatch, capsys):
+    _fake_malformed_matrix(monkeypatch, 0)
+    assert identity.main(["HEAD"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("commands with an unexpected exit code: head bad_cell (exit 0, expected 3)\n")

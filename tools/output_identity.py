@@ -16,6 +16,9 @@ commands, each in its own process with one BLAS thread:
   explain     the fair synth model
   probe       the categorical table
   sweep       ``--grid "0,0;2,30"`` on the synth table
+  malformed   one bad input per reader: a CSV cell, a truncated ``model.bin``,
+              a schema entry in a ``model.bin``'s metadata and in a schema
+              file, a config's ``train`` section, and ``synth --beta nan``
 
 For every file the matrix leaves, and every command's stdout, stderr and
 exit code, it prints ``identical`` when both sides have the same sha256.
@@ -24,11 +27,13 @@ largest absolute difference. A field is a JSON key path, a CSV column, a
 ``model.bin`` parameter or a ``name=value`` key in text. Output that does
 not line up field by field is reported as a differing structure.
 
-Every command of the matrix is expected to exit 0. The exit status is 0
-when every command on both sides exited 0 and every output is identical,
-and 1 otherwise; a command that exited non-zero is named, since two sides
-that fail the same way would otherwise compare as identical. Both sides'
-outputs go with the temporary directory.
+Each command has an expected exit code: 0, or for a malformed input the
+code of its error, whose one line on stderr is compared like any other
+output. The exit status is 0 when every command on both sides exited
+with its expected code and every output is identical, and 1 otherwise;
+a command that exited otherwise is named, since two sides that fail the
+same way would otherwise compare as identical. Both sides' outputs go
+with the temporary directory.
 """
 
 import argparse
@@ -40,6 +45,7 @@ import math
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 import tarfile
@@ -60,17 +66,25 @@ CONFIGS = {
     "sweep.json": (SYNTH_DATA, {}, "sweep"),
 }
 MODEL = ["--model", "fair/model.bin", "--csv", "synth.csv"]
+# (label, arguments, expected exit code)
 COMMANDS = [
-    ("synth", SYNTH),
-    ("train_fair", ["train", "--config", "fair.json"]),
-    ("train_vanilla", ["train", "--config", "vanilla.json"]),
-    ("train_categorical", ["train", "--config", "categorical.json"]),
-    ("eval_true", ["eval", *MODEL, "--out", "eval_true.json"]),
-    ("eval_reconstructed", ["eval", *MODEL, "--groups-from", "reconstructed", "--out", "eval_reconstructed.json"]),
-    ("explain", ["explain", *MODEL]),
-    ("probe", ["probe", "--csv", "categorical.csv", "--schema", "categorical.schema.json", "--out", "probe.json"]),
-    ("sweep", ["sweep", "--config", "sweep.json", "--grid", "0,0;2,30"]),
+    ("synth", SYNTH, 0),
+    ("train_fair", ["train", "--config", "fair.json"], 0),
+    ("train_vanilla", ["train", "--config", "vanilla.json"], 0),
+    ("train_categorical", ["train", "--config", "categorical.json"], 0),
+    ("eval_true", ["eval", *MODEL, "--out", "eval_true.json"], 0),
+    ("eval_reconstructed", ["eval", *MODEL, "--groups-from", "reconstructed", "--out", "eval_reconstructed.json"], 0),
+    ("explain", ["explain", *MODEL], 0),
+    ("probe", ["probe", "--csv", "categorical.csv", "--schema", "categorical.schema.json", "--out", "probe.json"], 0),
+    ("sweep", ["sweep", "--config", "sweep.json", "--grid", "0,0;2,30"], 0),
+    ("bad_cell", ["probe", "--csv", "bad_cell.csv", "--schema", "categorical.schema.json"], 3),
+    ("bad_truncated_model", ["eval", "--model", "truncated.bin", "--csv", "synth.csv"], 3),
+    ("bad_model_schema", ["eval", "--model", "bad_schema.bin", "--csv", "synth.csv"], 3),
+    ("bad_schema_entry", ["probe", "--csv", "categorical.csv", "--schema", "bad.schema.json"], 3),
+    ("bad_train", ["train", "--config", "bad_train.json"], 2),
+    ("bad_synth_flag", ["synth", "--n", "3000", "--beta", "nan", "--rho", "0.8", "--out", "bad_synth.csv"], 2),
 ]
+EXPECTED_EXIT = {label: code for label, _, code in COMMANDS}
 
 
 def export_tree(revision: str, into: Path) -> Path:
@@ -88,7 +102,7 @@ def export_tree(revision: str, into: Path) -> Path:
 
 
 def write_inputs(run_dir: Path) -> None:
-    """The matrix's configs and its categorical table, the same bytes on both sides."""
+    """The matrix's configs, its categorical table and its malformed inputs, the same bytes on both sides."""
     rng = random.Random(7)
     rows = []
     for _ in range(1500):
@@ -98,8 +112,12 @@ def write_inputs(run_dir: Path) -> None:
         x = rng.gauss(0.0, 1.0)
         logit = x + (color == "r") - 0.5 + 1.5 * s
         rows.append([color, region, repr(x), str(s), str(int(rng.random() < 1.0 / (1.0 + math.exp(-logit))))])
+    header = ["color", "region", "x", "s", "y"]
     with open(run_dir / "categorical.csv", "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([["color", "region", "x", "s", "y"], *rows])
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    rows[5][2] = "abc"
+    with open(run_dir / "bad_cell.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     schema = [
         {"name": "color", "kind": "categorical", "cardinality": 3, "role": "non_sensitive"},
         {"name": "region", "kind": "categorical", "cardinality": 4, "role": "non_sensitive"},
@@ -108,9 +126,18 @@ def write_inputs(run_dir: Path) -> None:
         {"name": "y", "kind": "numerical", "cardinality": None, "role": "label"},
     ]
     (run_dir / "categorical.schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    (run_dir / "bad.schema.json").write_text(json.dumps([*schema[:1], {**schema[1], "kind": "ordinal"}, *schema[2:]]),
+                                             encoding="utf-8")
+    meta = json.dumps({"kind": "fairint", "model": {}, "schema": [{"name": "x"}], "vocabularies": {},
+                       "standardize_stats": None}).encode("utf-8")
+    start = b"FAIRINTM" + struct.pack("<II", 1, len(meta))
+    (run_dir / "bad_schema.bin").write_bytes(start + meta + struct.pack("<I", 0))
+    (run_dir / "truncated.bin").write_bytes(b"FAIRINTM\x01\x00")
     for name, (dataset, train, output_dir) in CONFIGS.items():
         doc = {"dataset": dataset, "train": {**RECIPE, **train}, "output_dir": output_dir}
         (run_dir / name).write_text(json.dumps(doc), encoding="utf-8")
+    doc = {"synth": {"n": 500, "beta": 2.0, "rho": 0.8}, "train": {"seed": -1}, "output_dir": "bad_train"}
+    (run_dir / "bad_train.json").write_text(json.dumps(doc), encoding="utf-8")
 
 
 def run_matrix(tree: Path, run_dir: Path) -> dict:
@@ -121,7 +148,7 @@ def run_matrix(tree: Path, run_dir: Path) -> dict:
     threads = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env = {**os.environ, **threads, "PYTHONPATH": str(tree / "src")}
     codes = {}
-    for label, argv in COMMANDS:
+    for label, argv, _ in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "fairint.cli", *argv], cwd=run_dir, env=env,
                               capture_output=True)
         (run_dir / f"{label}.stdout").write_bytes(done.stdout)
@@ -247,11 +274,12 @@ def main(argv=None) -> int:
         print(f"{name:{width}s}  {verdict}")
     same = sum(verdict == "identical" for _, verdict in verdicts)
     print(f"{same} of {len(verdicts)} outputs identical to {args.base}")
-    failed = [f"{side} {label} (exit {code})" for side, by_label in codes.items()
-              for label, code in by_label.items() if code != 0]
-    if failed:
-        print(f"commands that failed: {', '.join(failed)}")
-    return 0 if same == len(verdicts) and not failed else 1
+    unexpected = [f"{side} {label} (exit {code}, expected {EXPECTED_EXIT[label]})"
+                  for side, by_label in codes.items() for label, code in by_label.items()
+                  if code != EXPECTED_EXIT[label]]
+    if unexpected:
+        print(f"commands with an unexpected exit code: {', '.join(unexpected)}")
+    return 0 if same == len(verdicts) and not unexpected else 1
 
 
 if __name__ == "__main__":
