@@ -45,7 +45,8 @@ it replaces, in the same order, so values and gradients come out bit for
 bit as they would from the separate ops. Those chains are kept only as
 the tests' reference.
 
-Any operation that produces NaN or Inf from finite inputs raises
+Any operation that produces NaN or Inf from finite inputs, or would take
+the log of a non-positive value, raises
 :class:`~fairint.errors.NumericError` immediately; nothing non-finite is
 ever propagated silently. A fused op checks its intermediate results too
 where a later step could hide a non-finite value: :func:`dense` checks
@@ -68,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError, UsageError, located
+from .errors import ConfigError, DataError, NumericError, ShapeError, UsageError, located
 
 __all__ = [
     "Tensor",
@@ -327,14 +328,14 @@ def _row_cross_entropy(pred: Tensor, labels):
     against 0/1 ``labels`` of the same shape: -log of the probability given to the right
     class, bit for bit the two-term y * pred + (1 - y) * (1 - pred) inside the log, and
     exactly 0 when the model is confidently correct. Returns it and the map from its
-    gradient to pred's. DomainError if that probability is not positive."""
+    gradient to pred's. NumericError if that probability is not positive."""
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != pred.values.shape:
         raise ShapeError(f"labels of shape {y.shape} do not match predictions of shape {pred.values.shape}")
     sign = 2.0 * y - 1.0
     picked = pred.values * sign + (1.0 - y)
     if np.any(picked <= 0.0):
-        raise DomainError("log of a non-positive value")
+        raise NumericError("log of a non-positive value")
     return np.log(picked) * -1.0, lambda g: ((g * -1.0) / picked) * sign
 
 
@@ -377,7 +378,7 @@ def _two_row_mix(x: Tensor, mix, op: str) -> tuple[np.ndarray, np.ndarray]:
 
 def symmetric_kl(x: Tensor, mix) -> Tensor:
     """KL(p0 || p1) + KL(p1 || p0) = sum (p0 - p1)(log p0 - log p1), where p0 and p1 are
-    the softmaxes of the two rows of constant (2, B) ``mix`` @ (B, k) ``x``. DomainError
+    the softmaxes of the two rows of constant (2, B) ``mix`` @ (B, k) ``x``. NumericError
     if a probability underflows to 0."""
     m, xv = _two_row_mix(x, mix, "symmetric_kl")
     logits = m @ xv
@@ -385,7 +386,7 @@ def symmetric_kl(x: Tensor, mix) -> Tensor:
         raise NumericError("operation 'symmetric_kl' produced non-finite values before its softmax")
     p = _softmax(logits)
     if np.any(p <= 0.0):
-        raise DomainError("log of a non-positive value")
+        raise NumericError("log of a non-positive value")
     p_diff, log_ratio = _PAIR_DIFFERENCE @ p, _PAIR_DIFFERENCE @ np.log(p)
     terms = p_diff * log_ratio
 

@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    KIND_CATEGORICAL,
     apply_standardization,
     check_synth,
-    columns_without_vocabulary,
+    columns_without,
     full_batch,
     load_csv,
     load_schema,
@@ -34,7 +35,7 @@ from .data import (
 from .errors import ConfigError, DataError, FairIntError, UsageError, check_int, check_number, located
 from .model import FairIntModel, ModelConfig, attention_summary, load_model, save_model
 from .probe import sensitive_probe
-from .training import EMPTY_GRID, NO_RECONSTRUCTOR, TrainConfig, evaluate_model, sweep, train
+from .training import EMPTY_GRID, NO_RECONSTRUCTOR, TrainConfig, check_metrics_defined, evaluate_model, sweep, train
 
 SPLIT_RATIOS = (0.7, 0.15, 0.15)
 
@@ -111,14 +112,16 @@ def _synth(n, beta, rho, seed, prefix=""):
     return synth_generate(n=n, bias_strength=beta, proxy_corr=rho, seed=seed)
 
 
-def _materialize(config: ExperimentConfig, seed_flag: int | None):
+def _materialize(config: ExperimentConfig, seed_flag: int | None, scored: tuple[str, ...]):
     """The run's training config, with ``--seed`` applied when given, its
     split dataset, and its output directory; that one seed drives the data,
     the split and training.
 
-    The directory is created once the data is built and before any
-    training, so a data error leaves none behind and an unusable
-    ``output_dir`` fails before any model is trained.
+    The directory is created once the data is built and the metrics are
+    found defined on each split in ``scored``, those the run reports on
+    (:func:`check_metrics_defined`), and before any training. So a data
+    error or a split without a class or a group leaves none behind, and an
+    unusable ``output_dir`` fails before any model is trained.
     """
     train_config = config.train if seed_flag is None else replace(config.train, seed=check_int("--seed", seed_flag))
     seed = train_config.seed
@@ -129,6 +132,7 @@ def _materialize(config: ExperimentConfig, seed_flag: int | None):
         schema = load_schema(config.source["schema_path"])
         dataset = load_csv(config.source["csv_path"], schema)
     dataset = split(dataset, SPLIT_RATIOS, seed)
+    check_metrics_defined(dataset, *scored)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return train_config, dataset, out
@@ -140,7 +144,7 @@ def _dataset_for_model(args, schema, meta: dict):
     and with the vocabularies and statistics saved in ``meta``."""
     if args.schema is not None:
         schema = load_schema(args.schema)
-        missing = columns_without_vocabulary(schema, meta["vocabularies"])
+        missing = columns_without(schema, KIND_CATEGORICAL, meta["vocabularies"])
         if missing:
             raise DataError(f"{args.schema}: categorical columns {missing} have no vocabulary in {args.model}")
     dataset = load_csv(args.csv, schema, vocabularies=meta["vocabularies"])
@@ -163,7 +167,9 @@ def cmd_train(args) -> int:
     config = load_experiment_config(args.config)
     if args.groups_from == "reconstructed" and not config.train.enable_bid:
         raise UsageError(NO_RECONSTRUCTOR)  # the vanilla model's report would fail only after training
-    train_config, dataset, out = _materialize(config, args.seed)
+    # reconstructed groups are known only once the model is trained
+    scored = ("val", "test") if args.groups_from == "true" else ("val",)
+    train_config, dataset, out = _materialize(config, args.seed, scored)
 
     model, history = train(dataset, config.model, train_config)
     save_model(model, dataset, out / "model.bin", train_config)
@@ -221,7 +227,7 @@ def _parse_grid(text: str):
 def cmd_sweep(args) -> int:
     config = load_experiment_config(args.config)
     grid = _parse_grid(args.grid)
-    train_config, dataset, out = _materialize(config, args.seed)
+    train_config, dataset, out = _materialize(config, args.seed, ("val", "test"))
 
     points = sweep(dataset, config.model, train_config, grid)
 

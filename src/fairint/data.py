@@ -295,10 +295,9 @@ def _read_error(line: int, exc: Exception) -> DataError:
     return DataError(f"line {line}: {exc}")  # csv.Error, such as a field over the size limit
 
 
-def columns_without_vocabulary(schema: list[FeatureColumn], vocabularies: dict) -> list[str]:
-    """The categorical non-label columns of ``schema`` that ``vocabularies`` has no entry for."""
-    return [c.name for c in schema if c.kind == KIND_CATEGORICAL and c.role != ROLE_LABEL
-            and c.name not in vocabularies]
+def columns_without(schema: list[FeatureColumn], kind: str, entries: dict) -> list[str]:
+    """The non-label columns of ``kind`` in ``schema`` that ``entries`` has no entry for."""
+    return [c.name for c in schema if c.kind == kind and c.role != ROLE_LABEL and c.name not in entries]
 
 
 def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str]] | None = None) -> Dataset:
@@ -320,7 +319,7 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
     schema = _validate_schema(list(schema))
     building = vocabularies is None
     if not building:
-        missing = columns_without_vocabulary(schema, vocabularies)
+        missing = columns_without(schema, KIND_CATEGORICAL, vocabularies)
         if missing:
             raise DataError(f"no vocabulary for categorical columns {missing}")
     vocabs: dict[str, list[str]] = (

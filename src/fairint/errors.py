@@ -1,8 +1,14 @@
 """Exception hierarchy shared by all fairint modules, and the checks of settings.
 
 Each class carries the CLI exit code of its failures in ``exit_code``:
-config/usage problems exit 2, data problems exit 3, and every other
-error, a training or metric failure, exits 4 as its base class does.
+
+- exit 2: :class:`UsageError` (an API or command line used against its
+  contract) and :class:`ConfigError` (a setting);
+- exit 3: :class:`DataError` (a dataset, CSV, schema or model file);
+- exit 4, as the base class :class:`FairIntError`: :class:`ShapeError`,
+  :class:`NumericError` (a NaN or Inf, or a log of a non-positive value,
+  caught before it is computed), :class:`MetricError` and
+  :class:`TrainingError`.
 
 Every int or numeric setting, whether a config field, a function
 argument or a CLI flag, goes through one of two checks, each with one
@@ -38,12 +44,9 @@ class ShapeError(FairIntError):
     """Tensor extents are incompatible with the requested operation."""
 
 
-class DomainError(FairIntError):
-    """An input lies outside an operation's mathematical domain (e.g. log of 0)."""
-
-
 class NumericError(FairIntError):
-    """A forward computation produced NaN or Inf; never silently propagated."""
+    """A forward computation produced NaN or Inf, or would have, such as a log of 0;
+    never silently propagated."""
 
 
 class UsageError(FairIntError):

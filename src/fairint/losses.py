@@ -10,6 +10,10 @@ The joint objective combines four pieces:
          cross-entropies
 
 weighted as ``total = l0 + lambda_ifc * l_ifc + lambda_fc * l_fc + l_sar``.
+:func:`joint_loss` builds one table of (name, term, weight) rows in that
+order, and both the total and its :class:`LossBreakdown` are read from
+it. Each weight is a finite number in [0, inf), checked like every other
+numeric setting (:func:`~fairint.errors.check_number`).
 Group membership everywhere comes from the reconstructed probability, not
 the true sensitive column, so the fairness pressure works even where the
 sensitive attribute is unavailable at inference time. The sensitive
@@ -22,9 +26,10 @@ Each term is one fused graph node; the weighted total is one more. Their
 values and gradients are bit for bit those of the separate operations
 they replace.
 
-A weight of exactly 0, the only off switch, skips its term entirely: the
-term is not evaluated and contributes no graph nodes, which keeps training
-dynamics bitwise identical to a run where the term does not exist.
+A weight of exactly 0, the only off switch, leaves its row out of the
+table: the term is not evaluated, contributes no graph nodes and is
+reported as 0.0, which keeps training dynamics bitwise identical to a run
+where the term does not exist.
 """
 
 from dataclasses import dataclass
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ShapeError, UsageError, check_number
 from .metrics import threshold_labels
 
 __all__ = [
@@ -48,14 +53,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LossBreakdown:
-    """Float values of every term plus the weighted total for one batch."""
+    """Float values of every term plus the weighted total for one batch; a term
+    left out of the objective, or absent from the model, is 0.0."""
 
-    l0: float
-    l_sar: float
-    l_ifc: float
-    l_fc: float
+    l0: float = 0.0
+    l_sar: float = 0.0
+    l_ifc: float = 0.0
+    l_fc: float = 0.0
     total: float
 
     def as_dict(self) -> dict:
@@ -141,39 +147,21 @@ def group_gap_loss(pred: Tensor, labels, means: np.ndarray | None) -> Tensor:
 def joint_loss(trace, labels, sensitive, lambda_ifc: float = 0.0, lambda_fc: float = 0.0):
     """Weighted sum of all terms for one forward trace.
 
-    ``lambda_ifc`` and ``lambda_fc`` weight the two fairness terms; a
-    negative or NaN weight raises ConfigError. Returns ``(total,
-    breakdown)``: the differentiable scalar to call backward on, and a
-    float breakdown for logging. A weight of 0 is the only way to turn a
-    term off: the term is skipped, never evaluated, and reported as 0.0.
+    ``lambda_ifc`` and ``lambda_fc`` weight the two fairness terms, each a
+    finite number in [0, inf) (else ConfigError); a weight of 0 leaves its
+    term out. Returns ``(total, breakdown)``: the differentiable scalar to
+    call backward on, and a float breakdown for logging, both read from
+    the table of terms (see the module docstring).
     """
-    if not (lambda_ifc >= 0.0 and lambda_fc >= 0.0):
-        raise ConfigError(f"loss weights must be non-negative, got ({lambda_ifc}, {lambda_fc})")
-    l0 = ce_loss(trace.prediction, labels)
-    l_sar = reconstruction_loss(trace.pseudo_scalar, sensitive)
-    groups = assign_groups(trace.pseudo_scalar)
-    means = group_means(groups) if lambda_ifc > 0.0 or lambda_fc > 0.0 else None
-
-    terms, factors = [l0], [1.0]
-    l_ifc_value = 0.0
+    for name, weight in (("lambda_ifc", lambda_ifc), ("lambda_fc", lambda_fc)):
+        check_number(name, weight, "[0, inf)")
+    means = group_means(assign_groups(trace.pseudo_scalar)) if lambda_ifc > 0.0 or lambda_fc > 0.0 else None
+    table = [("l0", ce_loss(trace.prediction, labels), 1.0)]
     if lambda_ifc > 0.0:
-        l_ifc = group_divergence_loss(trace.fused, means)
-        terms.append(l_ifc)
-        factors.append(lambda_ifc)
-        l_ifc_value = l_ifc.item()
-    l_fc_value = 0.0
+        table.append(("l_ifc", group_divergence_loss(trace.fused, means), lambda_ifc))
     if lambda_fc > 0.0:
-        l_fc = group_gap_loss(trace.prediction, labels, means)
-        terms.append(l_fc)
-        factors.append(lambda_fc)
-        l_fc_value = l_fc.item()
-    total = ad.weighted_sum([*terms, l_sar], [*factors, 1.0])
-
-    breakdown = LossBreakdown(
-        l0=l0.item(),
-        l_sar=l_sar.item(),
-        l_ifc=l_ifc_value,
-        l_fc=l_fc_value,
-        total=total.item(),
-    )
-    return total, breakdown
+        table.append(("l_fc", group_gap_loss(trace.prediction, labels, means), lambda_fc))
+    table.append(("l_sar", reconstruction_loss(trace.pseudo_scalar, sensitive), 1.0))
+    _, terms, weights = zip(*table)
+    total = ad.weighted_sum(terms, weights)
+    return total, LossBreakdown(total=total.item(), **{name: term.item() for name, term, _ in table})

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import KIND_CATEGORICAL, ROLE_NON_SENSITIVE, columns_without_vocabulary, parse_schema, schema_entry
+from .data import KIND_CATEGORICAL, KIND_NUMERICAL, ROLE_NON_SENSITIVE, columns_without, parse_schema, schema_entry
 from .errors import ConfigError, DataError, Settings, UsageError, check_int, check_number, is_finite_number, located
 
 __all__ = [
@@ -439,6 +439,8 @@ def load_model(path):
                 architecture = {k: v for k, v in architecture.items() if k != "dropout" and k not in _RETIRED_SIZES}
             config = ModelConfig.from_dict(architecture)
         inputs = [c for c in schema if c.role == ROLE_NON_SENSITIVE]
+        if not inputs:  # a fault of the file, where the model's own check would be a ConfigError
+            raise DataError("model needs at least one non-sensitive input feature")
         cls = FairIntModel if meta["kind"] == "fairint" else VanillaModel
         model = cls(inputs, config, seed=0)  # MemoryError for sizes the metadata asks for
         model.load_arrays(arrays)
@@ -446,19 +448,20 @@ def load_model(path):
 
 
 def _check_encoder_state(meta: dict, schema) -> None:
-    """Type-check the saved vocabularies and standardization statistics, and check
-    that the vocabularies cover every categorical column of the schema but the label."""
-    vocabs = meta["vocabularies"]
+    """Type-check the saved vocabularies and standardization statistics, and check that
+    they cover every categorical and numerical column of the schema but the label; null
+    statistics, a run without standardization, cover every column."""
+    vocabs, stats = meta["vocabularies"], meta["standardize_stats"]
     if not isinstance(vocabs, dict) or not all(
         isinstance(v, list) and all(isinstance(t, str) for t in v) for v in vocabs.values()
     ):
         raise DataError("model file metadata 'vocabularies' is not an object of string lists")
-    missing = columns_without_vocabulary(schema, vocabs)
-    if missing:
-        raise DataError(f"model file metadata 'vocabularies' has no entry for categorical columns {missing}")
-    stats = meta["standardize_stats"]
     if stats is not None and not (isinstance(stats, dict) and all(map(_is_mean_std, stats.values()))):
         raise DataError("model file metadata 'standardize_stats' is not null or finite [mean, std > 0] pairs")
+    for key, kind in (("vocabularies", KIND_CATEGORICAL), ("standardize_stats", KIND_NUMERICAL)):
+        missing = [] if meta[key] is None else columns_without(schema, kind, meta[key])
+        if missing:
+            raise DataError(f"model file metadata {key!r} has no entry for {kind} columns {missing}")
 
 
 def _is_mean_std(pair) -> bool:

@@ -24,13 +24,13 @@ from .autodiff import backward
 from .data import Dataset, batches, epoch_permutation, full_batch  # noqa: F401
 from .errors import (
     ConfigError,
-    DomainError,
     NumericError,
     Settings,
     TrainingError,
     UsageError,
     check_int,
     check_number,
+    located,
 )
 from .losses import LossBreakdown, assign_groups, ce_loss, joint_loss
 from .model import FairIntModel, ModelConfig, VanillaModel, score_rows
@@ -159,6 +159,16 @@ def _nonempty_split(dataset: Dataset, split: str):
     return batch
 
 
+def check_metrics_defined(dataset: Dataset, *splits: str) -> None:
+    """Raise unless the metrics are defined on each of ``splits``, which depends on its
+    rows, not on any model's scores: UsageError for an empty split, MetricError for one
+    that lacks a class, a group, or positive and negative rows in a group, naming the split."""
+    for split in splits:
+        rows = _nonempty_split(dataset, split)
+        with located(f"{split} split"):
+            fm.evaluate(np.zeros(rows.size), rows.labels, rows.true_sensitive.astype(np.int64))
+
+
 def evaluate_model(model, dataset: Dataset, split: str, threshold: float = 0.5,
                    groups_from: str = "true") -> fm.FairnessReport:
     """Score a whole split in blocks of rows (see :func:`score_rows`), then the full metric report.
@@ -197,7 +207,7 @@ def _train_epoch(model, optimizer: Adam, cfg: TrainConfig, epoch: int, encoded, 
     # the copies go when the epoch returns, before the next one makes its own
     order = epoch_permutation(n, cfg.seed, epoch)
     inputs, labels, sensitive = encoded.take(order), labels[order], sensitive[order]
-    sums = {"l0": 0.0, "l_sar": 0.0, "l_ifc": 0.0, "l_fc": 0.0, "total": 0.0}
+    sums = dict.fromkeys(LossBreakdown.__dataclass_fields__, 0.0)
     for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
         rows = slice(start, start + cfg.batch_size)
         batch_labels = labels[rows]
@@ -208,12 +218,11 @@ def _train_epoch(model, optimizer: Adam, cfg: TrainConfig, epoch: int, encoded, 
             else:
                 pred = model.forward(inputs[rows], training=True, rng=dropout_rng)
                 total = ce_loss(pred, batch_labels)
-                l0 = total.item()
-                breakdown = LossBreakdown(l0=l0, l_sar=0.0, l_ifc=0.0, l_fc=0.0, total=l0)
+                breakdown = LossBreakdown(l0=total.item(), total=total.item())
             model.param_grads.fill(0.0)
             backward(total)
             optimizer.step()
-        except (NumericError, DomainError) as exc:
+        except NumericError as exc:
             raise TrainingError(f"loss diverged at epoch {epoch}, batch {batch_index}: {exc}") from exc
         for key, value in breakdown.as_dict().items():
             sums[key] += value * batch_labels.size
@@ -238,9 +247,7 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     """
     if dataset.split_tags is None:
         raise UsageError("dataset must be split before training")
-    # whether the validation metrics are defined depends on the rows, not the scores
-    val = _nonempty_split(dataset, "val")
-    fm.evaluate(np.zeros(val.size), val.labels, val.true_sensitive.astype(np.int64))
+    check_metrics_defined(dataset, "val")
     cfg = train_config
     cls = FairIntModel if cfg.enable_bid else VanillaModel
     model = cls(dataset.input_columns, model_config, seed=cfg.seed, dropout=cfg.dropout)
@@ -260,7 +267,7 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
         epoch_losses = _train_epoch(model, optimizer, cfg, epoch, encoded, labels, sensitive)
         try:
             val_report = evaluate_model(model, dataset, "val")
-        except (NumericError, DomainError) as exc:
+        except NumericError as exc:
             raise TrainingError(f"validation diverged at epoch {epoch}: {exc}") from exc
         records.append(EpochRecord(epoch=epoch, losses=epoch_losses, val_report=val_report))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 import fairint.autodiff as ad
 from fairint.autodiff import Tensor
-from fairint.errors import DomainError, ShapeError, UsageError
+from fairint.errors import NumericError, ShapeError, UsageError
 from fairint.losses import LossBreakdown, assign_groups, group_means
 from fairint.model import ForwardTrace
 
@@ -128,7 +128,7 @@ def row_cross_entropy(pred: Tensor, labels) -> Tensor:
     """Per-row binary cross-entropy -log(pred * (2y - 1) + (1 - y)) of probabilities ``pred``
     against 0/1 ``labels`` of the same shape: -log of the probability given to the right
     class, bit for bit the two-term y * pred + (1 - y) * (1 - pred) inside the log, and
-    exactly 0 when the model is confidently correct. DomainError if that probability is
+    exactly 0 when the model is confidently correct. NumericError if that probability is
     not positive."""
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != pred.values.shape:
@@ -136,7 +136,7 @@ def row_cross_entropy(pred: Tensor, labels) -> Tensor:
     sign = 2.0 * y - 1.0
     picked = pred.values * sign + (1.0 - y)
     if np.any(picked <= 0.0):
-        raise DomainError("log of a non-positive value")
+        raise NumericError("log of a non-positive value")
     return ad._result(np.log(picked) * -1.0, (pred,), "row_cross_entropy",
                       lambda g: (((g * -1.0) / picked) * sign,))
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ import fairint
 import fairint.cli
 import fairint.training
 from fairint.autodiff import load_parameters, save_parameters
-from fairint.cli import load_experiment_config, main
+from fairint.cli import SPLIT_RATIOS, load_experiment_config, main
+from fairint.data import SPLIT_CODES, save_csv, save_schema, split, synth_generate
 from fairint.model import ModelConfig
 from fairint.training import TrainConfig
 
@@ -468,15 +470,19 @@ def _with_non_utf8_parameter_name(raw):
     return raw[:at] + b"\xff" + raw[at + 1 :]
 
 
-def _without_vocabulary(column):
-    """Drop ``column``'s entry from a model file's saved vocabularies."""
+def _with_metadata_entry(key, edit):
+    """Replace a model file's metadata entry ``key`` with ``edit`` of it, keeping its arrays."""
 
     def corrupt(raw):
         (length,) = struct.unpack_from("<I", raw, 12)
-        vocabularies = json.loads(raw[16 : 16 + length])["vocabularies"]
-        return _with_metadata(vocabularies={k: v for k, v in vocabularies.items() if k != column})(raw)
+        return _with_metadata(**{key: edit(json.loads(raw[16 : 16 + length])[key])})(raw)
 
     return corrupt
+
+
+def _without_entry(key, column):
+    """Drop ``column``'s entry from the object a model file's metadata holds under ``key``."""
+    return _with_metadata_entry(key, lambda entries: {k: v for k, v in entries.items() if k != column})
 
 
 def _without_config_key(key):
@@ -600,7 +606,10 @@ def _with_categorical(column, cardinality):
         ("model", _with_metadata(schema=[1, 2]), 3),
         ("model", _with_metadata(vocabularies=5), 3),
         ("model", _with_metadata(vocabularies={}), 3),
-        ("model", _without_vocabulary("s"), 3),
+        ("model", _without_entry("vocabularies", "s"), 3),
+        ("model", _without_entry("standardize_stats", "noise3"), 3),
+        ("model", _with_metadata_entry("schema", lambda schema: [e for e in schema if e["role"] != "non_sensitive"]),
+         3),
         ("model", _with_metadata(model=[1]), 3),
         ("model", _with_metadata(model={"embed_dim": "4"}), 3),
         ("model", _with_metadata(standardize_stats={"proxy1": 0.5}), 3),
@@ -675,7 +684,7 @@ def _with_categorical(column, cardinality):
         "csv_not_utf8", "csv_cell_overflows_when_standardized", "csv_field_over_size_limit",
         "schema_not_utf8", "config_not_utf8",
         "meta_schema_not_objects", "meta_vocabularies_not_object", "meta_vocabulary_missing",
-        "meta_vocabulary_lacks_sensitive",
+        "meta_vocabulary_lacks_sensitive", "meta_stats_lack_an_input", "meta_schema_without_inputs",
         "meta_model_not_object", "meta_model_size_not_int", "meta_stats_not_pairs", "meta_stats_zero_std",
         "meta_stats_int_too_large",
         "train_not_object", "train_rate_not_number", "train_batch_not_int", "train_epochs_not_int",
@@ -900,6 +909,31 @@ def test_scoring_commands_take_no_split_flag(trained, capsys, command):
     assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: fairint: unrecognized arguments: --split all"]
+
+
+def _config_whose_split_holds_one_group(tmp_path, which):
+    """An experiment config reading a 200-row synthetic CSV whose ``which`` rows, split
+    with the config's seed, all hold sensitive value 0."""
+    ds = synth_generate(n=200, bias_strength=2.0, proxy_corr=0.8, seed=1)
+    s = ds.columns["s"].copy()
+    s[split(ds, SPLIT_RATIOS, seed=1).split_tags == SPLIT_CODES[which]] = 0
+    save_csv(replace(ds, columns={**ds.columns, "s": s}), tmp_path / "data.csv")
+    save_schema(ds.schema, tmp_path / "data.schema.json")
+    source = {"csv_path": str(tmp_path / "data.csv"), "schema_path": str(tmp_path / "data.schema.json")}
+    return write_config(tmp_path, synth=None, dataset=source)[0]
+
+
+@pytest.mark.parametrize("which", ["val", "test"])
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--grid", "0,0;1,1;2,30"]], ids=["train", "sweep"])
+def test_a_split_with_one_group_fails_before_the_first_step(tmp_path, monkeypatch, capsys, command, which):
+    config = _config_whose_split_holds_one_group(tmp_path, which)
+    steps = []
+    monkeypatch.setattr(fairint.training.Adam, "step", lambda self: steps.append(self))
+    assert main([command[0], "--config", str(config), *command[1:]]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {which} split: fairness gaps need both groups in the evaluation rows, found only group [0]"]
+    assert steps == []
+    assert not (tmp_path / "run").exists()
 
 
 # -- sweep ---------------------------------------------------------------------

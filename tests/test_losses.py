@@ -229,7 +229,9 @@ def split_readout(m, batch):
 def test_joint_weights_validation():
     m, batch, labels, sensitive = loss_model()
     trace = m.forward(batch)
-    for weights in [(-1.0, 0.0), (0.0, -0.5), (float("nan"), 1.0), (1.0, float("nan"))]:
+    bad = [(-1.0, 0.0), (0.0, -0.5), (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 0.0), (True, 0.0),
+           (0.0, "1")]
+    for weights in bad:
         with pytest.raises(ConfigError):
             joint_loss(trace, labels, sensitive, *weights)
 

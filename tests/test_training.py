@@ -326,6 +326,15 @@ def test_bid_disabled_trains_the_plain_baseline(tiny):
         evaluate_model(model, tiny, "test", groups_from="reconstructed")
 
 
+def test_vanilla_and_fair_epoch_records_carry_the_same_fields(tiny):
+    one_epoch = dict(max_epochs=1, patience=1)
+    fair = train(tiny, ModelConfig(), quick_config(lambda_fc=1.0, **one_epoch))[1].epochs[0].losses
+    vanilla = train(tiny, ModelConfig(), quick_config(enable_bid=False, **one_epoch))[1].epochs[0].losses
+    assert list(fair.as_dict()) == list(vanilla.as_dict()) == ["l0", "l_sar", "l_ifc", "l_fc", "total"]
+    assert fair.l_ifc == 0.0 and fair.l_fc > 0.0 and fair.l_sar > 0.0
+    assert vanilla.l_sar == vanilla.l_ifc == vanilla.l_fc == 0.0 and vanilla.total == vanilla.l0 > 0.0
+
+
 # -- evaluation ----------------------------------------------------------------
 
 

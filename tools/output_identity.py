@@ -18,7 +18,10 @@ commands, each in its own process with one BLAS thread:
   sweep       ``--grid "0,0;2,30"`` on the synth table
   malformed   one bad input per reader: a CSV cell, a truncated ``model.bin``,
               a schema entry in a ``model.bin``'s metadata and in a schema
-              file, a config's ``train`` section, and ``synth --beta nan``
+              file, a config's ``train`` section, and ``synth --beta nan``;
+              and two ``model.bin`` files whose metadata schema has no
+              non-sensitive column, or a numerical column without saved
+              standardization statistics
 
 For every file the matrix leaves, and every command's stdout, stderr and
 exit code, it prints ``identical`` when both sides have the same sha256.
@@ -80,6 +83,8 @@ COMMANDS = [
     ("bad_cell", ["probe", "--csv", "bad_cell.csv", "--schema", "categorical.schema.json"], 3),
     ("bad_truncated_model", ["eval", "--model", "truncated.bin", "--csv", "synth.csv"], 3),
     ("bad_model_schema", ["eval", "--model", "bad_schema.bin", "--csv", "synth.csv"], 3),
+    ("bad_model_no_inputs", ["eval", "--model", "no_inputs.bin", "--csv", "categorical.csv"], 3),
+    ("bad_model_stats_gap", ["eval", "--model", "stats_gap.bin", "--csv", "categorical.csv"], 3),
     ("bad_schema_entry", ["probe", "--csv", "categorical.csv", "--schema", "bad.schema.json"], 3),
     ("bad_train", ["train", "--config", "bad_train.json"], 2),
     ("bad_synth_flag", ["synth", "--n", "3000", "--beta", "nan", "--rho", "0.8", "--out", "bad_synth.csv"], 2),
@@ -128,10 +133,13 @@ def write_inputs(run_dir: Path) -> None:
     (run_dir / "categorical.schema.json").write_text(json.dumps(schema), encoding="utf-8")
     (run_dir / "bad.schema.json").write_text(json.dumps([*schema[:1], {**schema[1], "kind": "ordinal"}, *schema[2:]]),
                                              encoding="utf-8")
-    meta = json.dumps({"kind": "fairint", "model": {}, "schema": [{"name": "x"}], "vocabularies": {},
-                       "standardize_stats": None}).encode("utf-8")
-    start = b"FAIRINTM" + struct.pack("<II", 1, len(meta))
-    (run_dir / "bad_schema.bin").write_bytes(start + meta + struct.pack("<I", 0))
+    vocabularies = {"color": list("rgb"), "region": list("nesw"), "s": ["0", "1"]}
+    for name, model_schema, stats in [("bad_schema.bin", [{"name": "x"}], None),
+                                      ("no_inputs.bin", schema[3:], None),  # no non-sensitive column
+                                      ("stats_gap.bin", schema, {})]:  # no statistics for column x
+        meta = json.dumps({"kind": "fairint", "model": {}, "schema": model_schema, "vocabularies": vocabularies,
+                           "standardize_stats": stats}).encode("utf-8")
+        (run_dir / name).write_bytes(b"FAIRINTM" + struct.pack("<II", 1, len(meta)) + meta + struct.pack("<I", 0))
     (run_dir / "truncated.bin").write_bytes(b"FAIRINTM\x01\x00")
     for name, (dataset, train, output_dir) in CONFIGS.items():
         doc = {"dataset": dataset, "train": {**RECIPE, **train}, "output_dir": output_dir}
