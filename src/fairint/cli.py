@@ -20,10 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    KIND_CATEGORICAL,
     apply_standardization,
     check_synth,
-    columns_without,
     full_batch,
     load_csv,
     load_schema,
@@ -32,7 +30,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, DataError, FairIntError, UsageError, check_int, check_number, located
+from .errors import ConfigError, FairIntError, UsageError, check_int, check_number, located
 from .model import FairIntModel, ModelConfig, attention_summary, load_model, save_model
 from .probe import sensitive_probe
 from .training import EMPTY_GRID, NO_RECONSTRUCTOR, TrainConfig, check_metrics_defined, evaluate_model, sweep, train
@@ -138,16 +136,11 @@ def _materialize(config: ExperimentConfig, seed_flag: int | None, scored: tuple[
     return train_config, dataset, out
 
 
-def _dataset_for_model(args, schema, meta: dict):
-    """Encode ``args.csv`` exactly the way the saved model's training data
-    was: with the ``--schema`` file when given, else the saved ``schema``,
-    and with the vocabularies and statistics saved in ``meta``."""
-    if args.schema is not None:
-        schema = load_schema(args.schema)
-        missing = columns_without(schema, KIND_CATEGORICAL, meta["vocabularies"])
-        if missing:
-            raise DataError(f"{args.schema}: categorical columns {missing} have no vocabulary in {args.model}")
-    dataset = load_csv(args.csv, schema, vocabularies=meta["vocabularies"])
+def _dataset_for_model(csv_path, schema, meta: dict):
+    """Encode ``csv_path`` exactly the way the saved model's training data
+    was: with its saved ``schema`` and the vocabularies and statistics
+    saved in ``meta``."""
+    dataset = load_csv(csv_path, schema, vocabularies=meta["vocabularies"])
     if meta["standardize_stats"]:
         dataset = apply_standardization(dataset, meta["standardize_stats"])
     return dataset
@@ -197,7 +190,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, schema, meta = load_model(args.model)
-    dataset = _dataset_for_model(args, schema, meta)
+    dataset = _dataset_for_model(args.csv, schema, meta)
     report = evaluate_model(model, dataset, "all", threshold=args.threshold, groups_from=args.groups_from)
     _emit(report.to_dict(), args.out)
     return 0
@@ -259,7 +252,7 @@ def cmd_explain(args) -> int:
             "saved model has no interaction attention (trained with the"
             " interaction module disabled); nothing to explain"
         )
-    dataset = _dataset_for_model(args, schema, meta)
+    dataset = _dataset_for_model(args.csv, schema, meta)
     heads = attention_summary(model, full_batch(dataset, "all").features)
     out_path = Path(args.out) if args.out else Path(args.model).parent / "attention.json"
     _emit({"split": "all", "heads": heads}, out_path)
@@ -325,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a saved model on a CSV file")
     p.add_argument("--model", required=True, help="model file written by train")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--schema", default=None, help="schema JSON; defaults to the one saved in the model")
+    p.add_argument("--csv", required=True, help="CSV whose header matches the schema saved in the model")
     _metric_flags(p)
     p.add_argument("--out", default=None, help="also write the report JSON here")
     p.set_defaults(handler=cmd_eval)
@@ -339,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="summarize a saved model's attention per feature")
     p.add_argument("--model", required=True, help="model file written by train")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--schema", default=None, help="schema JSON; defaults to the one saved in the model")
+    p.add_argument("--csv", required=True, help="CSV whose header matches the schema saved in the model")
     p.add_argument("--out", default=None, help="where to write attention.json (default: next to the model)")
     p.set_defaults(handler=cmd_explain)
 

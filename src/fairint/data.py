@@ -105,6 +105,8 @@ def _validate_schema(columns: list[FeatureColumn]) -> list[FeatureColumn]:
     s = sensitive[0]
     if s.kind != KIND_CATEGORICAL or s.cardinality != 2:
         raise DataError(f"sensitive column {s.name!r} must be categorical with cardinality 2")
+    if not any(c.role == ROLE_NON_SENSITIVE for c in columns):
+        raise DataError("schema needs at least one non-sensitive column")
     return columns
 
 

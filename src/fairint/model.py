@@ -439,8 +439,6 @@ def load_model(path):
                 architecture = {k: v for k, v in architecture.items() if k != "dropout" and k not in _RETIRED_SIZES}
             config = ModelConfig.from_dict(architecture)
         inputs = [c for c in schema if c.role == ROLE_NON_SENSITIVE]
-        if not inputs:  # a fault of the file, where the model's own check would be a ConfigError
-            raise DataError("model needs at least one non-sensitive input feature")
         cls = FairIntModel if meta["kind"] == "fairint" else VanillaModel
         model = cls(inputs, config, seed=0)  # MemoryError for sizes the metadata asks for
         model.load_arrays(arrays)

@@ -132,8 +132,6 @@ def sensitive_probe(dataset: Dataset) -> ProbeResult:
 
     A negative category id raises :class:`DataError` naming its column.
     """
-    if not dataset.input_columns:
-        raise DataError("the schema has no non-sensitive input column; nothing to probe")
     target = dataset.columns[dataset.sensitive_column.name].astype(np.float64)
     classes = np.unique(target)
     if classes.size < 2:

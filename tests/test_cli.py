@@ -343,15 +343,6 @@ def test_eval_is_idempotent(trained, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_eval_explicit_schema_matches_embedded(trained, capsys):
-    model = str(trained["dir"] / "model.bin")
-    assert main(["eval", "--model", model, "--csv", str(trained["csv"])]) == 0
-    embedded = capsys.readouterr().out
-    assert main(["eval", "--model", model, "--csv", str(trained["csv"]),
-                 "--schema", str(trained["schema"])]) == 0
-    assert capsys.readouterr().out == embedded
-
-
 # -- explain -------------------------------------------------------------------
 
 
@@ -367,26 +358,6 @@ def test_explain_writes_one_row_per_feature(trained, capsys):
         for row in head["features"]:
             assert set(row) == {"feature", "mean", "variance", "min", "max"}
             assert 0.0 < row["mean"] < 1.0
-
-
-def test_explain_explicit_schema_matches_embedded(trained, tmp_path):
-    model = str(trained["dir"] / "model.bin")
-    argv = ["explain", "--model", model, "--csv", str(trained["csv"])]
-    assert main(argv + ["--out", str(tmp_path / "embedded.json")]) == 0
-    assert main(argv + ["--schema", str(trained["schema"]), "--out", str(tmp_path / "explicit.json")]) == 0
-    assert (tmp_path / "explicit.json").read_bytes() == (tmp_path / "embedded.json").read_bytes()
-
-
-def test_schema_flag_with_a_column_the_model_has_no_vocabulary_for_exits_3(trained, tmp_path, capsys):
-    schema = json.loads(trained["schema"].read_text())
-    for entry in schema:
-        if entry["name"] == "noise1":
-            entry.update(kind="categorical", cardinality=3)
-    schema_path, model_path = tmp_path / "schema.json", trained["dir"] / "model.bin"
-    schema_path.write_text(json.dumps(schema))
-    assert main(["eval", "--model", str(model_path), "--csv", str(trained["csv"]), "--schema", str(schema_path)]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {schema_path}: categorical columns ['noise1'] have no vocabulary in {model_path}"]
 
 
 def test_explain_uniform_attention_oracle(trained, tmp_path, capsys):
@@ -490,6 +461,11 @@ def _without_config_key(key):
     return lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != key}).encode("utf-8")
 
 
+def _without_inputs(schema):
+    """A schema document's entries but its non-sensitive columns."""
+    return [entry for entry in schema if entry["role"] != "non_sensitive"]
+
+
 def _with_schema(edit):
     """Replace a schema file's JSON array with ``edit(array)``."""
     return lambda raw: json.dumps(edit(json.loads(raw))).encode("utf-8")
@@ -537,6 +513,12 @@ def _with_cell(column, text):
         return b"\n".join([header, b",".join(cells), rest])
 
     return corrupt
+
+
+def _with_first_two_columns_swapped(raw):
+    """Swap the first two columns of every row of a CSV, its header included."""
+    rows = [line.split(b",") for line in raw.splitlines()]
+    return b"".join(b",".join([row[1], row[0], *row[2:]]) + b"\n" for row in rows)
 
 
 def _with_config(**sections):
@@ -601,6 +583,8 @@ def _with_categorical(column, cardinality):
         ("csv", _with_cell("proxy1", "1.7e308"), 3),
         # a quoted field past the csv module's size limit (131,072 characters)
         ("csv", _with_cell("proxy1", '"' + "1" * 200_000 + '"'), 3),
+        # a saved model reads only CSVs whose header is its schema's columns, in order
+        ("csv", _with_first_two_columns_swapped, 3),
         ("schema", _insert_non_utf8, 3),
         ("config", _insert_non_utf8, 2),
         ("model", _with_metadata(schema=[1, 2]), 3),
@@ -608,8 +592,7 @@ def _with_categorical(column, cardinality):
         ("model", _with_metadata(vocabularies={}), 3),
         ("model", _without_entry("vocabularies", "s"), 3),
         ("model", _without_entry("standardize_stats", "noise3"), 3),
-        ("model", _with_metadata_entry("schema", lambda schema: [e for e in schema if e["role"] != "non_sensitive"]),
-         3),
+        ("model", _with_metadata_entry("schema", _without_inputs), 3),
         ("model", _with_metadata(model=[1]), 3),
         ("model", _with_metadata(model={"embed_dim": "4"}), 3),
         ("model", _with_metadata(standardize_stats={"proxy1": 0.5}), 3),
@@ -639,6 +622,7 @@ def _with_categorical(column, cardinality):
         ("schema", _with_schema_entry("noise1", cardinality=3), 3),
         ("schema", _with_schema_entry("y", role="non_sensitive"), 3),
         ("schema", _with_schema_entry("noise1", kind="categorical", cardinality=2, role="sensitive"), 3),
+        ("schema", _with_schema(_without_inputs), 3),
         ("model", _with_version, 3),
         ("model", _metadata_as([1]), 3),
         ("model", _with_first_record_twice, 3),
@@ -681,7 +665,7 @@ def _with_categorical(column, cardinality):
     ],
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
-        "csv_not_utf8", "csv_cell_overflows_when_standardized", "csv_field_over_size_limit",
+        "csv_not_utf8", "csv_cell_overflows_when_standardized", "csv_field_over_size_limit", "csv_columns_reordered",
         "schema_not_utf8", "config_not_utf8",
         "meta_schema_not_objects", "meta_vocabularies_not_object", "meta_vocabulary_missing",
         "meta_vocabulary_lacks_sensitive", "meta_stats_lack_an_input", "meta_schema_without_inputs",
@@ -694,7 +678,7 @@ def _with_categorical(column, cardinality):
         "config_int_too_long", "schema_int_too_long",
         "schema_no_columns", "schema_not_array", "schema_duplicate_names", "schema_unknown_kind",
         "schema_unknown_role", "schema_bad_cardinality", "schema_numerical_with_cardinality",
-        "schema_no_label", "schema_two_sensitive",
+        "schema_no_label", "schema_two_sensitive", "schema_without_inputs",
         "model_unsupported_version", "meta_not_object", "model_duplicate_parameter",
         "model_parameter_name_not_utf8", "meta_unknown_kind",
         "meta_two_heads", "meta_value_width", "meta_hidden_head_layer",
@@ -791,6 +775,11 @@ SYNTH = ["synth", "--n", "200", "--beta", "2", "--rho", "0.8", "--out", "data.cs
     (["synth", "--n", "200", "--beta", "nan", "--rho", "0.8", "--out", "data.csv"],
      "--beta must be a finite number in [0, inf), got nan"),
     (["synth", "--n", "50", "--beta", "2", "--rho", "0.8", "--out", "data.csv"], "--n must be an int >= 100, got 50"),
+    # a saved model is read only with the schema in its file
+    (["eval", "--model", "m.bin", "--csv", "d.csv", "--schema", "s.json"],
+     "fairint: unrecognized arguments: --schema s.json"),
+    (["explain", "--model", "m.bin", "--csv", "d.csv", "--schema", "s.json"],
+     "fairint: unrecognized arguments: --schema s.json"),
 ])
 def test_a_malformed_command_line_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -1048,7 +1037,8 @@ def test_probe_single_class_sensitive_exits_3(tmp_path):
                  "--schema", str(tmp_path / "schema.json")]) == 3
 
 
-def test_probe_without_input_columns_exits_3(tmp_path, capsys):
+def _table_without_inputs(tmp_path):
+    """A CSV of only a sensitive and a label column, with its schema."""
     schema = [
         {"name": "s", "kind": "categorical", "cardinality": 2, "role": "sensitive"},
         {"name": "y", "kind": "categorical", "cardinality": 2, "role": "label"},
@@ -1056,7 +1046,28 @@ def test_probe_without_input_columns_exits_3(tmp_path, capsys):
     (tmp_path / "schema.json").write_text(json.dumps(schema))
     rows = "\n".join(f"{i % 2},{i // 2 % 2}" for i in range(10))
     (tmp_path / "data.csv").write_text("s,y\n" + rows + "\n")
-    assert main(["probe", "--csv", str(tmp_path / "data.csv"),
-                 "--schema", str(tmp_path / "schema.json")]) == 3
+    return tmp_path / "data.csv", tmp_path / "schema.json"
+
+
+def test_probe_without_input_columns_exits_3(tmp_path, capsys):
+    csv_path, schema_path = _table_without_inputs(tmp_path)
+    assert main(["probe", "--csv", str(csv_path), "--schema", str(schema_path)]) == 3
     lines = capsys.readouterr().err.splitlines()
-    assert lines == ["error: the schema has no non-sensitive input column; nothing to probe"]
+    assert lines == [f"error: {schema_path}: schema needs at least one non-sensitive column"]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+def test_a_schema_without_input_columns_exits_3_naming_its_file(trained, tmp_path, capsys, command):
+    csv_path, schema_path = _table_without_inputs(tmp_path)
+    config, doc = write_config(tmp_path, synth=None,
+                               dataset={"csv_path": str(csv_path), "schema_path": str(schema_path)})
+    model = tmp_path / "model.bin"
+    model.write_bytes(_with_metadata_entry("schema", _without_inputs)((trained["dir"] / "model.bin").read_bytes()))
+    argv, named = {
+        "train": (["train", "--config", str(config)], schema_path),
+        "sweep": (["sweep", "--config", str(config), "--grid", "0,0"], schema_path),
+        "eval": (["eval", "--model", str(model), "--csv", str(trained["csv"])], f"{model}: metadata"),
+    }[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {named}: schema needs at least one non-sensitive column"]
+    assert not Path(doc["output_dir"]).exists()

@@ -172,7 +172,9 @@ def test_mutated_schema(files, data):
     text = json.dumps(data.draw(reshaped(doc)))
     schema = _write(files, "fuzzed.schema.json", data.draw(st.sampled_from([text.encode(), text[:-1].encode()])))
     run(["probe", "--csv", str(files["csv"]), "--schema", schema])
-    run(["eval", "--model", str(files["model"]), "--csv", str(files["csv"]), "--schema", schema])
+    doc = {**CONFIG, "synth": None, "dataset": {"csv_path": str(files["csv"]), "schema_path": schema},
+           "output_dir": str(files["dir"] / "fuzzed_run")}
+    run(["train", "--config", _write(files, "fuzzed.json", json.dumps(doc).encode())])
 
 
 @FUZZ

@@ -19,9 +19,12 @@ commands, each in its own process with one BLAS thread:
   malformed   one bad input per reader: a CSV cell, a truncated ``model.bin``,
               a schema entry in a ``model.bin``'s metadata and in a schema
               file, a config's ``train`` section, and ``synth --beta nan``;
-              and two ``model.bin`` files whose metadata schema has no
+              two ``model.bin`` files whose metadata schema has no
               non-sensitive column, or a numerical column without saved
-              standardization statistics
+              standardization statistics; ``train`` on a table and schema
+              file with no non-sensitive column; and ``eval --schema``, a flag that
+              does not exist, since a saved model is read only with the
+              schema in its file
 
 For every file the matrix leaves, and every command's stdout, stderr and
 exit code, it prints ``identical`` when both sides have the same sha256.
@@ -67,6 +70,7 @@ CONFIGS = {
     "categorical.json": ({"csv_path": "categorical.csv", "schema_path": "categorical.schema.json"},
                          {"lambda_ifc": 2.0, "lambda_fc": 30.0}, "categorical"),
     "sweep.json": (SYNTH_DATA, {}, "sweep"),
+    "no_inputs.json": ({"csv_path": "no_inputs.csv", "schema_path": "no_inputs.schema.json"}, {}, "no_inputs"),
 }
 MODEL = ["--model", "fair/model.bin", "--csv", "synth.csv"]
 # (label, arguments, expected exit code)
@@ -88,6 +92,9 @@ COMMANDS = [
     ("bad_schema_entry", ["probe", "--csv", "categorical.csv", "--schema", "bad.schema.json"], 3),
     ("bad_train", ["train", "--config", "bad_train.json"], 2),
     ("bad_synth_flag", ["synth", "--n", "3000", "--beta", "nan", "--rho", "0.8", "--out", "bad_synth.csv"], 2),
+    ("bad_schema_no_inputs", ["train", "--config", "no_inputs.json"], 3),
+    ("bad_eval_schema_flag", ["eval", "--model", "categorical/model.bin", "--csv", "categorical.csv",
+                              "--schema", "categorical.schema.json"], 2),
 ]
 EXPECTED_EXIT = {label: code for label, _, code in COMMANDS}
 
@@ -120,6 +127,8 @@ def write_inputs(run_dir: Path) -> None:
     header = ["color", "region", "x", "s", "y"]
     with open(run_dir / "categorical.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    with open(run_dir / "no_inputs.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header[3:], *(row[3:] for row in rows)])
     rows[5][2] = "abc"
     with open(run_dir / "bad_cell.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
@@ -131,6 +140,7 @@ def write_inputs(run_dir: Path) -> None:
         {"name": "y", "kind": "numerical", "cardinality": None, "role": "label"},
     ]
     (run_dir / "categorical.schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    (run_dir / "no_inputs.schema.json").write_text(json.dumps(schema[3:]), encoding="utf-8")
     (run_dir / "bad.schema.json").write_text(json.dumps([*schema[:1], {**schema[1], "kind": "ordinal"}, *schema[2:]]),
                                              encoding="utf-8")
     vocabularies = {"color": list("rgb"), "region": list("nesw"), "s": ["0", "1"]}
