@@ -20,7 +20,7 @@ sensitive attribute is unavailable at inference time. The sensitive
 attribute is binary, so there are exactly two pseudo-groups, 0 and 1. Both
 penalties read one constant (2, B) group-mean matrix M (:func:`group_means`),
 whose row g averages the rows of group g; :func:`joint_loss` builds it once
-per batch, and a batch with one group adds 0 to both penalties.
+per batch.
 
 Each term is one fused graph node; the weighted total is one more. Their
 values and gradients are bit for bit those of the separate operations
@@ -29,7 +29,9 @@ they replace.
 A weight of exactly 0, the only off switch, leaves its row out of the
 table: the term is not evaluated, contributes no graph nodes and is
 reported as 0.0, which keeps training dynamics bitwise identical to a run
-where the term does not exist.
+where the term does not exist. A batch whose rows all fall into one
+pseudo-group has no gap to penalise, and leaves both penalty rows out by
+the same rule.
 """
 
 from dataclasses import dataclass
@@ -98,7 +100,8 @@ def assign_groups(pseudo_scalar) -> np.ndarray:
 
 
 def group_means(groups) -> np.ndarray | None:
-    """Constant (2, B) matrix whose rows average pseudo-groups 0 and 1; None if one is empty."""
+    """Constant (2, B) matrix whose rows average pseudo-groups 0 and 1; None if one is empty,
+    which leaves both penalties out of :func:`joint_loss`."""
     groups = np.asarray(groups).reshape(-1)
     ones = groups == 1
     if not (ones | (groups == 0)).all():
@@ -113,34 +116,28 @@ def group_means(groups) -> np.ndarray | None:
     return means
 
 
-def group_divergence_loss(fused: Tensor, means: np.ndarray | None) -> Tensor:
+def group_divergence_loss(fused: Tensor, means: np.ndarray) -> Tensor:
     """Symmetric KL divergence KL(p0 || p1) + KL(p1 || p0) between the pseudo-groups.
 
-    ``means`` is :func:`group_means` of the batch's pseudo-groups. Each
-    group's fused embeddings are averaged and pushed through a softmax,
-    giving one categorical distribution over embedding coordinates per
-    group; the two KL terms add up to sum (p0 - p1)(log p0 - log p1). A
-    batch whose rows all fall into one group (``means`` None) contributes
-    0. Always non-negative, and 0 exactly when the two distributions
-    coincide.
+    ``means`` is the (2, B) :func:`group_means` of a batch holding both
+    pseudo-groups. Each group's fused embeddings are averaged and pushed
+    through a softmax, giving one categorical distribution over embedding
+    coordinates per group; the two KL terms add up to
+    sum (p0 - p1)(log p0 - log p1). Always non-negative, and 0 exactly
+    when the two distributions coincide.
     """
-    if means is None:
-        return Tensor(0.0)
     return ad.symmetric_kl(fused, means)
 
 
-def group_gap_loss(pred: Tensor, labels, means: np.ndarray | None) -> Tensor:
+def group_gap_loss(pred: Tensor, labels, means: np.ndarray) -> Tensor:
     """Twice the cross-entropy gap between the pseudo-groups, 2 * |CE0 - CE1|.
 
-    ``means`` is :func:`group_means` of the batch's pseudo-groups. CE_g is
-    the mean cross-entropy of the rows assigned to group g, so the value
-    does not scale with batch size. A batch whose rows all fall into one
-    group (``means`` None) contributes 0. Invariant to swapping the two
-    group ids.
+    ``means`` is the (2, B) :func:`group_means` of a batch holding both
+    pseudo-groups. CE_g is the mean cross-entropy of the rows assigned to
+    group g, so the value does not scale with batch size. Invariant to
+    swapping the two group ids.
     """
     y = _as_column(labels, pred.values.shape[0], "labels")
-    if means is None:
-        return Tensor(0.0)
     return ad.cross_entropy_gap(pred, y, means, 2.0)
 
 
@@ -149,17 +146,18 @@ def joint_loss(trace, labels, sensitive, lambda_ifc: float = 0.0, lambda_fc: flo
 
     ``lambda_ifc`` and ``lambda_fc`` weight the two fairness terms, each a
     finite number in [0, inf) (else ConfigError); a weight of 0 leaves its
-    term out. Returns ``(total, breakdown)``: the differentiable scalar to
-    call backward on, and a float breakdown for logging, both read from
-    the table of terms (see the module docstring).
+    term out, and a batch with one pseudo-group leaves both penalties out.
+    Returns ``(total, breakdown)``: the differentiable scalar to call
+    backward on, and a float breakdown for logging, both read from the
+    table of terms (see the module docstring).
     """
     for name, weight in (("lambda_ifc", lambda_ifc), ("lambda_fc", lambda_fc)):
         check_number(name, weight, "[0, inf)")
     means = group_means(assign_groups(trace.pseudo_scalar)) if lambda_ifc > 0.0 or lambda_fc > 0.0 else None
     table = [("l0", ce_loss(trace.prediction, labels), 1.0)]
-    if lambda_ifc > 0.0:
+    if lambda_ifc > 0.0 and means is not None:
         table.append(("l_ifc", group_divergence_loss(trace.fused, means), lambda_ifc))
-    if lambda_fc > 0.0:
+    if lambda_fc > 0.0 and means is not None:
         table.append(("l_fc", group_gap_loss(trace.prediction, labels, means), lambda_fc))
     table.append(("l_sar", reconstruction_loss(trace.pseudo_scalar, sensitive), 1.0))
     _, terms, weights = zip(*table)

@@ -50,7 +50,8 @@ def delta_dp(pred_labels, s) -> float:
     return float(abs(rate0 - rate1))
 
 
-def _group_confusion_rates(pred: np.ndarray, y: np.ndarray, s: np.ndarray, group: int):
+def _group_rates(pred: np.ndarray, y: np.ndarray, s: np.ndarray, group: int) -> dict:
+    """Group ``group``'s positive_rate, tpr, fpr and row count; MetricError if its TPR or FPR is undefined."""
     rows = s == group
     pos = rows & (y == 1)
     neg = rows & (y == 0)
@@ -58,9 +59,15 @@ def _group_confusion_rates(pred: np.ndarray, y: np.ndarray, s: np.ndarray, group
         raise MetricError(f"group {group} has no positive ground-truth rows; TPR undefined")
     if not neg.any():
         raise MetricError(f"group {group} has no negative ground-truth rows; FPR undefined")
-    tpr = float(pred[pos].mean())
-    fpr = float(pred[neg].mean())
-    return tpr, fpr
+    return {"positive_rate": float(pred[rows].mean()), "tpr": float(pred[pos].mean()),
+            "fpr": float(pred[neg].mean()), "count": int(rows.sum())}
+
+
+def _eo_gap(pred: np.ndarray, y: np.ndarray, s: np.ndarray) -> tuple[float, dict]:
+    """The equalized odds gap of validated groups ``s``, and the rates of each group (key "0" or "1")."""
+    rates = {str(g): _group_rates(pred, y, s, g) for g in (0, 1)}
+    r0, r1 = rates["0"], rates["1"]
+    return abs(r0["tpr"] - r1["tpr"]) + abs(r0["fpr"] - r1["fpr"]), rates
 
 
 def delta_eo(pred_labels, y, s) -> float:
@@ -68,9 +75,7 @@ def delta_eo(pred_labels, y, s) -> float:
     pred = np.asarray(pred_labels).reshape(-1)
     y = np.asarray(y).reshape(-1)
     s = _validate_groups(np.asarray(s).reshape(-1))
-    tpr0, fpr0 = _group_confusion_rates(pred, y, s, 0)
-    tpr1, fpr1 = _group_confusion_rates(pred, y, s, 1)
-    return float(abs(tpr0 - tpr1) + abs(fpr0 - fpr1))
+    return _eo_gap(pred, y, s)[0]
 
 
 def auc_roc(scores, y) -> float:
@@ -147,25 +152,14 @@ def evaluate(
     check_number("threshold", threshold)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(y).reshape(-1)
-    s = _validate_groups(np.asarray(s).reshape(-1))
+    s = np.asarray(s).reshape(-1)
     pred = threshold_labels(scores, threshold)
-
-    group_rates = {}
-    for g in (0, 1):
-        rows = s == g
-        tpr, fpr = _group_confusion_rates(pred, y, s, g)
-        group_rates[str(g)] = {
-            "positive_rate": float(pred[rows].mean()),
-            "tpr": tpr,
-            "fpr": fpr,
-            "count": int(rows.sum()),
-        }
-
-    r0, r1 = group_rates["0"], group_rates["1"]
+    ddp = delta_dp(pred, s)  # checks the groups first, then the rates raise for an undefined TPR or FPR
+    deo, group_rates = _eo_gap(pred, y, s)
     return FairnessReport(
         auc=auc_roc(scores, y),
-        ddp=abs(r0["positive_rate"] - r1["positive_rate"]),
-        deo=abs(r0["tpr"] - r1["tpr"]) + abs(r0["fpr"] - r1["fpr"]),
+        ddp=ddp,
+        deo=deo,
         group_rates=group_rates,
         sar_accuracy=None,
         threshold=float(threshold),

@@ -111,17 +111,12 @@ class ForwardTrace:
 _MAX_PARAMETER_SIZE = np.iinfo(np.intp).max // 8
 
 
-def _drawable(*shape: int) -> tuple:
-    """``shape``, or MemoryError if numpy cannot represent a float64 array of that shape."""
+def _drawable(name: str, *shape: int) -> tuple:
+    """``shape``, or MemoryError naming parameter ``name`` if numpy cannot represent a float64 array of that shape."""
     shape = tuple(map(int, shape))  # python ints: a product of numpy ints could wrap
     if math.prod(shape) > _MAX_PARAMETER_SIZE:
-        raise MemoryError(f"a parameter of shape {shape} exceeds the largest array numpy can represent")
+        raise MemoryError(f"parameter {name} of shape {shape} exceeds the largest array numpy can represent")
     return shape
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=_drawable(fan_in, fan_out))
 
 
 class _EmbeddingBase:
@@ -148,8 +143,8 @@ class _EmbeddingBase:
         self._categorical = np.array([col.kind == KIND_CATEGORICAL for col in self.input_columns])
         self._vocab = np.array([c.table_size if cat else 1 for c, cat in zip(self.input_columns, self._categorical)])
         for col, cat, vocab in zip(self.input_columns, self._categorical, self._vocab):
-            shape = _drawable(d, vocab) if cat else (1, d)
-            self._initial[f"embed.{col.name}"] = self._rng.normal(0.0, 0.1, size=shape)
+            name = f"embed.{col.name}"
+            self._initial[name] = self._rng.normal(0.0, 0.1, size=_drawable(name, d, vocab) if cat else (1, d))
         self._add_layers()
         self.param_values, self.param_grads, self.params = ad.pack_parameters(self._initial)
         del self._initial
@@ -164,8 +159,12 @@ class _EmbeddingBase:
         # widths = [in, h1, ..., out]; biases start at zero
         self._mlp_layers[prefix] = len(widths) - 1
         for i in range(len(widths) - 1):
-            self._initial[f"{prefix}.layer{i}.w"] = _glorot(self._rng, widths[i], widths[i + 1])
+            self._add_glorot(f"{prefix}.layer{i}.w", widths[i], widths[i + 1])
             self._initial[f"{prefix}.layer{i}.b"] = np.zeros(widths[i + 1])
+
+    def _add_glorot(self, name: str, fan_in: int, fan_out: int):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        self._initial[name] = self._rng.uniform(-limit, limit, size=_drawable(name, fan_in, fan_out))
 
     def _run_mlp(self, prefix: str, x: Tensor, training: bool, rng, output: str | None = None) -> Tensor:
         # ReLU plus dropout on every layer except the last, which applies ``output``
@@ -242,10 +241,10 @@ class FairIntModel(_EmbeddingBase):
     def _add_layers(self):
         d = self.config.embed_dim
         self._add_mlp("sar", [len(self.input_columns) * d, *self.config.sar_hidden, d])
-        self._initial["sar_scalar.w"] = _glorot(self._rng, d, 1)
+        self._add_glorot("sar_scalar.w", d, 1)
         for role in ("query", "key", "value"):
-            self._initial[f"bid.h0.{role}"] = _glorot(self._rng, d, d)
-        self._initial["fuse.w_res"] = _glorot(self._rng, d, d)
+            self._add_glorot(f"bid.h0.{role}", d, d)
+        self._add_glorot("fuse.w_res", d, d)
         self._add_mlp("head", [d, 1])
 
     def sar_forward(self, embeddings: Tensor, training: bool = False, rng=None):

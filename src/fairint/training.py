@@ -1,8 +1,9 @@
 """Mini-batch training with early stopping, plus evaluation and weight sweeps.
 
 One call to :func:`train` owns the whole run: it builds the model from the
-train seed, encodes the train split once (category ids and numeric scales,
-see :class:`~fairint.model.EncodedRows`), walks seeded mini-batches, each
+train seed (:func:`new_model`) unless given it, encodes the train split
+once (category ids and numeric scales, see
+:class:`~fairint.model.EncodedRows`), walks seeded mini-batches, each
 step slicing its rows from that encoding, applies Adam-style updates with
 an L2 penalty, validates at every epoch end, and restores the parameters
 of the best validation-AUC epoch before freezing them. Everything is
@@ -35,7 +36,8 @@ from .errors import (
 from .losses import LossBreakdown, assign_groups, ce_loss, joint_loss
 from .model import FairIntModel, ModelConfig, VanillaModel, score_rows
 
-__all__ = ["TrainConfig", "EpochRecord", "TrainHistory", "SweepPoint", "Adam", "train", "evaluate_model", "sweep"]
+__all__ = ["TrainConfig", "EpochRecord", "TrainHistory", "SweepPoint", "Adam", "new_model", "train", "evaluate_model",
+           "sweep"]
 
 
 # the floor of each int field and the interval of each numeric one
@@ -229,10 +231,22 @@ def _train_epoch(model, optimizer: Adam, cfg: TrainConfig, epoch: int, encoded, 
     return LossBreakdown(**{k: v / n for k, v in sums.items()})
 
 
+def new_model(input_columns, model_config: ModelConfig, train_config: TrainConfig):
+    """The untrained model that ``train_config`` trains: the fair model, or with ``enable_bid``
+    off the vanilla one, drawn from its seed; MemoryError, naming the parameter, for a size
+    numpy cannot represent."""
+    cls = FairIntModel if train_config.enable_bid else VanillaModel
+    return cls(input_columns, model_config, seed=train_config.seed, dropout=train_config.dropout)
+
+
 # every op checks its result for NaN and Inf, so numpy's overflow warnings add nothing
 @np.errstate(over="ignore", invalid="ignore")
-def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig):
+def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig, model=None):
     """Run one full optimization and return (frozen model, history).
+
+    ``model``, when given, is the untrained :func:`new_model` of these
+    settings, built by a caller that checks it before any work; else
+    it is built here.
 
     The dataset must already be split, and a validation split on which
     the metrics are undefined raises before the first step, and so does
@@ -249,8 +263,8 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
         raise UsageError("dataset must be split before training")
     check_metrics_defined(dataset, "val")
     cfg = train_config
-    cls = FairIntModel if cfg.enable_bid else VanillaModel
-    model = cls(dataset.input_columns, model_config, seed=cfg.seed, dropout=cfg.dropout)
+    if model is None:
+        model = new_model(dataset.input_columns, model_config, cfg)
     optimizer = Adam(model.param_values, model.param_grads, cfg.learning_rate, l2=cfg.l2)
     train_rows = full_batch(dataset, "train")
     encoded, labels, sensitive = model.encode(train_rows.features), train_rows.labels, train_rows.true_sensitive

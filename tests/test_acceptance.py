@@ -23,7 +23,7 @@ from fairint.autodiff import Tensor, backward
 from fairint.cli import main
 from fairint.data import full_batch, load_csv, load_schema, split, synth_generate
 from fairint.losses import ce_loss, group_divergence_loss, group_gap_loss, group_means, joint_loss
-from fairint.metrics import auc_roc, delta_dp, delta_eo, threshold_labels
+from fairint.metrics import auc_roc, delta_dp, delta_eo, evaluate, threshold_labels
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
 from fairint.training import TrainConfig, evaluate_model, train
 
@@ -271,13 +271,17 @@ def test_c3_metrics_match_brute_force_counting():
         checked += 1
         pred = threshold_labels(scores, 0.5)
 
+        report = evaluate(scores, y, s)  # the gaps every report, history line and tradeoff row ships
+
         rate0 = sum(p for p, g in zip(pred, s) if g == 0) / sum(1 for g in s if g == 0)
         rate1 = sum(p for p, g in zip(pred, s) if g == 1) / sum(1 for g in s if g == 1)
-        assert abs(delta_dp(pred, s) - abs(rate0 - rate1)) <= 1e-12
+        for ddp in (delta_dp(pred, s), report.ddp):
+            assert abs(ddp - abs(rate0 - rate1)) <= 1e-12
 
         tpr0, fpr0 = _brute_rates(pred, y, s, 0)
         tpr1, fpr1 = _brute_rates(pred, y, s, 1)
-        assert abs(delta_eo(pred, y, s) - (abs(tpr0 - tpr1) + abs(fpr0 - fpr1))) <= 1e-12
+        for deo in (delta_eo(pred, y, s), report.deo):
+            assert abs(deo - (abs(tpr0 - tpr1) + abs(fpr0 - fpr1))) <= 1e-12
 
         pairs = wins = 0.0
         for i in range(n):

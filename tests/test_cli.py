@@ -724,10 +724,7 @@ def test_malformed_input_exits_with_one_error_line(trained, tmp_path, monkeypatc
 
 
 # faults found once a file's contents are in use rather than while it is read, which name no file
-_FOUND_IN_USE = {
-    "csv_cell_overflows_when_standardized", "sar_width_beyond_intp", "vanilla_width_beyond_intp",
-    "cardinality_beyond_intp", "weights_overflow_in_matmul", "train_rate_overflows",
-}
+_FOUND_IN_USE = {"csv_cell_overflows_when_standardized", "weights_overflow_in_matmul", "train_rate_overflows"}
 
 
 @pytest.mark.parametrize(("section", "setting", "message"), [
@@ -1070,4 +1067,26 @@ def test_a_schema_without_input_columns_exits_3_naming_its_file(trained, tmp_pat
     }[command]
     assert main(argv) == 3
     assert capsys.readouterr().err.splitlines() == [f"error: {named}: schema needs at least one non-sensitive column"]
+    assert not Path(doc["output_dir"]).exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--grid", "0,0;2,30"]], ids=["train", "sweep"])
+@pytest.mark.parametrize(("size", "parameter"), [("sar_hidden", "sar.layer0.w of shape (20, 1000000000000000000)"),
+                                                 ("cardinality", "embed.noise1 of shape (4, 1000000000000000001)")])
+def test_a_model_too_large_to_allocate_exits_3_naming_the_config_and_the_parameter(trained, tmp_path, capsys,
+                                                                                    command, size, parameter):
+    if size == "sar_hidden":
+        config, doc = write_config(tmp_path, model={"sar_hidden": [10**18]})
+    else:
+        schema = json.loads(trained["schema"].read_text())
+        for entry in schema:
+            if entry["name"] == "noise1":
+                entry.update(kind="categorical", cardinality=10**18)
+        schema_path = tmp_path / "wide.schema.json"
+        schema_path.write_text(json.dumps(schema))
+        config, doc = write_config(tmp_path, synth=None,
+                                   dataset={"csv_path": str(trained["csv"]), "schema_path": str(schema_path)})
+    assert main([command[0], "--config", str(config), *command[1:]]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: out of memory: {config}: parameter {parameter} exceeds the largest array numpy can represent"]
     assert not Path(doc["output_dir"]).exists()

@@ -131,9 +131,12 @@ def test_divergence_zero_iff_distributions_equal():
 
 
 def test_divergence_single_group_is_zero():
-    fused = Tensor(np.random.default_rng(1).standard_normal((4, 3)))
     assert group_means(np.zeros(4, dtype=int)) is None
-    assert group_divergence_loss(fused, None).item() == 0.0
+    m, batch, labels, sensitive = one_group_batch()
+    trace = m.forward(batch)
+    total, breakdown = joint_loss(trace, labels, sensitive, 5.0, 0.0)
+    assert breakdown.l_ifc == 0.0
+    assert total.item() == joint_loss(trace, labels, sensitive, 0.0, 0.0)[0].item()
 
 
 def test_divergence_averages_within_groups():
@@ -173,9 +176,12 @@ def test_gap_invariant_to_group_relabeling():
 
 
 def test_gap_single_group_is_zero():
-    pred = col([0.7, 0.3])
     assert group_means(np.array([1, 1])) is None
-    assert group_gap_loss(pred, [1.0, 0.0], None).item() == 0.0
+    m, batch, labels, sensitive = one_group_batch()
+    trace = m.forward(batch)
+    total, breakdown = joint_loss(trace, labels, sensitive, 0.0, 5.0)
+    assert breakdown.l_fc == 0.0
+    assert total.item() == joint_loss(trace, labels, sensitive, 0.0, 0.0)[0].item()
 
 
 @pytest.mark.parametrize(
@@ -266,6 +272,28 @@ def test_joint_loss_adds_5_nodes_with_two_groups_and_3_with_one():
         forward = {id(n) for t in (trace.prediction, trace.pseudo_scalar, trace.fused) for n in graph_nodes(t)}
         total, _ = joint_loss(trace, batch.labels[rows], batch.true_sensitive[rows], 2.0, 30.0)
         assert len(graph_nodes(total)) - len(forward) == added
+
+
+def one_group_batch():
+    # the rows of loss_model() that share the first row's pseudo-group
+    m, batch, labels, sensitive = loss_model()
+    groups = assign_groups(m.forward(batch).pseudo_scalar)
+    rows = groups == groups[0]
+    assert rows.sum() >= 2 and group_means(groups[rows]) is None
+    return m, {name: values[rows] for name, values in batch.items()}, labels[rows], sensitive[rows]
+
+
+def test_a_one_group_batch_leaves_both_penalties_out_like_a_weight_of_0():
+    m, one_group, labels, sensitive = one_group_batch()
+    runs = []
+    for weights in [(2.0, 30.0), (0.0, 0.0)]:
+        total, breakdown = joint_loss(m.forward(one_group), labels, sensitive, *weights)
+        m.param_grads.fill(0.0)
+        backward(total)
+        runs.append((total.values.tobytes(), m.param_grads.tobytes(), breakdown))
+    (total, grads, breakdown), (plain_total, plain_grads, _) = runs
+    assert breakdown.l_ifc == breakdown.l_fc == 0.0
+    assert total == plain_total and grads == plain_grads
 
 
 def test_joint_breakdown_formula_is_exact():

@@ -22,9 +22,12 @@ commands, each in its own process with one BLAS thread:
               two ``model.bin`` files whose metadata schema has no
               non-sensitive column, or a numerical column without saved
               standardization statistics; ``train`` on a table and schema
-              file with no non-sensitive column; and ``eval --schema``, a flag that
-              does not exist, since a saved model is read only with the
-              schema in its file
+              file with no non-sensitive column; ``eval --schema``, a flag
+              that does not exist, since a saved model is read only with
+              the schema in its file; ``eval`` of the fair synth model on a
+              copy of the synth table whose labels are all 1, where the FPR
+              is undefined; and ``train`` with ``sar_hidden`` 10^18, a model
+              too large to allocate
 
 For every file the matrix leaves, and every command's stdout, stderr and
 exit code, it prints ``identical`` when both sides have the same sha256.
@@ -34,11 +37,11 @@ largest absolute difference. A field is a JSON key path, a CSV column, a
 not line up field by field is reported as a differing structure.
 
 Each command has an expected exit code: 0, or for a malformed input the
-code of its error, whose one line on stderr is compared like any other
-output. The exit status is 0 when every command on both sides exited
-with its expected code and every output is identical, and 1 otherwise;
-a command that exited otherwise is named, since two sides that fail the
-same way would otherwise compare as identical. Both sides' outputs go
+code of its error, 2, 3 or 4, whose one line on stderr is compared like
+any other output. The exit status is 0 when every command on both sides
+exited with its expected code and every output is identical, and 1
+otherwise; a command that exited otherwise is named, since two sides
+that fail the same way would otherwise compare as identical. Both sides' outputs go
 with the temporary directory.
 """
 
@@ -95,6 +98,8 @@ COMMANDS = [
     ("bad_schema_no_inputs", ["train", "--config", "no_inputs.json"], 3),
     ("bad_eval_schema_flag", ["eval", "--model", "categorical/model.bin", "--csv", "categorical.csv",
                               "--schema", "categorical.schema.json"], 2),
+    ("bad_eval_one_class", ["eval", "--model", "fair/model.bin", "--csv", "one_class.csv"], 4),
+    ("bad_model_size", ["train", "--config", "bad_size.json"], 3),
 ]
 EXPECTED_EXIT = {label: code for label, _, code in COMMANDS}
 
@@ -154,8 +159,20 @@ def write_inputs(run_dir: Path) -> None:
     for name, (dataset, train, output_dir) in CONFIGS.items():
         doc = {"dataset": dataset, "train": {**RECIPE, **train}, "output_dir": output_dir}
         (run_dir / name).write_text(json.dumps(doc), encoding="utf-8")
-    doc = {"synth": {"n": 500, "beta": 2.0, "rho": 0.8}, "train": {"seed": -1}, "output_dir": "bad_train"}
-    (run_dir / "bad_train.json").write_text(json.dumps(doc), encoding="utf-8")
+    for name, section, output_dir in [("bad_train.json", {"train": {"seed": -1}}, "bad_train"),
+                                      ("bad_size.json", {"model": {"sar_hidden": [10**18]}}, "bad_size")]:
+        doc = {"synth": {"n": 500, "beta": 2.0, "rho": 0.8}, **section, "output_dir": output_dir}
+        (run_dir / name).write_text(json.dumps(doc), encoding="utf-8")
+
+
+def write_one_class(run_dir: Path) -> None:
+    """``one_class.csv``: the matrix's synth table with every label set to 1."""
+    with open(run_dir / "synth.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for row in rows:
+        row[header.index("y")] = "1"
+    with open(run_dir / "one_class.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def run_matrix(tree: Path, run_dir: Path) -> dict:
@@ -172,6 +189,8 @@ def run_matrix(tree: Path, run_dir: Path) -> dict:
         (run_dir / f"{label}.stdout").write_bytes(done.stdout)
         (run_dir / f"{label}.stderr").write_bytes(done.stderr)
         codes[label] = done.returncode
+        if label == "synth" and done.returncode == 0:
+            write_one_class(run_dir)  # an input made from the table the matrix generates
     (run_dir / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
     return codes
 
