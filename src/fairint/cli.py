@@ -30,7 +30,7 @@ from .data import (
     split,
     synth_generate,
 )
-from .errors import ConfigError, FairIntError, UsageError, check_int, check_number, located
+from .errors import ConfigError, FairIntError, MetricError, UsageError, check_int, check_number, located
 from .model import FairIntModel, ModelConfig, attention_summary, load_model, save_model
 from .probe import sensitive_probe
 from .training import (EMPTY_GRID, NO_RECONSTRUCTOR, TrainConfig, check_metrics_defined, evaluate_model, new_model,
@@ -113,16 +113,17 @@ def _synth(n, beta, rho, seed, prefix=""):
 
 def _materialize(config: ExperimentConfig, seed_flag: int | None, scored: tuple[str, ...]):
     """The run's training config, with ``--seed`` applied when given, its
-    split dataset, its untrained model (:func:`new_model`) and its output
-    directory; that one seed drives the data, the split and training.
+    split dataset and its output directory; that one seed drives the data,
+    the split and training.
 
     The directory is created after the data is built, the metrics are
     found defined on each split in ``scored``, those the run reports on
-    (:func:`check_metrics_defined`), and the model is built, but before
-    any training. So a data error, a split without a class or a group, or
-    a model too large to allocate leaves none behind, and an unusable
-    ``output_dir`` fails before any model is trained. A sweep trains a
-    fresh model per grid point, so for it the model is only that check.
+    (:func:`check_metrics_defined`), and the run's untrained model
+    (:func:`new_model`) is drawn, but before any training. So a data
+    error, a split without a class or a group, or a model too large to
+    allocate leaves none behind, and an unusable ``output_dir`` fails
+    before any model is trained. :func:`train` draws its own model, as a
+    sweep does per grid point, so the model drawn here is only that check.
     """
     train_config = config.train if seed_flag is None else replace(config.train, seed=check_int("--seed", seed_flag))
     seed = train_config.seed
@@ -135,10 +136,10 @@ def _materialize(config: ExperimentConfig, seed_flag: int | None, scored: tuple[
     dataset = split(dataset, SPLIT_RATIOS, seed)
     check_metrics_defined(dataset, *scored)
     with located(config.path):  # the sizes come from its model section or its schema's cardinalities
-        model = new_model(dataset.input_columns, config.model, train_config)
+        new_model(dataset.input_columns, config.model, train_config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return train_config, dataset, model, out
+    return train_config, dataset, out
 
 
 def _dataset_for_model(csv_path, schema, meta: dict):
@@ -167,9 +168,9 @@ def cmd_train(args) -> int:
         raise UsageError(NO_RECONSTRUCTOR)  # the vanilla model's report would fail only after training
     # reconstructed groups are known only once the model is trained
     scored = ("val", "test") if args.groups_from == "true" else ("val",)
-    train_config, dataset, model, out = _materialize(config, args.seed, scored)
+    train_config, dataset, out = _materialize(config, args.seed, scored)
 
-    model, history = train(dataset, config.model, train_config, model)
+    model, history = train(dataset, config.model, train_config)
     save_model(model, dataset, out / "model.bin", train_config)
 
     # first history line is run metadata, the rest are per-epoch records
@@ -188,7 +189,8 @@ def cmd_train(args) -> int:
         "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines), encoding="utf-8"
     )
 
-    report = evaluate_model(model, dataset, "test", threshold=args.threshold, groups_from=args.groups_from)
+    with located("test split", catch=MetricError):  # reconstructed groups can make the gaps undefined
+        report = evaluate_model(model, dataset, "test", threshold=args.threshold, groups_from=args.groups_from)
     _emit(report.to_dict(), out / "report.json")
     return 0
 
@@ -196,7 +198,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, schema, meta = load_model(args.model)
     dataset = _dataset_for_model(args.csv, schema, meta)
-    report = evaluate_model(model, dataset, "all", threshold=args.threshold, groups_from=args.groups_from)
+    with located(args.csv, catch=MetricError):  # the rows on which a metric is undefined
+        report = evaluate_model(model, dataset, "all", threshold=args.threshold, groups_from=args.groups_from)
     _emit(report.to_dict(), args.out)
     return 0
 
@@ -225,7 +228,7 @@ def _parse_grid(text: str):
 def cmd_sweep(args) -> int:
     config = load_experiment_config(args.config)
     grid = _parse_grid(args.grid)
-    train_config, dataset, _, out = _materialize(config, args.seed, ("val", "test"))
+    train_config, dataset, out = _materialize(config, args.seed, ("val", "test"))
 
     points = sweep(dataset, config.model, train_config, grid)
 

@@ -76,12 +76,13 @@ class TrainingError(FairIntError):
 
 
 @contextmanager
-def located(where: str, error=None):
-    """Put ``where: `` in front of the message of a FairIntError or MemoryError raised
-    inside, keeping its class and exit code, or raising it as class ``error`` instead."""
+def located(where: str, error=None, catch=(FairIntError, MemoryError)):
+    """Put ``where: `` in front of the message of an exception of the ``catch`` classes
+    raised inside, any FairIntError or MemoryError by default, keeping its class and
+    exit code, or raising it as class ``error`` instead."""
     try:
         yield
-    except (FairIntError, MemoryError) as exc:
+    except catch as exc:
         # a plain MemoryError: numpy's subclass builds its message from a shape, not a string
         cls = error or (type(exc) if isinstance(exc, FairIntError) else MemoryError)
         raise cls(f"{where}: {exc}").with_traceback(exc.__traceback__) from None

@@ -1,20 +1,18 @@
 """Mini-batch training with early stopping, plus evaluation and weight sweeps.
 
 One call to :func:`train` owns the whole run: it builds the model from the
-train seed (:func:`new_model`) unless given it, encodes the train split
-once (category ids and numeric scales, see
-:class:`~fairint.model.EncodedRows`), walks seeded mini-batches, each
-step slicing its rows from that encoding, applies Adam-style updates with
-an L2 penalty, validates at every epoch end, and restores the parameters
-of the best validation-AUC epoch before freezing them. Everything is
-deterministic given (dataset, configs, seed): rerunning produces
-bit-identical parameters and history.
+train seed (:func:`new_model`), encodes the train split once (category
+ids and numeric scales, see :class:`~fairint.model.EncodedRows`), walks
+seeded mini-batches, each step slicing its rows from that encoding,
+applies Adam-style updates with an L2 penalty, validates at every epoch
+end, and restores the parameters of the best validation-AUC epoch before
+freezing them. Everything is deterministic given (dataset, configs,
+seed): rerunning produces bit-identical parameters and history.
 
 Model selection is on validation AUC alone; the fairness weights, not the
 stopping rule, govern the fairness/accuracy trade-off.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -241,12 +239,9 @@ def new_model(input_columns, model_config: ModelConfig, train_config: TrainConfi
 
 # every op checks its result for NaN and Inf, so numpy's overflow warnings add nothing
 @np.errstate(over="ignore", invalid="ignore")
-def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig, model=None):
-    """Run one full optimization and return (frozen model, history).
-
-    ``model``, when given, is the untrained :func:`new_model` of these
-    settings, built by a caller that checks it before any work; else
-    it is built here.
+def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig):
+    """Run one full optimization of the :func:`new_model` of these configs and return
+    (frozen model, history).
 
     The dataset must already be split, and a validation split on which
     the metrics are undefined raises before the first step, and so does
@@ -256,25 +251,22 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     a step, or in the epoch-end validation, stops the run with a
     TrainingError naming the epoch (and the batch, for a step). Early
     stopping triggers after ``patience`` epochs without a new best
-    validation AUC, and the returned parameters always belong to the best
-    epoch, never a later one.
+    validation AUC (a tie is not a new best), and the returned parameters
+    always belong to the best epoch, never a later one.
     """
     if dataset.split_tags is None:
         raise UsageError("dataset must be split before training")
     check_metrics_defined(dataset, "val")
     cfg = train_config
-    if model is None:
-        model = new_model(dataset.input_columns, model_config, cfg)
+    model = new_model(dataset.input_columns, model_config, cfg)
     optimizer = Adam(model.param_values, model.param_grads, cfg.learning_rate, l2=cfg.l2)
     train_rows = full_batch(dataset, "train")
     encoded, labels, sensitive = model.encode(train_rows.features), train_rows.labels, train_rows.true_sensitive
     del train_rows  # frees the raw feature columns: the run reads only their encoding
 
     records: list[EpochRecord] = []
-    best_auc = -math.inf
     best_epoch: int | None = None
     best_values: np.ndarray | None = None
-    epochs_since_best = 0
     stopping_reason = "max_epochs"
 
     for epoch in range(cfg.max_epochs):
@@ -285,16 +277,11 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
             raise TrainingError(f"validation diverged at epoch {epoch}: {exc}") from exc
         records.append(EpochRecord(epoch=epoch, losses=epoch_losses, val_report=val_report))
 
-        if val_report.auc > best_auc:
-            best_auc = val_report.auc
-            best_epoch = epoch
-            best_values = model.param_values.copy()
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= cfg.patience:
-                stopping_reason = "early_stopping"
-                break
+        if best_epoch is None or val_report.auc > records[best_epoch].val_report.auc:
+            best_epoch, best_values = epoch, model.param_values.copy()
+        elif epoch - best_epoch >= cfg.patience:
+            stopping_reason = "early_stopping"
+            break
 
     if best_values is not None:
         model.param_values[:] = best_values
@@ -327,25 +314,17 @@ def sweep(dataset: Dataset, model_config: ModelConfig, base_config: TrainConfig,
 
     Every point is an independent run from the same seed, so points
     differ only in their fairness weights. A failing point records its
-    error and the sweep continues; results keep the grid's order.
+    error and the sweep continues; results keep the grid's order. A
+    weight that ``float`` cannot convert raises before any point trains.
     """
-    grid = list(lambda_grid)
-    if not grid:
+    points = [SweepPoint(lambda_ifc=float(li), lambda_fc=float(lf), report=None) for li, lf in lambda_grid]
+    if not points:
         raise UsageError(EMPTY_GRID)
-    points = []
-    for li, lf in grid:
+    for point in points:
         try:
-            config = replace(base_config, lambda_ifc=float(li), lambda_fc=float(lf))
+            config = replace(base_config, lambda_ifc=point.lambda_ifc, lambda_fc=point.lambda_fc)
             model, _ = train(dataset, model_config, config)
-            report = evaluate_model(model, dataset, "test")
-            points.append(SweepPoint(lambda_ifc=float(li), lambda_fc=float(lf), report=report))
+            point.report = evaluate_model(model, dataset, "test")
         except Exception as exc:  # per-point isolation is the contract
-            points.append(
-                SweepPoint(
-                    lambda_ifc=float(li),
-                    lambda_fc=float(lf),
-                    report=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            point.error = f"{type(exc).__name__}: {exc}"
     return points

@@ -334,6 +334,16 @@ def test_eval_reconstructed_groups(trained, capsys):
     assert report["groups_from"] == "reconstructed"
 
 
+@pytest.mark.parametrize("groups_from", ["true", "reconstructed"])
+def test_eval_on_rows_where_a_metric_is_undefined_names_the_csv(trained, tmp_path, capsys, groups_from):
+    csv = tmp_path / "one_class.csv"
+    csv.write_bytes(_with_every_label("1")(trained["csv"].read_bytes()))
+    argv = ["eval", "--model", str(trained["dir"] / "model.bin"), "--csv", str(csv), "--groups-from", groups_from]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {csv}: group 0 has no negative ground-truth rows; FPR undefined"]
+
+
 def test_eval_is_idempotent(trained, capsys):
     model = str(trained["dir"] / "model.bin")
     args = ["eval", "--model", model, "--csv", str(trained["csv"])]
@@ -515,6 +525,18 @@ def _with_cell(column, text):
     return corrupt
 
 
+def _with_every_label(text):
+    """Set the label cell of every data row of a CSV to ``text``."""
+
+    def corrupt(raw):
+        header, *rows = [line.split(b",") for line in raw.splitlines()]
+        y = header.index(b"y")
+        rows = [[*row[:y], text.encode(), *row[y + 1:]] for row in rows]
+        return b"".join(b",".join(row) + b"\n" for row in [header, *rows])
+
+    return corrupt
+
+
 def _with_first_two_columns_swapped(raw):
     """Swap the first two columns of every row of a CSV, its header included."""
     rows = [line.split(b",") for line in raw.splitlines()]
@@ -585,6 +607,8 @@ def _with_categorical(column, cardinality):
         ("csv", _with_cell("proxy1", '"' + "1" * 200_000 + '"'), 3),
         # a saved model reads only CSVs whose header is its schema's columns, in order
         ("csv", _with_first_two_columns_swapped, 3),
+        # rows on which a metric is undefined: no group has a negative row, so no FPR
+        ("csv", _with_every_label("1"), 4),
         ("schema", _insert_non_utf8, 3),
         ("config", _insert_non_utf8, 2),
         ("model", _with_metadata(schema=[1, 2]), 3),
@@ -666,6 +690,7 @@ def _with_categorical(column, cardinality):
     ids=[
         "model_cut_to_30", "model_cut_to_200", "model_10_short", "model_trailing_byte",
         "csv_not_utf8", "csv_cell_overflows_when_standardized", "csv_field_over_size_limit", "csv_columns_reordered",
+        "csv_one_class",
         "schema_not_utf8", "config_not_utf8",
         "meta_schema_not_objects", "meta_vocabularies_not_object", "meta_vocabulary_missing",
         "meta_vocabulary_lacks_sensitive", "meta_stats_lack_an_input", "meta_schema_without_inputs",
@@ -920,6 +945,29 @@ def test_a_split_with_one_group_fails_before_the_first_step(tmp_path, monkeypatc
         f"error: {which} split: fairness gaps need both groups in the evaluation rows, found only group [0]"]
     assert steps == []
     assert not (tmp_path / "run").exists()
+
+
+def test_reconstructed_test_groups_of_one_group_name_the_test_split(tmp_path, capsys):
+    # after this one epoch the reconstructor puts every test row in group 0
+    config, _ = write_config(tmp_path, train={"learning_rate": 0.003, "batch_size": 128, "max_epochs": 1,
+                                              "patience": 1, "seed": 0})
+    assert main(["train", "--config", str(config), "--groups-from", "reconstructed"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: test split: fairness gaps need both groups in the evaluation rows, found only group [0]"]
+
+
+def test_the_cli_trains_the_model_the_library_trains(tmp_path):
+    # _materialize draws the run's model once as an allocation check; train() draws it again
+    config, doc = write_config(tmp_path)
+    assert main(["train", "--config", str(config)]) == 0
+    source, seed = doc["synth"], doc["train"]["seed"]
+    table = synth_generate(n=source["n"], bias_strength=source["beta"], proxy_corr=source["rho"], seed=seed)
+    dataset = split(table, SPLIT_RATIOS, seed)
+    model, _ = fairint.training.train(dataset, ModelConfig(**doc["model"]), TrainConfig(**doc["train"]))
+    saved, _ = load_parameters(tmp_path / "run" / "model.bin")
+    assert saved.keys() == model.parameter_arrays().keys()
+    for name, values in model.parameter_arrays().items():
+        assert saved[name].tobytes() == values.tobytes(), name
 
 
 # -- sweep ---------------------------------------------------------------------

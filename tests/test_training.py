@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 import fairint.model
+import fairint.training
 from fairint.autodiff import backward, mean_squared_error, pack_parameters
 from fairint.data import FeatureColumn, full_batch, split, synth_generate
 from fairint.errors import ConfigError, DataError, MetricError, TrainingError, UsageError
+from fairint.metrics import FairnessReport
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
 from fairint.training import (
     Adam,
     TrainConfig,
     evaluate_model,
+    new_model,
     sweep,
     train,
 )
@@ -294,11 +297,61 @@ def test_returned_params_reproduce_best_epoch_auc(tiny, trained):
 def test_early_stopping_cuts_the_run(tiny):
     config = quick_config(max_epochs=200, patience=2)
     _, history = train(tiny, ModelConfig(), config)
-    if history.stopping_reason == "early_stopping":
-        assert len(history.epochs) == history.best_epoch + 1 + config.patience
-        assert len(history.epochs) < config.max_epochs
-    else:  # a late best epoch can legitimately ride out the patience window
-        assert len(history.epochs) == config.max_epochs
+    # the run ends patience epochs after its best one, unless max_epochs comes first
+    patience_end = history.best_epoch + 1 + config.patience
+    assert len(history.epochs) == min(patience_end, config.max_epochs)
+    assert history.stopping_reason == ("early_stopping" if patience_end <= config.max_epochs else "max_epochs")
+
+
+def _scripted_validation(monkeypatch, aucs):
+    """Make each epoch-end validation of train() report the next AUC of ``aucs``;
+    returns the parameters the model held at each validation."""
+    seen = []
+
+    def validate(model, dataset, split):
+        seen.append(model.param_values.copy())
+        return FairnessReport(auc=aucs[len(seen) - 1], ddp=0.0, deo=0.0, group_rates={}, sar_accuracy=None,
+                              threshold=0.5, groups_from="true")
+
+    monkeypatch.setattr(fairint.training, "evaluate_model", validate)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "aucs, patience, max_epochs, best_epoch, reason",
+    [
+        ([0.6, 0.7, 0.7, 0.7, 0.7], 3, 10, 1, "early_stopping"),
+        ([0.5, 0.9, 0.8, 0.7], 2, 10, 1, "early_stopping"),
+        ([0.7, 0.6, 0.8, 0.7, 0.6, 0.5], 3, 10, 2, "early_stopping"),
+        ([0.7, 0.7], 1, 10, 0, "early_stopping"),
+        ([0.5, 0.6, 0.7, 0.8, 0.75], 3, 5, 3, "max_epochs"),
+        ([0.8, 0.7, 0.6], 3, 3, 0, "max_epochs"),
+        ([], 2, 0, None, "max_epochs"),
+    ],
+    ids=["tie_is_not_a_new_best", "falls_after_best", "rises_after_a_fall", "patience_1",
+         "best_inside_the_last_patience_epochs", "max_epochs_one_short_of_patience", "zero_epochs"],
+)
+def test_early_stopping_follows_the_validation_aucs(tiny, monkeypatch, aucs, patience, max_epochs, best_epoch,
+                                                    reason):
+    seen = _scripted_validation(monkeypatch, aucs)
+    config = quick_config(max_epochs=max_epochs, patience=patience)
+    model, history = train(tiny, ModelConfig(), config)
+    assert [r.val_report.auc for r in history.epochs] == aucs  # each scripted epoch runs, and no more
+    assert (history.best_epoch, history.stopping_reason) == (best_epoch, reason)
+    untrained = new_model(tiny.input_columns, ModelConfig(), config).param_values
+    want = untrained if best_epoch is None else seen[best_epoch]
+    assert model.param_values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("enable_bid, cls", [(True, FairIntModel), (False, VanillaModel)], ids=["fair", "vanilla"])
+def test_train_builds_the_model_its_configs_name(tiny, enable_bid, cls):
+    model_config, train_config = ModelConfig(embed_dim=8), quick_config(enable_bid=enable_bid, max_epochs=1)
+    model, _ = train(tiny, model_config, train_config)
+    assert type(model) is cls and model.config == model_config
+    shapes = {name: values.shape for name, values in model.parameter_arrays().items()}
+    drawn = new_model(tiny.input_columns, model_config, train_config)
+    assert shapes == {name: values.shape for name, values in drawn.parameter_arrays().items()}
+    assert shapes["embed.proxy1"] == (1, 8)
 
 
 # -- ablations -----------------------------------------------------------------

@@ -26,8 +26,10 @@ commands, each in its own process with one BLAS thread:
               that does not exist, since a saved model is read only with
               the schema in its file; ``eval`` of the fair synth model on a
               copy of the synth table whose labels are all 1, where the FPR
-              is undefined; and ``train`` with ``sar_hidden`` 10^18, a model
-              too large to allocate
+              is undefined; ``train`` with ``sar_hidden`` 10^18, a model
+              too large to allocate; and ``train --groups-from
+              reconstructed`` for one epoch of the recipe, after which the
+              reconstructed test groups are one group
 
 For every file the matrix leaves, and every command's stdout, stderr and
 exit code, it prints ``identical`` when both sides have the same sha256.
@@ -74,6 +76,7 @@ CONFIGS = {
                          {"lambda_ifc": 2.0, "lambda_fc": 30.0}, "categorical"),
     "sweep.json": (SYNTH_DATA, {}, "sweep"),
     "no_inputs.json": ({"csv_path": "no_inputs.csv", "schema_path": "no_inputs.schema.json"}, {}, "no_inputs"),
+    "one_epoch.json": (SYNTH_DATA, {"max_epochs": 1, "patience": 1}, "one_epoch"),
 }
 MODEL = ["--model", "fair/model.bin", "--csv", "synth.csv"]
 # (label, arguments, expected exit code)
@@ -100,6 +103,7 @@ COMMANDS = [
                               "--schema", "categorical.schema.json"], 2),
     ("bad_eval_one_class", ["eval", "--model", "fair/model.bin", "--csv", "one_class.csv"], 4),
     ("bad_model_size", ["train", "--config", "bad_size.json"], 3),
+    ("bad_train_reconstructed_one_group", ["train", "--config", "one_epoch.json", "--groups-from", "reconstructed"], 4),
 ]
 EXPECTED_EXIT = {label: code for label, _, code in COMMANDS}
 
