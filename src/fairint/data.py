@@ -13,10 +13,11 @@ seen categories as 0 and 1 and maps anything else to 2.
 """
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -269,14 +270,47 @@ def _encode_column(col: FeatureColumn, texts: tuple, col_ids: dict, vocab: list,
     return values, None if ok.all() else int(np.argmin(ok))
 
 
-def _read_rows(reader, limit: int):
-    """Up to ``limit`` rows, and the decoding or csv error that ended the read early, if any."""
-    rows = []
+def _escaped_byte(text: str) -> int | None:
+    """The first byte of ``text`` that is not UTF-8, or None. The file is decoded with
+    ``surrogateescape``, which keeps each such byte as a lone surrogate, the one
+    character that UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return ord(text[exc.start]) - 0xDC00
+    return None
+
+
+def _read_rows(fh, limit: int):
+    """Up to ``limit`` records of ``fh``, the physical lines they took, and why the read
+    ended early: the message of a csv error, or of a byte that is not UTF-8, which ends
+    the read before the record that holds it.
+
+    The next ``limit`` lines are read first. When they hold no quote, carriage return,
+    NUL or byte that is not UTF-8, and no line (its break included) is longer than the
+    csv field size limit, each line is one record and ``str.split`` gives exactly the
+    fields ``csv.reader`` would, a blank line none. Any other chunk goes to
+    ``csv.reader``, which reads its records from those lines and, when a quoted field
+    spans the last of them, from the rest of the file.
+    """
+    lines = list(islice(fh, limit))
+    text = "".join(lines)
+    if not ('"' in text or "\r" in text or "\0" in text or _escaped_byte(text) is not None
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        del text  # frees the joined copy before the rows are built
+        return [line.rstrip("\n").split(",") if line != "\n" else [] for line in lines], len(lines), None
+    reader = csv.reader(chain(lines, fh))
+    rows, failure = [], None
     try:
         rows.extend(islice(reader, limit))  # keeps the rows read before an error
-    except (UnicodeDecodeError, csv.Error) as exc:
-        return rows, exc
-    return rows, None
+    except csv.Error as exc:
+        failure = str(exc)
+    if _escaped_byte("".join(chain.from_iterable(rows))) is not None:
+        for index, row in enumerate(rows):
+            byte = _escaped_byte("".join(row))
+            if byte is not None:
+                return rows[:index], reader.line_num, f"byte {byte:#04x} is not UTF-8 text"
+    return rows, reader.line_num, failure
 
 
 def _start_line(rows: list, index: int, first: int) -> int:
@@ -289,12 +323,6 @@ def _start_line(rows: list, index: int, first: int) -> int:
     texts = [text for row in rows[:index] for text in row]
     breaks = sum(text.count("\n") + text.count("\r") - text.count("\r\n") for text in texts)
     return first + index + breaks
-
-
-def _read_error(line: int, exc: Exception) -> DataError:
-    if isinstance(exc, UnicodeDecodeError):
-        return DataError(f"file is not UTF-8 text: {exc}")
-    return DataError(f"line {line}: {exc}")  # csv.Error, such as a field over the size limit
 
 
 def columns_without(schema: list[FeatureColumn], kind: str, entries: dict) -> list[str]:
@@ -313,10 +341,17 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
     the known categories.
 
     Rows are parsed :data:`CSV_CHUNK_ROWS` at a time, a column at a time.
-    A bad file raises DataError for its first fault in file order, the
-    same one a row-by-row parse would stop at: a bad cell, a row with the
-    wrong number of fields, text that is not UTF-8, or a field over the
-    csv module's size limit.
+    A chunk of that many lines that holds no quote, carriage return, NUL
+    or byte that is not UTF-8, and no line longer than the csv module's
+    field size limit, is split at line breaks and commas; any other chunk
+    goes to ``csv.reader``. Both read the same records from such a chunk,
+    so either gives the same arrays and the same errors. A bad file
+    raises DataError for its first fault in file order, the same one a
+    row-by-row parse would stop at: a bad cell, a row with the wrong
+    number of fields, a field over the csv module's size limit, or a byte
+    that is not UTF-8. The file is decoded with ``surrogateescape``, so
+    such a byte is named, with the line of the record that holds it (the
+    header included), only when no earlier record has a fault.
     """
     schema = _validate_schema(list(schema))
     building = vocabularies is None
@@ -335,20 +370,19 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
     expected_header = [c.name for c in schema]
     width = len(schema)
 
-    with located(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        first, failure = _read_rows(reader, 1)
+    with located(path), open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        rows, lines, failure = _read_rows(fh, 1)
         if failure is not None:
-            raise _read_error(1, failure)
-        if not first:
+            raise DataError(f"line 1: {failure}")
+        if not rows:
             raise DataError("file is empty")
-        header = first[0]
+        header = rows[0]
         if header != expected_header:
             raise DataError(f"header {header} does not match schema columns {expected_header}")
         n = 0
+        first = 1 + lines  # the physical line where the chunk's first record starts
         while True:
-            first = reader.line_num + 1  # the physical line where the chunk's first record starts
-            rows, failure = _read_rows(reader, CSV_CHUNK_ROWS)
+            rows, lines, failure = _read_rows(fh, CSV_CHUNK_ROWS)
             # a row with the wrong field count is a fault before any of its cells
             wrong_width = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
             short = int(wrong_width[0]) if wrong_width.size else len(rows)
@@ -367,10 +401,11 @@ def load_csv(path, schema: list[FeatureColumn], vocabularies: dict[str, list[str
                 line = _start_line(rows, short, first)
                 raise DataError(f"line {line}: expected {width} fields, got {len(rows[short])}")
             if failure is not None:
-                raise _read_error(_start_line(rows, len(rows), first), failure)
+                raise DataError(f"line {_start_line(rows, len(rows), first)}: {failure}")
             n += len(rows)
             if len(rows) < CSV_CHUNK_ROWS:
                 break
+            first += lines
         if n == 0:
             raise DataError("no data rows")
     columns = {name: _freeze(np.concatenate(parts)) for name, parts in chunks.items()}
@@ -385,13 +420,19 @@ def _check_decodable(dataset: Dataset, column: str) -> None:
         dataset.decode(column, int(category_ids[np.argmax(unknown)]))  # raises UsageError
 
 
-def _formatted(dataset: Dataset, col: FeatureColumn, rows: slice) -> list[str]:
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it in a record of more than one field."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text, ""])
+    return out.getvalue()[: -len(",\n")]
+
+
+def _formatted(dataset: Dataset, col: FeatureColumn, rows: slice, fields: dict[str, list[str]]) -> list[str]:
     values = dataset.columns[col.name][rows].tolist()
     if col.role == ROLE_LABEL:
         return [str(int(v)) for v in values]
     if col.kind == KIND_CATEGORICAL:
-        vocab = dataset.vocabularies[col.name]
-        return [vocab[i] for i in values]
+        return list(map(fields[col.name].__getitem__, values))
     return list(map(repr, values))
 
 
@@ -402,17 +443,21 @@ def save_csv(dataset: Dataset, path) -> None:
     cycle of raw data is value-exact and repeated saves are byte-identical.
     Every category id is checked before the file is opened; the rows are
     then formatted and written ``CSV_CHUNK_ROWS`` at a time, so the text
-    held in memory does not grow with the row count.
+    held in memory does not grow with the row count. Each vocabulary entry
+    and column name is quoted once, as ``csv.writer`` quotes a field, and
+    each row is its fields joined by commas: a ``repr`` or a 0/1 label
+    never needs quotes. The bytes are those ``csv.writer`` would write.
     """
-    for col in dataset.schema:
-        if col.kind == KIND_CATEGORICAL and col.role != ROLE_LABEL:
-            _check_decodable(dataset, col.name)
+    categorical = [c.name for c in dataset.schema if c.kind == KIND_CATEGORICAL and c.role != ROLE_LABEL]
+    for name in categorical:
+        _check_decodable(dataset, name)
+    fields = {name: list(map(_csv_field, dataset.vocabularies[name])) for name in categorical}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([c.name for c in dataset.schema])
+        fh.write(",".join(_csv_field(c.name) for c in dataset.schema) + "\n")
         for start in range(0, dataset.n, CSV_CHUNK_ROWS):
             rows = slice(start, start + CSV_CHUNK_ROWS)
-            writer.writerows(zip(*(_formatted(dataset, col, rows) for col in dataset.schema)))
+            columns = [_formatted(dataset, col, rows, fields) for col in dataset.schema]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 # -- splitting and standardization --------------------------------------------

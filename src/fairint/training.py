@@ -252,7 +252,9 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     TrainingError naming the epoch (and the batch, for a step). Early
     stopping triggers after ``patience`` epochs without a new best
     validation AUC (a tie is not a new best), and the returned parameters
-    always belong to the best epoch, never a later one.
+    always belong to the best epoch, never a later one. The history's
+    ``stopping_reason`` is ``max_epochs`` whenever every epoch ran, even
+    if patience ran out at the last one, and ``early_stopping`` otherwise.
     """
     if dataset.split_tags is None:
         raise UsageError("dataset must be split before training")
@@ -267,7 +269,6 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     records: list[EpochRecord] = []
     best_epoch: int | None = None
     best_values: np.ndarray | None = None
-    stopping_reason = "max_epochs"
 
     for epoch in range(cfg.max_epochs):
         epoch_losses = _train_epoch(model, optimizer, cfg, epoch, encoded, labels, sensitive)
@@ -280,12 +281,12 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
         if best_epoch is None or val_report.auc > records[best_epoch].val_report.auc:
             best_epoch, best_values = epoch, model.param_values.copy()
         elif epoch - best_epoch >= cfg.patience:
-            stopping_reason = "early_stopping"
             break
 
     if best_values is not None:
         model.param_values[:] = best_values
     model.freeze()
+    stopping_reason = "early_stopping" if len(records) < cfg.max_epochs else "max_epochs"
     return model, TrainHistory(epochs=records, best_epoch=best_epoch, stopping_reason=stopping_reason)
 
 

@@ -6,9 +6,12 @@ module's own scalar parsers in file order, so the first fault found is
 the first in the file by construction, and every message is worded
 here, apart from the package's. Every error names the physical line where the
 faulty record starts, read from ``csv.reader.line_num`` after the record
-before it. The only addition to the loops is that a ``csv.Error`` (such
+before it. The only additions to the loops are that a ``csv.Error`` (such
 as a field over the csv module's size limit) becomes a DataError naming
-the line of the record being read. Only tests import this module.
+the line of the record being read, and that the file is decoded with
+``surrogateescape``, so a record that holds a byte that is not UTF-8
+(the header included) is a fault at its line, before its width and its
+cells. Only tests import this module.
 """
 
 import csv
@@ -48,6 +51,13 @@ def _parse_numeric(text: str) -> float:
     return value
 
 
+def _check_utf8(row, path, start) -> None:
+    for text in row:
+        for ch in text:
+            if "\udc80" <= ch <= "\udcff":  # the byte ord(ch) - 0xDC00, escaped by the decoder
+                raise DataError(f"{path}: line {start}: byte {ord(ch) - 0xDC00:#04x} is not UTF-8 text")
+
+
 def oracle_load_csv(path, schema, vocabularies=None) -> Dataset:
     schema = _validate_schema(list(schema))
     building = vocabularies is None
@@ -67,16 +77,18 @@ def oracle_load_csv(path, schema, vocabularies=None) -> Dataset:
 
     start = 1  # the physical line where the record being read starts
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
+            _check_utf8(header, path, start)
             if header != expected_header:
                 raise DataError(f"{path}: header {header} does not match schema columns {expected_header}")
             start = reader.line_num + 1
             for row in reader:
+                _check_utf8(row, path, start)
                 if len(row) != len(schema):
                     raise DataError(f"{path}: line {start}: expected {len(schema)} fields, got {len(row)}")
                 for col, text in zip(schema, row):
@@ -101,8 +113,6 @@ def oracle_load_csv(path, schema, vocabularies=None) -> Dataset:
                     except DataError as exc:
                         raise DataError(f"{path}: line {start}, column {col.name!r}: {exc}") from None
                 start = reader.line_num + 1
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: file is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise DataError(f"{path}: line {start}: {exc}") from None
 

@@ -2,13 +2,21 @@
 
 Each example draws a small schema (mixed column kinds and roles), a
 building or frozen vocabulary, a file that often spans more than one
-chunk of ``CSV_CHUNK_ROWS`` rows, a few quoted cells that span lines
-(``\\n``, ``\\r\\n`` or a lone ``\\r`` inside the quotes), and a few faults
-at random cells, many of them next to a chunk boundary. Rows end in
-``\\n`` or ``\\r\\n``. The chunked loader must give exactly
-what the reference loop in ``csv_oracle`` gives: the same arrays (bytes
-and dtype), row count and vocabularies, or the same DataError text. A
-file that loads must also be written back byte for byte as the
+chunk of ``CSV_CHUNK_ROWS`` rows, and a few faults at random cells, many
+of them next to a chunk boundary. ``load_csv`` splits a chunk of plain
+lines itself and hands any other chunk to ``csv.reader``, so the files
+come in four layouts that reach both readers and the switch between
+them: any cells, with a few quoted cells that span lines (``\n``,
+``\r\n`` or a lone ``\r`` inside the quotes) and rows ending in ``\n``
+or ``\r\n``; unquoted cells only, with ``\n`` endings; and unquoted
+cells but for one quoted cell that spans lines, after the first chunk
+or inside it (often on its last line, so that the record runs into the
+next chunk's lines). A file may also lack its last line break, or hold
+a blank line, a NUL cell, or a line longer than the csv field size
+limit whose fields are all within it. The chunked loader must give
+exactly what the reference loop in ``csv_oracle`` gives: the same arrays
+(bytes and dtype), row count and vocabularies, or the same DataError
+text. A file that loads must also be written back byte for byte as the
 reference writer writes it, or, when a category id has no source value
 (an unknown slot), both writers must refuse it with UsageError.
 Examples are derandomized, so the suite is deterministic, and every
@@ -30,7 +38,7 @@ from hypothesis import strategies as st  # noqa: E402
 from fairint.data import CSV_CHUNK_ROWS, FeatureColumn, load_csv, save_csv  # noqa: E402
 from fairint.errors import DataError, UsageError  # noqa: E402
 
-DIFFERENTIAL = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+DIFFERENTIAL = settings(max_examples=160, deadline=None, derandomize=True, database=None)
 
 # category texts, some of which the csv writer must quote
 CATEGORIES = ["a", "b", "c d", "x,y", 'q"r', "", " a", "é"]
@@ -44,6 +52,10 @@ FAULTS = ["text", "text", "text", "short", "long", "not_utf8", "over_limit"]  # 
 MULTI_LINE = ["l\nm", "l\r\nm", "l\rm,", "\r\r\n\n"]
 NOT_UTF8 = "\udcff"  # written as the single byte 0xff
 OVER_LIMIT = "9" * (csv.field_size_limit() + 1)
+# a cell whose line, with one more such cell, is longer than the field size limit; 0 as a number or label
+LONG_ZERO = "0" * (csv.field_size_limit() // 2 + 1)
+LAYOUTS = ["any", "plain", "plain_then_quoted", "quoted_then_plain"]
+EXTRAS = [None, None, "blank_line", "nul_cell", "long_line"]
 # most files end next to a chunk boundary, on either side of it
 ROW_COUNTS = [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, CSV_CHUNK_ROWS + 5,
               2 * CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 3]
@@ -58,7 +70,7 @@ def schemas(draw):
     ]
     if columns[1].kind == "categorical":
         columns[1] = FeatureColumn("y", "categorical", "label", cardinality=2)
-    for i in range(draw(st.integers(0, 3))):
+    for i in range(draw(st.integers(1, 3))):  # the schema needs one non-sensitive column
         if draw(st.booleans()):
             columns.append(FeatureColumn(f"n{i}", "numerical", "non_sensitive"))
         else:
@@ -66,7 +78,12 @@ def schemas(draw):
     return draw(st.permutations(columns))
 
 
-def cell_texts(col, rng):
+def unquoted(texts):
+    """The texts of ``texts`` that the csv writer leaves unquoted."""
+    return [text for text in texts if not any(c in text for c in ',"\r\n')]
+
+
+def cell_texts(col, rng, categories):
     """A function giving a valid random cell of ``col``."""
     if col.role == "label":
         return lambda: rng.choice(LABELS)
@@ -74,12 +91,12 @@ def cell_texts(col, rng):
         return lambda: rng.choice(SENSITIVE)
     if col.kind == "numerical":
         return lambda: rng.choice(NUMBERS) if rng.random() < 0.3 else repr(rng.gauss(0.0, 1e3))
-    pool = CATEGORIES[: col.cardinality + 2]  # more values than fit, so some map to the unknown slot
+    pool = categories[: col.cardinality + 2]  # more values than fit, so some map to the unknown slot
     return lambda: rng.choice(pool)
 
 
 @st.composite
-def vocabularies(draw, schema):
+def vocabularies(draw, schema, categories):
     """None (the loader builds them), or frozen vocabularies, some with a repeated entry."""
     if draw(st.booleans()):
         return None
@@ -87,7 +104,7 @@ def vocabularies(draw, schema):
     for col in schema:
         if col.kind != "categorical" or col.role == "label":
             continue
-        pool = SENSITIVE if col.role == "sensitive" else CATEGORIES[: col.cardinality + 2]
+        pool = SENSITIVE if col.role == "sensitive" else categories[: col.cardinality + 2]
         vocab = draw(st.permutations(pool))[: 2 if col.role == "sensitive" else col.cardinality]
         if draw(st.booleans()):
             vocab.insert(draw(st.integers(0, len(vocab))), draw(st.sampled_from(vocab)))
@@ -96,12 +113,13 @@ def vocabularies(draw, schema):
 
 
 @st.composite
-def fault_rows(draw, n):
-    """A data row index, often one next to a chunk boundary."""
-    boundaries = [b + d for b in range(CSV_CHUNK_ROWS, n + 1, CSV_CHUNK_ROWS) for d in (-1, 0)]
+def fault_rows(draw, n, lo=0, hi=None):
+    """A data row index in ``[lo, hi)`` (default: any row), often one next to a chunk boundary."""
+    hi = n if hi is None else hi
+    boundaries = [b + d for b in range(CSV_CHUNK_ROWS, n + 1, CSV_CHUNK_ROWS) for d in (-1, 0) if lo <= b + d < hi]
     if boundaries and draw(st.booleans()):
-        return min(draw(st.sampled_from(boundaries)), n - 1)
-    return draw(st.integers(0, n - 1))
+        return draw(st.sampled_from(boundaries))
+    return draw(st.integers(lo, hi - 1))
 
 
 def render(header, rows, terminator="\n") -> bytes:
@@ -124,26 +142,50 @@ def outcome(loader, path, schema, vocabs):
 @DIFFERENTIAL
 @given(data=st.data())
 def test_chunked_load_and_columnar_save_match_the_row_loops(tmp_path_factory, data):
+    layout = data.draw(st.sampled_from(LAYOUTS))
+    categories = CATEGORIES if layout == "any" else unquoted(CATEGORIES)
+    bad_texts = BAD_TEXTS if layout == "any" else unquoted(BAD_TEXTS)
     schema = data.draw(schemas())
-    vocabs = data.draw(vocabularies(schema))
-    n = data.draw(st.sampled_from(ROW_COUNTS) | st.integers(1, 2 * CSV_CHUNK_ROWS + 2))
+    vocabs = data.draw(vocabularies(schema, categories))
+    switch = layout in ("plain_then_quoted", "quoted_then_plain")
+    fewest = CSV_CHUNK_ROWS + 1 if switch else 1  # a switch of reader needs two chunks
+    n = data.draw(st.sampled_from([c for c in ROW_COUNTS if c >= fewest]) | st.integers(fewest, 2 * CSV_CHUNK_ROWS + 2))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    makers = [cell_texts(col, rng) for col in schema]
+    makers = [cell_texts(col, rng, categories) for col in schema]
     rows = [[make() for make in makers] for _ in range(n)]
-    # valid in a non-sensitive categorical column, a bad cell anywhere else
-    for _ in range(data.draw(st.integers(0, 3))):
-        row, pos = data.draw(fault_rows(n)), data.draw(st.integers(0, len(schema) - 1))
+    # quoted cells that span lines: valid in a non-sensitive categorical column, a bad cell anywhere else
+    if layout == "any":
+        spots = [data.draw(fault_rows(n)) for _ in range(data.draw(st.integers(0, 3)))]
+    elif layout == "plain_then_quoted":  # one, after the first chunk
+        spots = [data.draw(fault_rows(n, lo=CSV_CHUNK_ROWS))]
+    elif layout == "quoted_then_plain":  # one, in the first chunk
+        spots = [data.draw(fault_rows(n, hi=CSV_CHUNK_ROWS))]
+    else:
+        spots = []
+    # a switch layout puts its quoted cell where it is valid, so that the read goes on past it
+    takers = [pos for pos, col in enumerate(schema) if col.kind == "categorical" and col.role == "non_sensitive"]
+    for row in spots:
+        pos = data.draw(st.sampled_from(takers) if switch and takers else st.integers(0, len(schema) - 1))
         rows[row][pos] = data.draw(st.sampled_from(MULTI_LINE))
 
+    extra = data.draw(st.sampled_from(EXTRAS))
+    if extra == "nul_cell":
+        row, pos = data.draw(fault_rows(n)), data.draw(st.integers(0, len(schema) - 1))
+        rows[row][pos] = data.draw(st.sampled_from(["\0", "a\0b"]))
+    elif extra == "long_line":
+        row = data.draw(fault_rows(n))
+        rows[row] = [text if col.role == "sensitive" else LONG_ZERO for col, text in zip(schema, rows[row])]
+
     over_limit = False
-    for _ in range(data.draw(st.integers(0, 4))):
+    # a reader switch is reached only when no fault comes before it
+    for _ in range(data.draw(st.integers(0, 1 if switch else 4))):
         row, pos = data.draw(fault_rows(n)), data.draw(st.integers(0, len(schema) - 1))
         fault = data.draw(st.sampled_from(FAULTS))
         if not rows[row]:  # emptied by earlier faults
             continue
         pos %= len(rows[row])
         if fault == "text":
-            rows[row][pos] = data.draw(st.sampled_from(BAD_TEXTS))
+            rows[row][pos] = data.draw(st.sampled_from(bad_texts))
         elif fault == "short":
             del rows[row][pos]
         elif fault == "long":
@@ -152,9 +194,15 @@ def test_chunked_load_and_columnar_save_match_the_row_loops(tmp_path_factory, da
             rows[row][pos] = rows[row][pos] + NOT_UTF8
         elif not over_limit:  # at most one, to keep the file small
             rows[row][pos], over_limit = OVER_LIMIT, True
+    if extra == "blank_line":
+        rows.insert(data.draw(fault_rows(n)), [])
 
+    terminator = data.draw(st.sampled_from(["\n", "\r\n"])) if layout == "any" else "\n"
+    text = render([c.name for c in schema], rows, terminator)
+    if data.draw(st.booleans()):  # no line break after the last line
+        text = text.removesuffix(terminator.encode())
     path = tmp_path_factory.mktemp("differential") / "data.csv"
-    path.write_bytes(render([c.name for c in schema], rows, data.draw(st.sampled_from(["\n", "\r\n"]))))
+    path.write_bytes(text)
     expected = outcome(oracle_load_csv, path, schema, vocabs)
     assert outcome(load_csv, path, schema, vocabs) == expected
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from csv_oracle import oracle_load_csv
 
 from fairint.data import (
     CSV_CHUNK_ROWS,
@@ -270,8 +271,36 @@ def test_invalid_utf8_after_good_rows_is_reported(tmp_path):
     lines[3000] = "3000,f,cl\udcffrk,0"
     path = tmp_path / "d.csv"
     path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
-    with pytest.raises(DataError, match="is not UTF-8"):
+    with pytest.raises(DataError, match=r"line 3001: byte 0xff is not UTF-8 text$"):
         load_csv(path, make_schema())
+
+
+@pytest.mark.parametrize("loader", [load_csv, oracle_load_csv], ids=["chunked", "oracle"])
+def test_a_bad_cell_a_few_lines_before_invalid_utf8_is_the_fault_reported(tmp_path, loader):
+    # the decoder reads ahead in blocks, so a strict decode failed on line 1505's byte first
+    lines = ["age,sex,job,y", *with_row(good_rows(3000), 1500, "1500,f,clerk,7")]
+    lines[1504] = "1503,f,cl\udcffrk,1"
+    path = tmp_path / "d.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(DataError, match=r"line 1502, column 'y': label '7' is not 0 or 1$"):
+        loader(path, make_schema())
+
+
+@pytest.mark.parametrize("loader", [load_csv, oracle_load_csv], ids=["chunked", "oracle"])
+@pytest.mark.parametrize(
+    "header, row, expected",
+    [
+        ("age,s\udce9x,job,y", "1,f,clerk,0", r"line 1: byte 0xe9 is not UTF-8 text$"),
+        ("age,sex,job,y", "1,f,clerk,0,\udc80", r"line 3: byte 0x80 is not UTF-8 text$"),  # before its width
+        ("age,sex,job,y", '1,f,"cl\n\udcc3rk",0', r"line 3: byte 0xc3 is not UTF-8 text$"),
+    ],
+    ids=["in_the_header", "in_a_row_of_the_wrong_width", "in_a_quoted_field"],
+)
+def test_invalid_utf8_names_the_line_of_its_record_and_the_byte(tmp_path, loader, header, row, expected):
+    path = tmp_path / "d.csv"
+    path.write_bytes("\n".join([header, "0,m,clerk,1", row, "2,m,clerk,1"]).encode("utf-8", "surrogateescape"))
+    with pytest.raises(DataError, match=expected):
+        loader(path, make_schema())
 
 
 def test_field_over_the_csv_size_limit_is_a_data_error_naming_its_line(tmp_path):

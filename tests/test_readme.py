@@ -22,7 +22,7 @@ def test_readme_states_the_score_block_size():
 
 
 def test_readme_states_the_csv_chunk_size():
-    sizes = quoted(r"written (\d+) rows at a time")
+    sizes = quoted(r"written (\d+) rows at a time") + quoted(r"read (\d+) lines at a time")
     assert sizes and set(sizes) == {CSV_CHUNK_ROWS}, sizes
 
 

@@ -300,7 +300,7 @@ def test_early_stopping_cuts_the_run(tiny):
     # the run ends patience epochs after its best one, unless max_epochs comes first
     patience_end = history.best_epoch + 1 + config.patience
     assert len(history.epochs) == min(patience_end, config.max_epochs)
-    assert history.stopping_reason == ("early_stopping" if patience_end <= config.max_epochs else "max_epochs")
+    assert history.stopping_reason == ("early_stopping" if patience_end < config.max_epochs else "max_epochs")
 
 
 def _scripted_validation(monkeypatch, aucs):
@@ -326,10 +326,12 @@ def _scripted_validation(monkeypatch, aucs):
         ([0.7, 0.7], 1, 10, 0, "early_stopping"),
         ([0.5, 0.6, 0.7, 0.8, 0.75], 3, 5, 3, "max_epochs"),
         ([0.8, 0.7, 0.6], 3, 3, 0, "max_epochs"),
+        ([0.5, 0.9, 0.8, 0.7], 2, 4, 1, "max_epochs"),
         ([], 2, 0, None, "max_epochs"),
     ],
     ids=["tie_is_not_a_new_best", "falls_after_best", "rises_after_a_fall", "patience_1",
-         "best_inside_the_last_patience_epochs", "max_epochs_one_short_of_patience", "zero_epochs"],
+         "best_inside_the_last_patience_epochs", "max_epochs_one_short_of_patience",
+         "patience_runs_out_at_the_last_epoch", "zero_epochs"],
 )
 def test_early_stopping_follows_the_validation_aucs(tiny, monkeypatch, aucs, patience, max_epochs, best_epoch,
                                                     reason):

@@ -15,6 +15,11 @@ commands, each in its own process with one BLAS thread:
   eval        the fair synth model, with true and with reconstructed groups
   explain     the fair synth model
   probe       the categorical table
+  quoted      ``probe``, and ``eval`` of the categorical model, on a copy of
+              the categorical table written with ``\r\n`` line ends and
+              every field quoted: the one table that the CSV reader parses
+              with ``csv.reader``, where it splits the others at line
+              breaks and commas
   sweep       ``--grid "0,0;2,30"`` on the synth table
   malformed   one bad input per reader: a CSV cell, a truncated ``model.bin``,
               a schema entry in a ``model.bin``'s metadata and in a schema
@@ -89,6 +94,9 @@ COMMANDS = [
     ("eval_reconstructed", ["eval", *MODEL, "--groups-from", "reconstructed", "--out", "eval_reconstructed.json"], 0),
     ("explain", ["explain", *MODEL], 0),
     ("probe", ["probe", "--csv", "categorical.csv", "--schema", "categorical.schema.json", "--out", "probe.json"], 0),
+    ("probe_quoted", ["probe", "--csv", "quoted.csv", "--schema", "categorical.schema.json",
+                      "--out", "probe_quoted.json"], 0),
+    ("eval_quoted", ["eval", "--model", "categorical/model.bin", "--csv", "quoted.csv", "--out", "eval_quoted.json"], 0),
     ("sweep", ["sweep", "--config", "sweep.json", "--grid", "0,0;2,30"], 0),
     ("bad_cell", ["probe", "--csv", "bad_cell.csv", "--schema", "categorical.schema.json"], 3),
     ("bad_truncated_model", ["eval", "--model", "truncated.bin", "--csv", "synth.csv"], 3),
@@ -136,6 +144,8 @@ def write_inputs(run_dir: Path) -> None:
     header = ["color", "region", "x", "s", "y"]
     with open(run_dir / "categorical.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    with open(run_dir / "quoted.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\r\n", quoting=csv.QUOTE_ALL).writerows([header, *rows])
     with open(run_dir / "no_inputs.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header[3:], *(row[3:] for row in rows)])
     rows[5][2] = "abc"
