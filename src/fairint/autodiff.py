@@ -45,6 +45,18 @@ it replaces, in the same order, so values and gradients come out bit for
 bit as they would from the separate ops. Those chains are kept only as
 the tests' reference.
 
+Each fused op runs its elementwise work on contiguous arrays of one
+dtype, so that every ufunc loops over a whole array rather than over
+many short rows: the outer products of a (B, C) and a (B, k) array's
+rows are one product of the first repeated and the second tiled to
+(B, C*k), not a broadcast whose inner loop is k long, and a mask is
+float64 before it meets a float64 gradient. A product is exact, so its
+bits do not depend on the layout; a sum keeps the order of the chain it
+replaces. The ``no_grad`` path, which scores validation, eval and
+explain blocks, adds no temporary the size of a block's embeddings: a
+new array that size each call costs more in page faults than its
+longer inner loop saves.
+
 Any operation that produces NaN or Inf from finite inputs, or would take
 the log of a non-positive value, raises
 :class:`~fairint.errors.NumericError` immediately; nothing non-finite is
@@ -179,8 +191,12 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # each row's max as a max over the rows of the transpose, copied: one long inner loop per
+    # feature where a max along the rows would loop over a few features per row; a max is
+    # exact in any order. The sum keeps its axis: numpy sums 8 or more values pairwise
+    e = np.exp(v - v.T.copy().max(axis=0).T[..., None])
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -200,6 +216,14 @@ def _project_blocks(blocks: Tensor, proj: Tensor):
         return (g_rows @ w.T).reshape(x.shape), rows.T @ g_rows
 
     return (rows @ w).reshape(x.shape[0], -1, w.shape[1]), project_grads
+
+
+def _row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(B, C*k) outer products of the rows of (B, C) ``a`` and (B, k) ``b``, row b's laid out
+    flat: a[b, c] * b[b, j] at column c*k + j, as one product of two (B, C*k) arrays."""
+    out = a.repeat(b.shape[1], axis=1)
+    out *= b[:, None, :].repeat(a.shape[1], axis=1).reshape(out.shape)  # b tiled, faster than np.tile
+    return out
 
 
 def feature_attention(blocks: Tensor, key: Tensor, source: Tensor, query: Tensor) -> Tensor:
@@ -227,7 +251,7 @@ def feature_attention(blocks: Tensor, key: Tensor, source: Tensor, query: Tensor
     def grad_fn(g):
         g_scores = _softmax_grad(y, g)
         g_q = np.einsum("bc,bck->bk", g_scores, keys)
-        return *project_grads(g_scores[:, :, None] * q[:, None, :]), g_q @ qw.T, sv.T @ g_q
+        return *project_grads(_row_outer(g_scores, q)), g_q @ qw.T, sv.T @ g_q
 
     return _result(y, (blocks, key, source, query), "feature_attention", grad_fn)
 
@@ -241,7 +265,7 @@ def feature_pool(blocks: Tensor, proj: Tensor, weights: Tensor) -> Tensor:
         raise ShapeError(f"weights shape {w.shape} does not match values of shape {values.shape}")
 
     def grad_fn(g):
-        return *project_grads(w[:, :, None] * g[:, None, :]), np.einsum("bk,bck->bc", g, values)
+        return *project_grads(_row_outer(w, g)), np.einsum("bk,bck->bc", g, values)
 
     # einsum adds the features up in order, as a loop over them would
     return _result(np.einsum("bc,bck->bk", w, values), (blocks, proj, weights), "feature_pool", grad_fn)
@@ -258,12 +282,15 @@ def gather_scale(source: Tensor, index, scale) -> Tensor:
         raise ShapeError(f"cannot cut index of shape {idx.shape} into blocks for scale of shape {s.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= flat.size):
         raise DataError(f"index out of range [0, {flat.size}) in gather")
-    out = flat[idx]
-    blocks = (len(idx), s.shape[1], idx.shape[1] // s.shape[1])
-    out.reshape(blocks)[...] *= s[:, :, None]
+    out, width = flat[idx], idx.shape[1] // s.shape[1]
+    if _grad_enabled:  # the scale of every element, for this product and backward's
+        s = s.repeat(width, axis=1)
+        out *= s
+    else:  # no block-sized temporary: each scale multiplies its block in place
+        out.reshape(len(idx), s.shape[1], width)[...] *= s[:, :, None]
 
     def grad_fn(g):
-        weights = (g.reshape(blocks) * s[:, :, None]).reshape(-1)
+        weights = (g * s).reshape(-1)
         return (np.bincount(idx.reshape(-1), weights=weights, minlength=flat.size).reshape(source.values.shape),)
 
     return _result(out, (source,), "gather_scale", grad_fn)
@@ -293,23 +320,29 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None, activation: str | None 
         out += bv
     if activation is not None and not _all_finite(out):
         raise NumericError("operation 'dense' produced non-finite values before its activation")
-    mask = y = None  # backward multiplies the gradient by ``mask``, then by the sigmoid's slope
+    passed = y = None  # where backward passes the gradient on: the units ReLU kept and dropout did not drop
     if activation == "relu":
         np.maximum(out, 0.0, out=out)  # in place: ``out`` is this op's own product
         if _grad_enabled:  # the mask is for backward alone; max(z, 0) > 0 exactly where z > 0
-            mask = out > 0.0
+            passed = out > 0.0
     elif activation == "sigmoid":
         out = y = _sigmoid(out)
+    mask = None  # backward multiplies the gradient by ``mask``, then by the sigmoid's slope
     if rate > 0.0:
         if rng is None:
             raise UsageError(f"dropout at rate {rate} needs a generator")
-        keep = (rng.random(out.shape) >= rate) / (1.0 - rate)
+        kept = rng.random(out.shape) >= rate
+        passed = kept if passed is None else np.logical_and(kept, passed, out=kept)
+        mask = passed.astype(np.float64)
+        mask *= 1.0 / (1.0 - rate)  # 1 * (1 / (1 - rate)) is 1 / (1 - rate), as True / (1 - rate) is
+        # a unit ReLU zeroed holds +-0, which any mask value >= 0 leaves as it is; so ``out`` and
+        # g * mask have the bits of (out * keep) and (g * keep) * active of the separate masks
         if y is None:
-            out *= keep  # in place: ``out`` is this op's own product
+            out *= mask  # in place: ``out`` is this op's own product
         else:
-            out = y * keep  # backward reads y
-        # keep >= 0, so g * (keep * active) has the bits of (g * keep) * active
-        mask = keep if mask is None else np.multiply(keep, mask, out=keep)
+            out = y * mask  # backward reads y
+    elif passed is not None:
+        mask = passed.astype(np.float64)
 
     def grad_fn(g_out):
         g = g_out if mask is None else g_out * mask
@@ -334,7 +367,7 @@ def _row_cross_entropy(pred: Tensor, labels):
         raise ShapeError(f"labels of shape {y.shape} do not match predictions of shape {pred.values.shape}")
     sign = 2.0 * y - 1.0
     picked = pred.values * sign + (1.0 - y)
-    if np.any(picked <= 0.0):
+    if (picked <= 0.0).any():
         raise NumericError("log of a non-positive value")
     return np.log(picked) * -1.0, lambda g: ((g * -1.0) / picked) * sign
 
@@ -345,7 +378,8 @@ def cross_entropy(pred: Tensor, labels) -> Tensor:
     n = ce.size
     if n == 0:
         raise UsageError("cross entropy of an empty batch")
-    return _result(ce.mean(), (pred,), "cross_entropy", lambda g: (ce_grad(np.full_like(ce, float(g) / n)),))
+    return _result(np.add.reduce(ce, axis=None) / n, (pred,), "cross_entropy",
+                   lambda g: (ce_grad(np.full_like(ce, float(g) / n)),))
 
 
 def mean_squared_error(x: Tensor, target) -> Tensor:
@@ -362,7 +396,7 @@ def mean_squared_error(x: Tensor, target) -> Tensor:
         per_factor = np.full_like(diff, float(g) / n) * diff  # diff * diff reaches diff once per factor
         return (per_factor + per_factor,)
 
-    return _result((diff * diff).mean(), (x,), "mean_squared_error", grad_fn)
+    return _result(np.add.reduce(diff * diff, axis=None) / n, (x,), "mean_squared_error", grad_fn)
 
 
 _PAIR_DIFFERENCE = np.array([[1.0, -1.0]])  # (1, 2): row 0 minus row 1, as a product
@@ -385,7 +419,7 @@ def symmetric_kl(x: Tensor, mix) -> Tensor:
     if not _all_finite(logits):
         raise NumericError("operation 'symmetric_kl' produced non-finite values before its softmax")
     p = _softmax(logits)
-    if np.any(p <= 0.0):
+    if (p <= 0.0).any():
         raise NumericError("log of a non-positive value")
     p_diff, log_ratio = _PAIR_DIFFERENCE @ p, _PAIR_DIFFERENCE @ np.log(p)
     terms = p_diff * log_ratio
@@ -396,7 +430,7 @@ def symmetric_kl(x: Tensor, mix) -> Tensor:
         g_p += _PAIR_DIFFERENCE.T @ (g_terms * log_ratio)
         return (m.T @ _softmax_grad(p, g_p),)
 
-    return _result(terms.sum(), (x,), "symmetric_kl", grad_fn)
+    return _result(np.add.reduce(terms, axis=None), (x,), "symmetric_kl", grad_fn)
 
 
 def cross_entropy_gap(pred: Tensor, labels, mix, scale: float) -> Tensor:
@@ -407,7 +441,7 @@ def cross_entropy_gap(pred: Tensor, labels, mix, scale: float) -> Tensor:
     ce, ce_grad = _row_cross_entropy(pred, labels)
     contrast = _PAIR_DIFFERENCE @ m
     gap = contrast @ ce
-    total = np.asarray(gap.sum())
+    total = np.add.reduce(gap, axis=None)
 
     def grad_fn(g):
         return (ce_grad(contrast.T @ np.full_like(gap, float(g * scale * np.sign(total)))),)

@@ -421,10 +421,11 @@ def _check_decodable(dataset: Dataset, column: str) -> None:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as the csv module writes it in a record of more than one field."""
+    """``text`` as the csv module writes it in a record of more than one field, quoted when it
+    holds a line break: ``\\n``, or a lone ``\\r``, which a reader also ends a line at."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([text, ""])
-    return out.getvalue()[: -len(",\n")]
+    csv.writer(out, lineterminator="\r\n").writerow([text, ""])  # quotes a field holding either
+    return out.getvalue()[: -len(",\r\n")]
 
 
 def _formatted(dataset: Dataset, col: FeatureColumn, rows: slice, fields: dict[str, list[str]]) -> list[str]:
@@ -446,7 +447,10 @@ def save_csv(dataset: Dataset, path) -> None:
     held in memory does not grow with the row count. Each vocabulary entry
     and column name is quoted once, as ``csv.writer`` quotes a field, and
     each row is its fields joined by commas: a ``repr`` or a 0/1 label
-    never needs quotes. The bytes are those ``csv.writer`` would write.
+    never needs quotes. The bytes are those ``csv.writer`` with
+    ``lineterminator="\\n"`` would write, except that a field holding a
+    lone ``\\r`` is quoted too, which that writer leaves bare though every
+    reader takes it for a line break.
     """
     categorical = [c.name for c in dataset.schema if c.kind == KIND_CATEGORICAL and c.role != ROLE_LABEL]
     for name in categorical:

@@ -15,6 +15,7 @@ cells. Only tests import this module.
 """
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -126,11 +127,18 @@ def oracle_load_csv(path, schema, vocabularies=None) -> Dataset:
     return Dataset(schema=schema, columns=columns, vocabularies=vocabs, n=n)
 
 
+def _record(fields) -> str:
+    """One line ending in ``\\n``, its fields quoted as ``csv.writer`` quotes them with a ``\\r\\n``
+    line terminator: also a field holding a lone ``\\r``, which a ``\\n`` writer leaves bare."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue().removesuffix("\r\n") + "\n"
+
+
 def oracle_save_csv(dataset: Dataset, path) -> None:
     names = [c.name for c in dataset.schema]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
+        fh.write(_record(names))
         for i in range(dataset.n):
             row = []
             for col in dataset.schema:
@@ -141,4 +149,4 @@ def oracle_save_csv(dataset: Dataset, path) -> None:
                     row.append(dataset.decode(col.name, int(value)))
                 else:
                     row.append(repr(float(value)))
-            writer.writerow(row)
+            fh.write(_record(row))

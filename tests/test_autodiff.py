@@ -239,8 +239,8 @@ def test_grad_softmax(seed):
     )
 
 
-# (rows B, features C, block width d, projection width k): one feature, and k != d
-FEATURE_SHAPES = [(4, 3, 2, 3), (3, 1, 2, 2), (5, 2, 3, 2)]
+# (rows B, features C, block width d, projection width k): one feature, k != d, and a wide table
+FEATURE_SHAPES = [(4, 3, 2, 3), (3, 1, 2, 2), (5, 2, 3, 2), (2, 14, 2, 3)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -304,6 +304,73 @@ def test_feature_ops_equal_a_per_feature_loop(n_feat, d, k):
         pooled = pooled + weights[:, c : c + 1] * projections[c]
     got = feature_pool(Tensor(blocks), Tensor(proj), Tensor(weights)).values
     assert np.array_equal(got, pooled)
+
+
+def tracked_grads(out, upstream, inputs):
+    """The gradients ``backward`` leaves in the tracked ``inputs`` of ``out`` for an upstream gradient:
+    sum(out * upstream) hands ``out`` exactly ``upstream``."""
+    backward(sum_all(mul(out, Tensor(upstream))))
+    return [x.grad for x in inputs]
+
+
+def per_feature_block_grads(blocks, proj, per_feature):
+    """Gradients of (B, C*d) ``blocks`` and (d, k) ``proj`` from ``per_feature[c]``, the (B, k) gradient
+    of feature c's projection: one product per feature for the blocks; one product over every
+    (row, feature) pair, in the op's row order, for ``proj``."""
+    g_blocks = np.concatenate([g @ proj.T for g in per_feature], axis=1)
+    return g_blocks, blocks.reshape(-1, proj.shape[0]).T @ np.stack(per_feature, axis=1).reshape(-1, proj.shape[1])
+
+
+# the width of the wide benchmark table, at a training batch and at an eval block
+@pytest.mark.parametrize("rows", [128, 2048])
+def test_feature_op_gradients_equal_a_per_feature_loop(rows):
+    n_feat, d, k = 14, 4, 4
+    rng = np.random.default_rng(rows)
+    blocks, proj = rng.standard_normal((rows, n_feat * d)), rng.standard_normal((d, k))
+    source, query_w = rng.standard_normal((rows, 3)), rng.standard_normal((3, k))
+    weights, g_out = rng.random((rows, n_feat)), rng.standard_normal((rows, n_feat))
+    projections = [np.ascontiguousarray(blocks[:, c * d : (c + 1) * d]) @ proj for c in range(n_feat)]
+    query = source @ query_w
+
+    inputs = [Tensor(a, grad_tracked=True) for a in (blocks, proj, source, query_w)]
+    out = feature_attention(*inputs)
+    got = tracked_grads(out, g_out, inputs)
+    y = out.values
+    g_scores = y * (g_out - (g_out * y).sum(axis=-1, keepdims=True))
+    g_query = g_scores[:, 0:1] * projections[0]
+    for c in range(1, n_feat):
+        g_query = g_query + g_scores[:, c : c + 1] * projections[c]
+    want = [*per_feature_block_grads(blocks, proj, [g_scores[:, c : c + 1] * query for c in range(n_feat)]),
+            g_query @ query_w.T, source.T @ g_query]
+    for name, a, b in zip(("blocks", "key", "source", "query"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+
+    g_out = rng.standard_normal((rows, k))
+    inputs = [Tensor(a, grad_tracked=True) for a in (blocks, proj, weights)]
+    got = tracked_grads(feature_pool(*inputs), g_out, inputs)
+    # the weights' gradient sums each feature's k products as numpy's einsum sums them
+    want = [*per_feature_block_grads(blocks, proj, [weights[:, c : c + 1] * g_out for c in range(n_feat)]),
+            np.stack([np.einsum("bk,bk->b", g_out, p) for p in projections], axis=1)]
+    for name, a, b in zip(("blocks", "proj", "weights"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [128, 2048])
+def test_gather_scale_scatter_equals_a_per_element_loop(rows):
+    # 14 blocks of 4 from a source of 300 elements, so most elements are read many times
+    n_feat, d = 14, 4
+    rng = np.random.default_rng(rows)
+    source = Tensor(rng.standard_normal((3, 100)), grad_tracked=True)
+    index, scale = rng.integers(0, 300, size=(rows, n_feat * d)), rng.standard_normal((rows, n_feat))
+    g_out = rng.standard_normal((rows, n_feat * d))
+    out = gather_scale(source, index, scale)
+    want = source.values.reshape(-1)[index] * np.repeat(scale, d, axis=1)
+    assert out.values.tobytes() == want.tobytes()
+    (got,) = tracked_grads(out, g_out, [source])
+    want = [0.0] * 300
+    for (r, j), i in np.ndenumerate(index):  # each element's share, added in row-major order
+        want[i] += float(g_out[r, j] * scale[r, j // d])
+    assert got.tobytes() == np.array(want).reshape(3, 100).tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -613,6 +613,22 @@ def test_save_load_round_trip_preserves_values(tmp_path):
         assert back.decode("s", int(back.columns["s"][i])) == ds.decode("s", int(ds.columns["s"][i]))
 
 
+def test_a_category_holding_a_lone_carriage_return_round_trips(tmp_path):
+    # csv.writer with a "\n" line terminator leaves a lone "\r" bare, and a reader ends a line there
+    schema = [FeatureColumn("c", "categorical", "non_sensitive", cardinality=2),
+              FeatureColumn("s", "categorical", "sensitive", cardinality=2),
+              FeatureColumn("y", "numerical", "label")]
+    columns = {"c": np.array([0, 1, 0]), "s": np.array([0, 1, 1]), "y": np.array([0.0, 1.0, 0.0])}
+    ds = Dataset(schema=schema, columns=columns, vocabularies={"c": ["a\rb", "x"], "s": ["0", "1"]}, n=3)
+    path = tmp_path / "cr.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == b'c,s,y\n"a\rb",0,0\nx,1,1\n"a\rb",1,0\n'
+    back = load_csv(path, schema)
+    assert back.vocabularies == ds.vocabularies
+    for name, values in columns.items():
+        np.testing.assert_array_equal(back.columns[name], values)
+
+
 def test_save_csv_is_byte_stable(tmp_path):
     ds = synth_generate(150, 0.5, 0.3, seed=2)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -11,9 +11,14 @@ commands, each in its own process with one BLAS thread:
 
   synth       ``synth --n 3000 --beta 2 --rho 0.8 --seed 1``
   train       fair (lambda_ifc 2, lambda_fc 30) and vanilla on that table,
-              and fair on a fixed table with two categorical columns
-  eval        the fair synth model, with true and with reconstructed groups
-  explain     the fair synth model
+              fair on a fixed table with two categorical columns, and fair
+              on a fixed wide table of 6 numerical and 8 categorical
+              inputs (the column kinds and category counts of the
+              benchmark's Adult-shaped table), where the attention scores
+              14 features
+  eval        the fair synth model, with true and with reconstructed groups,
+              and the fair wide model
+  explain     the fair synth model and the fair wide model
   probe       the categorical table
   quoted      ``probe``, and ``eval`` of the categorical model, on a copy of
               the categorical table written with ``\r\n`` line ends and
@@ -79,11 +84,16 @@ CONFIGS = {
     "vanilla.json": (SYNTH_DATA, {"enable_bid": False}, "vanilla"),
     "categorical.json": ({"csv_path": "categorical.csv", "schema_path": "categorical.schema.json"},
                          {"lambda_ifc": 2.0, "lambda_fc": 30.0}, "categorical"),
+    "wide.json": ({"csv_path": "wide.csv", "schema_path": "wide.schema.json"},
+                  {"lambda_ifc": 2.0, "lambda_fc": 30.0}, "wide"),
     "sweep.json": (SYNTH_DATA, {}, "sweep"),
     "no_inputs.json": ({"csv_path": "no_inputs.csv", "schema_path": "no_inputs.schema.json"}, {}, "no_inputs"),
     "one_epoch.json": (SYNTH_DATA, {"max_epochs": 1, "patience": 1}, "one_epoch"),
 }
 MODEL = ["--model", "fair/model.bin", "--csv", "synth.csv"]
+WIDE_MODEL = ["--model", "wide/model.bin", "--csv", "wide.csv"]
+# the category counts of the benchmark's Adult-shaped table
+WIDE_CARDINALITIES = (8, 16, 7, 14, 6, 5, 40, 2)
 # (label, arguments, expected exit code)
 COMMANDS = [
     ("synth", SYNTH, 0),
@@ -93,6 +103,9 @@ COMMANDS = [
     ("eval_true", ["eval", *MODEL, "--out", "eval_true.json"], 0),
     ("eval_reconstructed", ["eval", *MODEL, "--groups-from", "reconstructed", "--out", "eval_reconstructed.json"], 0),
     ("explain", ["explain", *MODEL], 0),
+    ("train_wide", ["train", "--config", "wide.json"], 0),
+    ("eval_wide", ["eval", *WIDE_MODEL, "--out", "eval_wide.json"], 0),
+    ("explain_wide", ["explain", *WIDE_MODEL], 0),
     ("probe", ["probe", "--csv", "categorical.csv", "--schema", "categorical.schema.json", "--out", "probe.json"], 0),
     ("probe_quoted", ["probe", "--csv", "quoted.csv", "--schema", "categorical.schema.json",
                       "--out", "probe_quoted.json"], 0),
@@ -130,8 +143,34 @@ def export_tree(revision: str, into: Path) -> Path:
     return into
 
 
+def write_wide(run_dir: Path) -> None:
+    """``wide.csv`` and its schema: 1500 rows of numerical inputs x0..x5 and categorical
+    inputs c0..c7, half of each kind leaking the sensitive column s."""
+    rng = random.Random(11)
+    rows = []
+    for _ in range(1500):
+        s = int(rng.random() < 0.5)
+        xs = [rng.gauss(s * (j % 2), 1.0) for j in range(6)]
+        cs = [j % card if j % 2 and s and rng.random() < 0.5 else rng.randrange(card)
+              for j, card in enumerate(WIDE_CARDINALITIES)]
+        logit = xs[0] - xs[1] + 0.5 * (cs[1] % 3) - 0.5 + s
+        y = int(rng.random() < 1.0 / (1.0 + math.exp(-logit)))
+        rows.append([*map(repr, xs), *(f"v{c}" for c in cs), str(s), str(y)])
+    header = [*(f"x{j}" for j in range(6)), *(f"c{j}" for j in range(len(WIDE_CARDINALITIES))), "s", "y"]
+    with open(run_dir / "wide.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    schema = [*({"name": f"x{j}", "kind": "numerical", "cardinality": None, "role": "non_sensitive"}
+                for j in range(6)),
+              *({"name": f"c{j}", "kind": "categorical", "cardinality": card, "role": "non_sensitive"}
+                for j, card in enumerate(WIDE_CARDINALITIES)),
+              {"name": "s", "kind": "categorical", "cardinality": 2, "role": "sensitive"},
+              {"name": "y", "kind": "numerical", "cardinality": None, "role": "label"}]
+    (run_dir / "wide.schema.json").write_text(json.dumps(schema), encoding="utf-8")
+
+
 def write_inputs(run_dir: Path) -> None:
-    """The matrix's configs, its categorical table and its malformed inputs, the same bytes on both sides."""
+    """The matrix's configs, its categorical and wide tables and its malformed inputs, the same bytes on both sides."""
+    write_wide(run_dir)
     rng = random.Random(7)
     rows = []
     for _ in range(1500):
