@@ -171,6 +171,9 @@ def cmd_train(args) -> int:
     train_config, dataset, out = _materialize(config, args.seed, scored)
 
     model, history = train(dataset, config.model, train_config)
+    # the report is computed before any output is written, so a run whose report fails writes none
+    with located("test split", catch=MetricError):  # reconstructed groups can make the gaps undefined
+        report = evaluate_model(model, dataset, "test", threshold=args.threshold, groups_from=args.groups_from)
     save_model(model, dataset, out / "model.bin", train_config)
 
     # first history line is run metadata, the rest are per-epoch records
@@ -188,9 +191,6 @@ def cmd_train(args) -> int:
     (out / "history.jsonl").write_text(
         "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines), encoding="utf-8"
     )
-
-    with located("test split", catch=MetricError):  # reconstructed groups can make the gaps undefined
-        report = evaluate_model(model, dataset, "test", threshold=args.threshold, groups_from=args.groups_from)
     _emit(report.to_dict(), out / "report.json")
     return 0
 

@@ -13,7 +13,10 @@ weighted as ``total = l0 + lambda_ifc * l_ifc + lambda_fc * l_fc + l_sar``.
 :func:`joint_loss` builds one table of (name, term, weight) rows in that
 order, and both the total and its :class:`LossBreakdown` are read from
 it. Each weight is a finite number in [0, inf), checked like every other
-numeric setting (:func:`~fairint.errors.check_number`).
+numeric setting (:func:`~fairint.errors.check_number`). The vanilla
+model's trace has no reconstructed probability, so its table holds
+``l0`` alone (it takes no fairness weights); a table of one row, whose
+weight is 1, is its own total, with no weighted-sum node.
 Group membership everywhere comes from the reconstructed probability, not
 the true sensitive column, so the fairness pressure works even where the
 sensitive attribute is unavailable at inference time. The sensitive
@@ -142,7 +145,7 @@ def group_gap_loss(pred: Tensor, labels, means: np.ndarray) -> Tensor:
 
 
 def joint_loss(trace, labels, sensitive, lambda_ifc: float = 0.0, lambda_fc: float = 0.0):
-    """Weighted sum of all terms for one forward trace.
+    """Weighted sum of all terms for one forward trace of either model.
 
     ``lambda_ifc`` and ``lambda_fc`` weight the two fairness terms, each a
     finite number in [0, inf) (else ConfigError); a weight of 0 leaves its
@@ -159,7 +162,8 @@ def joint_loss(trace, labels, sensitive, lambda_ifc: float = 0.0, lambda_fc: flo
         table.append(("l_ifc", group_divergence_loss(trace.fused, means), lambda_ifc))
     if lambda_fc > 0.0 and means is not None:
         table.append(("l_fc", group_gap_loss(trace.prediction, labels, means), lambda_fc))
-    table.append(("l_sar", reconstruction_loss(trace.pseudo_scalar, sensitive), 1.0))
+    if trace.pseudo_scalar is not None:
+        table.append(("l_sar", reconstruction_loss(trace.pseudo_scalar, sensitive), 1.0))
     _, terms, weights = zip(*table)
-    total = ad.weighted_sum(terms, weights)
+    total = terms[0] if len(table) == 1 else ad.weighted_sum(terms, weights)
     return total, LossBreakdown(total=total.item(), **{name: term.item() for name, term, _ in table})

@@ -21,6 +21,11 @@ they can be tested and inspected separately:
      pseudo-sensitive embedding, through a ReLU.
   5. predict: one sigmoid layer maps the fused embedding to a probability.
 
+Both models' ``forward`` returns a :class:`ForwardTrace`: the fair model
+fills its prediction, reconstructed probability, attention and fused
+embedding; the vanilla model, which runs the embedding through one
+plain MLP, fills the prediction alone and leaves the rest None.
+
 Weight matrices are stored in (input, output) orientation so the forward
 pass is plain right-multiplication.
 """
@@ -96,15 +101,13 @@ class EncodedRows:
 
 @dataclass
 class ForwardTrace:
-    """Everything one forward pass computed, kept for losses and reports."""
+    """What one forward pass computed that the losses and reports read. The vanilla
+    model fills ``prediction`` alone and leaves the other three fields None."""
 
-    embeddings: Tensor        # (B, |C| * d): one block of width d per feature, in feature_names order
-    pseudo_embed: Tensor      # (B, d)
-    pseudo_scalar: Tensor     # (B, 1), in (0, 1)
-    attention: Tensor         # (B, |C|), rows sum to 1, columns in feature_names order
-    interaction: Tensor       # (B, d)
-    fused: Tensor             # (B, d)
-    prediction: Tensor        # (B, 1), in (0, 1)
+    prediction: Tensor                   # (B, 1), in (0, 1)
+    pseudo_scalar: Tensor | None = None  # (B, 1), in (0, 1)
+    attention: Tensor | None = None      # (B, |C|), rows sum to 1, columns in feature_names order
+    fused: Tensor | None = None          # (B, d)
 
 
 # numpy raises ValueError, not MemoryError, for a shape whose float64 byte count does not fit in intp
@@ -130,7 +133,7 @@ class _EmbeddingBase:
         if not input_columns:
             raise ConfigError("model needs at least one non-sensitive input feature")
         for col in input_columns:
-            if col.role != "non_sensitive":
+            if col.role != ROLE_NON_SENSITIVE:
                 raise UsageError(f"column {col.name!r} with role {col.role!r} cannot be a model input")
         self.input_columns = list(input_columns)
         self.feature_names = [c.name for c in self.input_columns]
@@ -286,17 +289,8 @@ class FairIntModel(_EmbeddingBase):
         embeddings = self.embed_features(features)
         pseudo, scalar = self.sar_forward(embeddings, training, rng)
         attention = self.bid_attention(pseudo, embeddings)
-        interaction = self.interaction_embedding(attention, embeddings)
-        fused = self.residual_fuse(interaction, pseudo)
-        return ForwardTrace(
-            embeddings=embeddings,
-            pseudo_embed=pseudo,
-            pseudo_scalar=scalar,
-            attention=attention,
-            interaction=interaction,
-            fused=fused,
-            prediction=self.predict(fused),
-        )
+        fused = self.residual_fuse(self.interaction_embedding(attention, embeddings), pseudo)
+        return ForwardTrace(self.predict(fused), pseudo_scalar=scalar, attention=attention, fused=fused)
 
 
 class VanillaModel(_EmbeddingBase):
@@ -305,9 +299,10 @@ class VanillaModel(_EmbeddingBase):
     def _add_layers(self):
         self._add_mlp("mlp", [len(self.input_columns) * self.config.embed_dim, *self.config.baseline_hidden, 1])
 
-    def forward(self, features, training: bool = False, rng=None) -> Tensor:
-        """Probability of the positive class, shape (B, 1), for a feature mapping or :class:`EncodedRows`."""
-        return self._run_mlp("mlp", self.embed_features(features), training, rng, output="sigmoid")
+    def forward(self, features, training: bool = False, rng=None) -> ForwardTrace:
+        """The probability of the positive class, (B, 1), as the trace's ``prediction``, for a
+        feature mapping or :class:`EncodedRows`."""
+        return ForwardTrace(self._run_mlp("mlp", self.embed_features(features), training, rng, output="sigmoid"))
 
 
 # rows that one eval-mode forward scores at a time; bounds the activations it holds in memory
@@ -347,10 +342,9 @@ def score_rows(model, features: dict) -> tuple:
     pseudo = np.empty_like(prediction) if fair else None
 
     def read(rows, out):
+        prediction[rows] = out.prediction.values[:, 0]
         if fair:
             pseudo[rows] = out.pseudo_scalar.values[:, 0]
-            out = out.prediction
-        prediction[rows] = out.values[:, 0]
 
     _score_blocks(model, features, read)
     return prediction, pseudo

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import metrics as fm
 from .autodiff import backward
-# train() shuffles its rows itself, in the order of batches(); the benchmark's trace wraps that name here
+# train() shuffles its rows itself, in the order of batches(), and its steps reach ce_loss through
+# joint_loss; the benchmark's trace wraps both names here, so this module keeps importing them
 from .data import Dataset, batches, epoch_permutation, full_batch  # noqa: F401
 from .errors import (
     ConfigError,
@@ -31,7 +32,7 @@ from .errors import (
     check_number,
     located,
 )
-from .losses import LossBreakdown, assign_groups, ce_loss, joint_loss
+from .losses import LossBreakdown, assign_groups, ce_loss, joint_loss  # noqa: F401
 from .model import FairIntModel, ModelConfig, VanillaModel, score_rows
 
 __all__ = ["TrainConfig", "EpochRecord", "TrainHistory", "SweepPoint", "Adam", "new_model", "train", "evaluate_model",
@@ -212,13 +213,8 @@ def _train_epoch(model, optimizer: Adam, cfg: TrainConfig, epoch: int, encoded, 
         rows = slice(start, start + cfg.batch_size)
         batch_labels = labels[rows]
         try:
-            if cfg.enable_bid:
-                trace = model.forward(inputs[rows], training=True, rng=dropout_rng)
-                total, breakdown = joint_loss(trace, batch_labels, sensitive[rows], cfg.lambda_ifc, cfg.lambda_fc)
-            else:
-                pred = model.forward(inputs[rows], training=True, rng=dropout_rng)
-                total = ce_loss(pred, batch_labels)
-                breakdown = LossBreakdown(l0=total.item(), total=total.item())
+            trace = model.forward(inputs[rows], training=True, rng=dropout_rng)
+            total, breakdown = joint_loss(trace, batch_labels, sensitive[rows], cfg.lambda_ifc, cfg.lambda_fc)
             model.param_grads.fill(0.0)
             backward(total)
             optimizer.step()
@@ -256,8 +252,6 @@ def train(dataset: Dataset, model_config: ModelConfig, train_config: TrainConfig
     ``stopping_reason`` is ``max_epochs`` whenever every epoch ran, even
     if patience ran out at the last one, and ``early_stopping`` otherwise.
     """
-    if dataset.split_tags is None:
-        raise UsageError("dataset must be split before training")
     check_metrics_defined(dataset, "val")
     cfg = train_config
     model = new_model(dataset.input_columns, model_config, cfg)

@@ -192,13 +192,12 @@ def fair_forward(model, features, training=False, rng=None) -> ForwardTrace:
     interaction = model.interaction_embedding(attention, embeddings)
     fused = relu(add(interaction, matmul(pseudo, model.params["fuse.w_res"])))
     prediction = sigmoid(model._run_mlp("head", fused, training, rng))
-    return ForwardTrace(embeddings=embeddings, pseudo_embed=pseudo, pseudo_scalar=scalar, attention=attention,
-                        interaction=interaction, fused=fused, prediction=prediction)
+    return ForwardTrace(prediction, pseudo_scalar=scalar, attention=attention, fused=fused)
 
 
-def vanilla_forward(model, features, training=False, rng=None):
+def vanilla_forward(model, features, training=False, rng=None) -> ForwardTrace:
     """``VanillaModel.forward`` with the sigmoid as its own node."""
-    return sigmoid(model._run_mlp("mlp", model.embed_features(features), training, rng))
+    return ForwardTrace(sigmoid(model._run_mlp("mlp", model.embed_features(features), training, rng)))
 
 
 # -- the loss terms and the joint objective -------------------------------------------

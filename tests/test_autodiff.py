@@ -846,8 +846,7 @@ def test_every_op_of_a_step_holds_a_c_contiguous_float64_array():
     for cls in (FairIntModel, VanillaModel):
         model = cls(dataset.input_columns, ModelConfig(), seed=0, dropout=0.1)
         out = model.forward(batch.features, training=True, rng=np.random.default_rng(0))
-        pred = out.prediction if cls is FairIntModel else out
-        terms = [cross_entropy(pred, labels), cross_entropy_gap(pred, labels, means, 2.0)]
+        terms = [cross_entropy(out.prediction, labels), cross_entropy_gap(out.prediction, labels, means, 2.0)]
         if cls is FairIntModel:
             terms += [mean_squared_error(out.pseudo_scalar, labels), symmetric_kl(out.fused, means)]
         for node in graph_nodes(weighted_sum(terms, [1.0] * len(terms))):

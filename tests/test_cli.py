@@ -954,6 +954,16 @@ def test_reconstructed_test_groups_of_one_group_name_the_test_split(tmp_path, ca
     assert main(["train", "--config", str(config), "--groups-from", "reconstructed"]) == 4
     assert capsys.readouterr().err.splitlines() == [
         "error: test split: fairness gaps need both groups in the evaluation rows, found only group [0]"]
+    assert list((tmp_path / "run").iterdir()) == []  # the report fails before any output is written
+
+
+def test_a_train_whose_model_file_cannot_be_written_writes_nothing_else(tmp_path, capsys):
+    config, _ = write_config(tmp_path, train={"max_epochs": 1, "patience": 1})
+    (tmp_path / "run" / "model.bin").mkdir(parents=True)
+    assert main(["train", "--config", str(config)]) == 3
+    assert "model.bin" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["model.bin"]
+    assert list((tmp_path / "run" / "model.bin").iterdir()) == []
 
 
 def test_the_cli_trains_the_model_the_library_trains(tmp_path):

@@ -15,7 +15,7 @@ import graph_oracle
 from fairint.autodiff import backward, no_grad
 from fairint.data import (KIND_CATEGORICAL, KIND_NUMERICAL, ROLE_LABEL, ROLE_NON_SENSITIVE, ROLE_SENSITIVE, Dataset,
                           FeatureColumn, batches, split, synth_generate)
-from fairint.losses import assign_groups, ce_loss, joint_loss
+from fairint.losses import LossBreakdown, assign_groups, joint_loss
 from fairint.model import FairIntModel, ModelConfig, VanillaModel
 from fairint.training import Adam
 
@@ -122,13 +122,13 @@ def test_a_one_group_step_matches_the_op_chains(dataset):
 
 def test_vanilla_steps_match_the_op_chains(dataset):
     def fused(model, batch, rng):
-        total = ce_loss(model.forward(batch.features, training=True, rng=rng), batch.labels)
-        return total, total.item()
+        trace = model.forward(batch.features, training=True, rng=rng)
+        return joint_loss(trace, batch.labels, batch.true_sensitive)
 
     def chained(model, batch, rng):
-        pred = graph_oracle.vanilla_forward(model, batch.features, training=True, rng=rng)
-        total = graph_oracle.ce_loss(pred, batch.labels)
-        return total, total.item()
+        trace = graph_oracle.vanilla_forward(model, batch.features, training=True, rng=rng)
+        total = graph_oracle.ce_loss(trace.prediction, batch.labels)
+        return total, LossBreakdown(l0=total.item(), total=total.item())
 
     def model():
         return VanillaModel(dataset.input_columns, ModelConfig(), seed=1, dropout=0.1)
@@ -146,4 +146,4 @@ def test_eval_forwards_match_the_op_chains(dataset, wide):
             for name in ("pseudo_scalar", "attention", "fused", "prediction"):
                 assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes()
             got, want = vanilla.forward(features), graph_oracle.vanilla_forward(vanilla, features)
-            assert got.values.tobytes() == want.values.tobytes()
+            assert got.prediction.values.tobytes() == want.prediction.values.tobytes()

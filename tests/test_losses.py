@@ -18,7 +18,7 @@ from fairint.losses import (
     joint_loss,
     reconstruction_loss,
 )
-from fairint.model import FairIntModel, ModelConfig
+from fairint.model import FairIntModel, ModelConfig, VanillaModel
 
 
 def col(values):
@@ -225,7 +225,7 @@ def split_readout(m, batch):
     # both groups are present, and scaling by the smallest |logit| keeps
     # every row a safe distance from the 0.5 boundary. Finite-difference
     # perturbations therefore cannot flip any row's group.
-    P = m.forward(batch).pseudo_embed.values
+    P = m.sar_forward(m.embed_features(batch))[0].values
     mu = P.mean(axis=0)
     v = np.array([-mu[1], mu[0]])
     t = P @ v
@@ -272,6 +272,16 @@ def test_joint_loss_adds_5_nodes_with_two_groups_and_3_with_one():
         forward = {id(n) for t in (trace.prediction, trace.pseudo_scalar, trace.fused) for n in graph_nodes(t)}
         total, _ = joint_loss(trace, batch.labels[rows], batch.true_sensitive[rows], 2.0, 30.0)
         assert len(graph_nodes(total)) - len(forward) == added
+
+
+def test_the_vanilla_table_holds_l0_alone_and_its_cross_entropy_node_is_the_total():
+    fair, batch, labels, sensitive = loss_model()
+    m = VanillaModel(fair.input_columns, fair.config, seed=3)
+    trace = m.forward(batch)
+    total, breakdown = joint_loss(trace, labels, sensitive)
+    assert total.op == "cross_entropy" and total._parents == (trace.prediction,)
+    assert total.values.tobytes() == ce_loss(trace.prediction, labels).values.tobytes()
+    assert breakdown == LossBreakdown(l0=total.item(), l_sar=0.0, l_ifc=0.0, l_fc=0.0, total=total.item())
 
 
 def one_group_batch():

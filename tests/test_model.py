@@ -116,9 +116,10 @@ def test_categorical_id_selects_table_column():
 def test_equal_rows_get_equal_embeddings_and_predictions():
     m = small_model()
     batch = {"job": np.array([1, 1]), "age": np.array([0.3, 0.3]), "hours": np.array([-1.0, -1.0])}
-    trace = m.forward(batch)
-    np.testing.assert_array_equal(trace.embeddings.values[0], trace.embeddings.values[1])
-    np.testing.assert_array_equal(trace.prediction.values[0], trace.prediction.values[1])
+    embeddings = m.embed_features(batch).values
+    np.testing.assert_array_equal(embeddings[0], embeddings[1])
+    prediction = m.forward(batch).prediction.values
+    np.testing.assert_array_equal(prediction[0], prediction[1])
 
 
 def test_missing_feature_column_raises():
@@ -211,8 +212,9 @@ def test_interaction_weights_one_zero_select_first_feature():
 
 def test_interaction_and_fusion_are_embed_dim_wide():
     m = small_model(seed=1)
-    trace = m.forward(small_batch(n=4))
-    assert trace.interaction.shape == (4, 2)
+    batch = small_batch(n=4)
+    trace = m.forward(batch)
+    assert m.interaction_embedding(trace.attention, m.embed_features(batch)).shape == (4, 2)
     assert trace.fused.shape == (4, 2)
 
 
@@ -283,7 +285,9 @@ def test_permuting_feature_order_permutes_attention_and_keeps_output():
     other = permuted.forward(batch)
 
     np.testing.assert_allclose(other.attention.values, trace.attention.values[:, perm], atol=1e-12)
-    np.testing.assert_allclose(other.interaction.values, trace.interaction.values, atol=1e-12)
+    interaction = m.interaction_embedding(trace.attention, m.embed_features(batch))
+    other_interaction = permuted.interaction_embedding(other.attention, permuted.embed_features(batch))
+    np.testing.assert_allclose(other_interaction.values, interaction.values, atol=1e-12)
     np.testing.assert_allclose(other.prediction.values, trace.prediction.values, atol=1e-12)
 
 
@@ -313,7 +317,7 @@ def test_each_added_feature_adds_zero_nodes_to_a_fair_step(kind, card):
 
 def test_default_architecture_builds_31_nodes_per_fair_step_and_12_per_vanilla_step():
     # the graphs the benchmark counts per step: a training forward with dropout, then
-    # the joint loss with both penalties active, or the vanilla model's cross-entropy
+    # the joint loss with both penalties active, or the vanilla model's, whose one row is its cross-entropy
     ds = split(synth_generate(n=400, bias_strength=2.0, proxy_corr=0.8, seed=7), (0.6, 0.2, 0.2), seed=7)
     batch = full_batch(ds, "train")
     config = ModelConfig()
@@ -322,9 +326,10 @@ def test_default_architecture_builds_31_nodes_per_fair_step_and_12_per_vanilla_s
     assert set(assign_groups(trace.pseudo_scalar)) == {0, 1}
     total, _ = joint_loss(trace, batch.labels, batch.true_sensitive, 2.0, 30.0)
     assert len(ad.graph_nodes(total)) == 31
-    pred = VanillaModel(ds.input_columns, config, seed=0, dropout=0.1).forward(
+    trace = VanillaModel(ds.input_columns, config, seed=0, dropout=0.1).forward(
         batch.features, training=True, rng=np.random.default_rng(0))
-    assert len(ad.graph_nodes(ce_loss(pred, batch.labels))) == 12
+    total, _ = joint_loss(trace, batch.labels, batch.true_sensitive)
+    assert len(ad.graph_nodes(total)) == 12
 
 
 # -- determinism and dropout -----------------------------------------------------------------
@@ -360,16 +365,28 @@ def test_vanilla_zero_weights_give_half():
     m = VanillaModel(cols(("a", "numerical", None), ("b", "categorical", 2)), config, seed=0)
     m.params["mlp.layer1.w"].values[:] = 0.0
     out = m.forward({"a": np.array([1.0, -1.0]), "b": np.array([0, 1])})
-    np.testing.assert_array_equal(out.values, np.full((2, 1), 0.5))
+    np.testing.assert_array_equal(out.prediction.values, np.full((2, 1), 0.5))
+
+
+def test_vanilla_forward_is_a_trace_of_its_prediction_alone():
+    m = VanillaModel(small_model().input_columns, ModelConfig(), seed=3, dropout=0.5)
+    batch = small_batch(n=9)
+    assert list(ForwardTrace.__dataclass_fields__) == ["prediction", "pseudo_scalar", "attention", "fused"]
+    for training in (False, True):
+        trace = m.forward(batch, training=training, rng=np.random.default_rng(1))
+        mlp = m._run_mlp("mlp", m.embed_features(batch), training, np.random.default_rng(1), output="sigmoid")
+        assert isinstance(trace, ForwardTrace)
+        assert trace.prediction.values.tobytes() == mlp.values.tobytes()
+        assert trace.pseudo_scalar is None and trace.attention is None and trace.fused is None
 
 
 def test_vanilla_deterministic_and_seed_sensitive():
     config = ModelConfig(embed_dim=2, baseline_hidden=(8, 4))
     columns = cols(("a", "numerical", None), ("b", "numerical", None))
     batch = {"a": np.array([0.1, 0.2, 0.3]), "b": np.array([-1.0, 0.0, 1.0])}
-    a = VanillaModel(columns, config, seed=1).forward(batch)
-    b = VanillaModel(columns, config, seed=1).forward(batch)
-    c = VanillaModel(columns, config, seed=2).forward(batch)
+    a = VanillaModel(columns, config, seed=1).forward(batch).prediction
+    b = VanillaModel(columns, config, seed=1).forward(batch).prediction
+    c = VanillaModel(columns, config, seed=2).forward(batch).prediction
     assert a.values.tobytes() == b.values.tobytes()
     assert a.values.tobytes() != c.values.tobytes()
 
@@ -403,10 +420,9 @@ def test_blocked_scores_equal_one_forward_over_all_rows_bit_for_bit(blocks_of_64
         blocks = []
         _score_blocks(model, batch, lambda rows, out: blocks.append(out.attention.values))
         assert np.concatenate(blocks).tobytes() == whole.attention.values.tobytes()
-        whole = whole.prediction
     else:
         assert pseudo is None
-    assert prediction.shape == (n,) and prediction.tobytes() == whole.values.reshape(-1).tobytes()
+    assert prediction.shape == (n,) and prediction.tobytes() == whole.prediction.values.reshape(-1).tobytes()
 
 
 @pytest.mark.parametrize("n", BLOCKED_ROW_COUNTS)

@@ -34,7 +34,7 @@ def reference_train(dataset, model_config, cfg):
             if cfg.enable_bid:
                 total, breakdown = joint_loss(out, batch.labels, batch.true_sensitive, cfg.lambda_ifc, cfg.lambda_fc)
             else:
-                total = ce_loss(out, batch.labels)
+                total = ce_loss(out.prediction, batch.labels)
                 breakdown = LossBreakdown(l0=total.item(), l_sar=0.0, l_ifc=0.0, l_fc=0.0, total=total.item())
             model.param_grads.fill(0.0)
             backward(total)

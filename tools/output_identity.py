@@ -37,9 +37,12 @@ commands, each in its own process with one BLAS thread:
               the schema in its file; ``eval`` of the fair synth model on a
               copy of the synth table whose labels are all 1, where the FPR
               is undefined; ``train`` with ``sar_hidden`` 10^18, a model
-              too large to allocate; and ``train --groups-from
+              too large to allocate; ``train --groups-from
               reconstructed`` for one epoch of the recipe, after which the
-              reconstructed test groups are one group
+              reconstructed test groups are one group; and ``train`` of
+              that one-epoch config into an ``output_dir`` whose
+              ``model.bin`` path is already a directory, so the first
+              write fails
 
 For every file the matrix leaves, and every command's stdout, stderr and
 exit code, it prints ``identical`` when both sides have the same sha256.
@@ -89,6 +92,7 @@ CONFIGS = {
     "sweep.json": (SYNTH_DATA, {}, "sweep"),
     "no_inputs.json": ({"csv_path": "no_inputs.csv", "schema_path": "no_inputs.schema.json"}, {}, "no_inputs"),
     "one_epoch.json": (SYNTH_DATA, {"max_epochs": 1, "patience": 1}, "one_epoch"),
+    "unwritable.json": (SYNTH_DATA, {"max_epochs": 1, "patience": 1}, "unwritable"),
 }
 MODEL = ["--model", "fair/model.bin", "--csv", "synth.csv"]
 WIDE_MODEL = ["--model", "wide/model.bin", "--csv", "wide.csv"]
@@ -125,6 +129,7 @@ COMMANDS = [
     ("bad_eval_one_class", ["eval", "--model", "fair/model.bin", "--csv", "one_class.csv"], 4),
     ("bad_model_size", ["train", "--config", "bad_size.json"], 3),
     ("bad_train_reconstructed_one_group", ["train", "--config", "one_epoch.json", "--groups-from", "reconstructed"], 4),
+    ("bad_train_unwritable", ["train", "--config", "unwritable.json"], 3),
 ]
 EXPECTED_EXIT = {label: code for label, _, code in COMMANDS}
 
@@ -209,6 +214,7 @@ def write_inputs(run_dir: Path) -> None:
                            "standardize_stats": stats}).encode("utf-8")
         (run_dir / name).write_bytes(b"FAIRINTM" + struct.pack("<II", 1, len(meta)) + meta + struct.pack("<I", 0))
     (run_dir / "truncated.bin").write_bytes(b"FAIRINTM\x01\x00")
+    (run_dir / "unwritable" / "model.bin").mkdir(parents=True)  # a directory where train writes its model
     for name, (dataset, train, output_dir) in CONFIGS.items():
         doc = {"dataset": dataset, "train": {**RECIPE, **train}, "output_dir": output_dir}
         (run_dir / name).write_text(json.dumps(doc), encoding="utf-8")
